@@ -28,7 +28,7 @@ from .detector import (
 )
 from .errors import Error, InsufficientDataError, OrderingError, ParameterError, ParseError
 from .evaluation import RocPoint, ScoreReport, per_attack_breakdown, score, sweep
-from .model import FlowEvent, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory, WindowSample
+from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory, WindowSample
 from .profiler import NormalProfile, build_profile, windowize
 from .simulator import LabeledEventStream, ScenarioConfig, ScenarioKind, generate
 
@@ -37,9 +37,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_FACTORS",
     "Error",
+    "EventTable",
     "FlowBand",
     "FlowClassification",
-    "FlowEvent",
     "FlowKey",
     "GroundTruthLabel",
     "InsufficientDataError",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Set
+from typing import Container, Iterable, Mapping
 
 from .errors import ParameterError
 from .model import FlowKey
@@ -85,7 +85,7 @@ def sigma_limits(per_flow_mean: float, per_flow_std: float) -> SigmaLimits:
 def classify_flows(
     per_flow_bytes: Mapping[FlowKey, int],
     limits: SigmaLimits,
-    previously_active: Set[FlowKey] = frozenset(),
+    previously_active: Container[FlowKey] = frozenset(),
 ) -> list[FlowClassification]:
     """Partition a window's flows into normal / suspicious / attack bands.
 

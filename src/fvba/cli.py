@@ -137,7 +137,7 @@ def cmd_profile(args) -> int:
     if args.aggregate:
         series: list[ProtocolCategory | None] = [None]
     else:
-        series = sorted({e.key.protocol for e in events}, key=lambda p: p.value)
+        series = sorted(events.protocols(), key=lambda p: p.value)
     profiles = []
     for protocol in series:
         samples = windowize(events, args.window_seconds, protocol)
@@ -151,7 +151,7 @@ def cmd_profile(args) -> int:
 def _warn_unprofiled(events, profiles) -> None:
     if None in profiles:
         return
-    unprofiled = {e.key.protocol for e in events} - set(profiles)
+    unprofiled = events.protocols() - set(profiles)
     if unprofiled:
         names = ", ".join(sorted(p.value for p in unprofiled))
         print(f"fvba: note: no profile for {names}; those windows are not evaluated"
@@ -195,7 +195,9 @@ def cmd_characterize(args) -> int:
         samples = windowize(events, profile.window_length, protocol)
         limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
         reports = detect_series(samples, profile, thresholds)
-        previous: set = set()
+        # The previous window's flow map is built only if an attack-band
+        # flow of a flagged window is looked up in it.
+        previous = frozenset()
         for sample, report in zip(samples, reports):
             if report.is_attack:
                 flagged += 1
@@ -206,7 +208,7 @@ def cmd_characterize(args) -> int:
                 strength = volume_excess_ratio(sample.volume, profile.volume_mean)
                 for directive in throttle_directives(suspicious, strength):
                     throttle_lines.append(throttle_line(sample.window_index, directive))
-            previous = set(sample.per_flow_bytes)
+            previous = sample.per_flow_bytes
     _write(args.out, "\n".join(classification_lines) + "\n")
     if args.throttle_out:
         _write(args.throttle_out, "\n".join(throttle_lines) + "\n")

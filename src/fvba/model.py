@@ -1,14 +1,18 @@
-"""Core domain types: flow identities, flow events, windowed samples, ground truth.
+"""Core domain types: flow identities, event tables, windowed samples, ground truth.
 
-All types are immutable value types; they are safe to share between
-threads and to use as dictionary keys where hashable.
+All types are value types that are not changed after construction; they
+are safe to share between threads and to use as dictionary keys where
+hashable.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -53,19 +57,107 @@ class FlowKey(NamedTuple):
         return self
 
 
-class FlowEvent(NamedTuple):
-    """One unit of traffic: `bytes` bytes of flow `key` arriving at `timestamp`."""
+class EventTable:
+    """A time-sorted event stream, stored as columns.
 
-    timestamp: float
-    key: FlowKey
-    bytes: int
+    Event i is `bytes[i]` bytes of flow `keys[flow[i]]` arriving at
+    `timestamp[i]`; its protocol is that flow key's.  The columns are a
+    float64, an int32 and an int64 array of one length; `keys` holds each
+    flow key once.  This is the toolkit's only in-memory form of an event
+    stream.  Treat the arrays as read-only.
 
-    def validate(self) -> "FlowEvent":
-        if self.timestamp < 0:
-            raise ParameterError(f"negative timestamp: {self.timestamp}")
-        if self.bytes < 1:
-            raise ParameterError(f"event byte count must be >= 1, got {self.bytes}")
-        return self
+    Raises ParameterError, naming the first offending event, for a
+    non-finite or negative timestamp, a byte count below 1 or a flow id
+    outside `keys`, and for repeated keys.  Time order is checked where it
+    is relied on (`profiler.windowize`).
+    """
+
+    __slots__ = ("timestamp", "flow", "bytes", "keys")
+
+    def __init__(self, timestamp, flow, bytes, keys: Sequence[FlowKey]):
+        self.timestamp = np.asarray(timestamp, dtype=np.float64)
+        self.flow = np.asarray(flow, dtype=np.int32)
+        self.bytes = np.asarray(bytes, dtype=np.int64)
+        self.keys = tuple(keys)
+        size = self.timestamp.shape
+        if len(size) != 1 or self.flow.shape != size or self.bytes.shape != size:
+            raise ParameterError("event columns must be one-dimensional and of one length")
+        if len(set(self.keys)) != len(self.keys):
+            raise ParameterError("flow keys must be distinct")
+        _reject_first(~(np.isfinite(self.timestamp) & (self.timestamp >= 0)), self.timestamp,
+                      "timestamp must be finite and non-negative, got {}")
+        _reject_first(self.bytes < 1, self.bytes, "event byte count must be >= 1, got {}")
+        _reject_first((self.flow < 0) | (self.flow >= len(self.keys)), self.flow,
+                      f"flow id {{}} outside the {len(self.keys)} flow keys")
+
+    def __len__(self) -> int:
+        return self.timestamp.size
+
+    def __eq__(self, other) -> bool:
+        """Equal when both hold the same events in the same order."""
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        if not (np.array_equal(self.timestamp, other.timestamp)
+                and np.array_equal(self.bytes, other.bytes)):
+            return False
+        # Flow ids may differ between tables; compare the keys they name.
+        position = {key: index for index, key in enumerate(self.keys)}
+        remap = np.array([position.get(key, -1) for key in other.keys], dtype=np.int64)
+        return np.array_equal(self.flow, remap[other.flow])
+
+    def __repr__(self) -> str:
+        return f"EventTable({len(self)} events, {len(self.keys)} flows)"
+
+    def protocols(self) -> set[ProtocolCategory]:
+        """Protocols of the flows that have at least one event."""
+        present = np.flatnonzero(np.bincount(self.flow, minlength=len(self.keys)))
+        return {self.keys[f].protocol for f in present.tolist()}
+
+
+def _reject_first(invalid: np.ndarray, values: np.ndarray, message: str) -> None:
+    if invalid.any():
+        index = int(np.argmax(invalid))
+        raise ParameterError(f"event {index}: " + message.format(values[index]))
+
+
+class WindowFlows(Mapping[FlowKey, int]):
+    """Per-flow byte totals of one window, read from event-table columns.
+
+    The dict is built on first read, keyed in order of each flow's first
+    event in the window, so a window whose flows are never read costs only
+    two array views.
+    """
+
+    __slots__ = ("_keys", "_flow", "_bytes", "_totals")
+
+    def __init__(self, keys: Sequence[FlowKey], flow: np.ndarray, counts: np.ndarray):
+        self._keys, self._flow, self._bytes = keys, flow, counts
+        self._totals: dict[FlowKey, int] | None = None
+
+    def _built(self) -> dict[FlowKey, int]:
+        if self._totals is None:
+            totals: dict[FlowKey, int] = {}
+            keys = self._keys
+            for f, count in zip(self._flow.tolist(), self._bytes.tolist()):
+                key = keys[f]
+                totals[key] = totals.get(key, 0) + count
+            self._totals = totals
+        return self._totals
+
+    def __getitem__(self, key: FlowKey) -> int:
+        return self._built()[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._built()
+
+    def __iter__(self) -> Iterator[FlowKey]:
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return f"WindowFlows({self._built()!r})"
 
 
 @dataclass(frozen=True)
@@ -75,7 +167,9 @@ class WindowSample:
     `volume` is the total byte count over the window, `flow_count` the
     number of distinct flows seen, and `per_flow_bytes` the byte total of
     each of those flows.  `protocol` is None for a sample aggregated over
-    all protocol categories (see `profiler.windowize`).
+    all protocol categories (see `profiler.windowize`).  The volume and
+    flow count are checked against a plain flow map; a `WindowFlows` view
+    from `windowize` is derived from the same columns as they are.
     """
 
     window_index: int
@@ -84,9 +178,11 @@ class WindowSample:
     protocol: ProtocolCategory | None
     volume: int
     flow_count: int
-    per_flow_bytes: dict[FlowKey, int]
+    per_flow_bytes: Mapping[FlowKey, int]
 
     def __post_init__(self):
+        if isinstance(self.per_flow_bytes, WindowFlows):
+            return
         if self.volume != sum(self.per_flow_bytes.values()):
             raise ParameterError("window volume must equal the sum of per-flow bytes")
         if self.flow_count != len(self.per_flow_bytes):

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, OrderingError, ParameterError, ParseError
-from .model import FlowEvent, ProtocolCategory, WindowSample
+from .model import EventTable, ProtocolCategory, WindowFlows, WindowSample
 
 PROFILE_FORMAT_VERSION = 1
 
@@ -22,13 +22,13 @@ PROFILE_FORMAT_VERSION = 1
 _BIN_EPSILON = 1e-9
 
 
-def window_index_of(timestamp: float, window_length: float) -> int:
-    """Index w of the window [w*L, (w+1)*L) containing `timestamp`."""
-    return int((timestamp + _BIN_EPSILON) / window_length)
+def window_indices(timestamps: np.ndarray, window_length: float) -> np.ndarray:
+    """Index w of the window [w*L, (w+1)*L) containing each timestamp."""
+    return ((timestamps + _BIN_EPSILON) / window_length).astype(np.int64)
 
 
 def windowize(
-    events: Sequence[FlowEvent],
+    events: EventTable,
     window_length: float,
     protocol: ProtocolCategory | None = None,
 ) -> list[WindowSample]:
@@ -36,49 +36,64 @@ def windowize(
 
     One sample is returned for every window covering the span of `events`,
     empty windows included, so that all protocols of the same stream share
-    one window indexing.  Only events whose key matches `protocol` are
+    one window indexing.  Only events whose flow key matches `protocol` are
     aggregated; `protocol=None` aggregates every event into a single
-    protocol-agnostic series.
+    protocol-agnostic series.  Volumes and flow counts are computed on the
+    columns; each sample's `per_flow_bytes` is a `WindowFlows` view that
+    builds its map only when read.
 
-    Raises OrderingError if the events are not sorted by timestamp, and
-    ParameterError for a non-positive window length.
+    Raises OrderingError, naming the first event that is earlier than its
+    predecessor, if the events are not sorted by timestamp, and
+    ParameterError for a non-positive window length or a series byte
+    total beyond int64.
     """
     if window_length <= 0:
         raise ParameterError(f"window length must be positive, got {window_length}")
-    if not events:
+    if not len(events):
         return []
-
-    first = window_index_of(events[0].timestamp, window_length)
-    last = window_index_of(events[-1].timestamp, window_length)
-    buckets: dict[int, dict] = {}
-    previous = events[0].timestamp
-    for event in events:
-        if event.timestamp < previous:
-            raise OrderingError(
-                f"events are not sorted by timestamp ({event.timestamp} after {previous})"
-            )
-        previous = event.timestamp
-        if protocol is not None and event.key.protocol is not protocol:
-            continue
-        w = window_index_of(event.timestamp, window_length)
-        flows = buckets.get(w)
-        if flows is None:
-            flows = buckets[w] = {}
-        flows[event.key] = flows.get(event.key, 0) + event.bytes
-
-    samples = []
-    for w in range(first, last + 1):
-        flows = buckets.get(w, {})
-        samples.append(
-            WindowSample.from_flows(
-                window_index=w,
-                window_start=w * window_length,
-                window_length=window_length,
-                protocol=protocol,
-                per_flow_bytes=flows,
-            )
+    timestamps = events.timestamp
+    unsorted = np.flatnonzero(np.diff(timestamps) < 0)
+    if unsorted.size:
+        index = int(unsorted[0]) + 1
+        raise OrderingError(
+            f"event {index}: events are not sorted by timestamp"
+            f" ({float(timestamps[index])} after {float(timestamps[index - 1])})"
         )
-    return samples
+
+    windows = window_indices(timestamps, window_length)
+    first, last = int(windows[0]), int(windows[-1])
+    flow, counts = events.flow, events.bytes
+    if protocol is not None:
+        chosen = np.array([k.protocol is protocol for k in events.keys], dtype=bool)[flow]
+        windows, flow, counts = windows[chosen], flow[chosen], counts[chosen]
+
+    # Window indices are sorted with the timestamps, so window first + i
+    # holds the selected events bounds[i]:bounds[i + 1].
+    bounds = np.searchsorted(windows, np.arange(first, last + 2))
+    running = np.concatenate(([0], np.cumsum(counts)))
+    # Byte counts are positive, so the running total only wraps on overflow.
+    if running.size > 1 and not (running[1:] > running[:-1]).all():
+        raise ParameterError("byte total of the series does not fit int64")
+    volumes = running[bounds[1:]] - running[bounds[:-1]]
+    pairs = np.unique((windows - first) * len(events.keys) + flow)
+    flow_counts = np.bincount(pairs // len(events.keys), minlength=last - first + 1)
+
+    bounds = bounds.tolist()
+    return [
+        WindowSample(
+            window_index=w,
+            window_start=w * window_length,
+            window_length=window_length,
+            protocol=protocol,
+            volume=volume,
+            flow_count=flow_count,
+            per_flow_bytes=WindowFlows(events.keys, flow[lo:hi], counts[lo:hi]),
+        )
+        for w, volume, flow_count, lo, hi in zip(
+            range(first, last + 1), volumes.tolist(), flow_counts.tolist(),
+            bounds[:-1], bounds[1:],
+        )
+    ]
 
 
 @dataclass(frozen=True)

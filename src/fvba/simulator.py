@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .model import FlowEvent, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
-from .profiler import window_index_of
+from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
+from .profiler import window_indices
 
 
 class ScenarioKind(enum.Enum):
@@ -117,7 +117,7 @@ class ScenarioConfig:
 class LabeledEventStream:
     """A time-sorted event stream plus per-flow ground truth."""
 
-    events: list[FlowEvent]
+    events: EventTable
     truth: dict[FlowKey, GroundTruthLabel]
     attack_start: float
     attack_end: float
@@ -128,18 +128,16 @@ class LabeledEventStream:
 
     def attack_windows(self, window_length: float) -> set[int]:
         """Indices of windows containing at least one attack-labelled event."""
-        return {
-            window_index_of(e.timestamp, window_length)
-            for e in self.events
-            if e.key in self._attack_keys
-        }
+        events = self.events
+        attack_flow = np.array([k in self._attack_keys for k in events.keys], dtype=bool)
+        hit = attack_flow[events.flow]
+        return set(window_indices(events.timestamp[hit], window_length).tolist())
 
     def window_truth(self, window_length: float) -> dict[int, bool]:
         """Per-window ground truth over the stream's full window span."""
-        if not self.events:
+        if not len(self.events):
             return {}
-        first = window_index_of(self.events[0].timestamp, window_length)
-        last = window_index_of(self.events[-1].timestamp, window_length)
+        first, last = window_indices(self.events.timestamp[[0, -1]], window_length).tolist()
         attacked = self.attack_windows(window_length)
         return {w: w in attacked for w in range(first, last + 1)}
 
@@ -186,7 +184,7 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
         inside = times < config.duration
         times_parts.append(times[inside])
         bytes_parts.append(sizes[inside])
-        flows_parts.append(np.full(int(inside.sum()), len(keys) - 1, dtype=np.int64))
+        flows_parts.append(np.full(int(inside.sum()), len(keys) - 1, dtype=np.int32))
 
     # Zombies: one UDP flow each, fixed-size packets with exponential gaps
     # at the class mean rate, confined to the attack interval.
@@ -200,21 +198,14 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
         times = config.attack_start + _arrival_times(rng, packet_rate, attack_span)
         times_parts.append(times)
         bytes_parts.append(np.full(times.size, config.zombie_packet_bytes, dtype=np.int64))
-        flows_parts.append(np.full(times.size, len(keys) - 1, dtype=np.int64))
+        flows_parts.append(np.full(times.size, len(keys) - 1, dtype=np.int32))
 
-    if times_parts:
-        all_times = np.concatenate(times_parts)
-        all_flows = np.concatenate(flows_parts)
-        all_bytes = np.concatenate(bytes_parts)
-        order = np.argsort(all_times, kind="stable")
-        events = [
-            FlowEvent(t, keys[f], b)
-            for t, f, b in zip(
-                all_times[order].tolist(), all_flows[order].tolist(), all_bytes[order].tolist()
-            )
-        ]
-    else:
-        events = []
+    # At least one client is configured, so there is at least one part.
+    all_times = np.concatenate(times_parts)
+    order = np.argsort(all_times, kind="stable")
+    events = EventTable(
+        all_times[order], np.concatenate(flows_parts)[order], np.concatenate(bytes_parts)[order], keys
+    )
 
     return LabeledEventStream(
         events=events,

@@ -61,6 +61,24 @@ class TestProfileCommand:
                     "--out", tmp_path / "p.txt"], tmp_path)
         assert code == 1
 
+    @pytest.mark.parametrize("timestamp", ["nan", "inf"])
+    def test_non_finite_timestamp_fails_with_line(self, tmp_path, capsys, timestamp):
+        events = tmp_path / "events.tsv"
+        events.write_text(f"0.0\tTCP\tc0\t1\tsrv\t80\t10\n{timestamp}\tTCP\tc0\t1\tsrv\t80\t10\n")
+        code = run(["profile", "--events", events, "--out", tmp_path / "p.txt"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("fvba profile: error: line 2: non-finite timestamp")
+        assert "Traceback" not in err
+
+    def test_unsorted_events_fail_with_line(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        events.write_text("0.5\tTCP\tc0\t1\tsrv\t80\t10\n0.2\tTCP\tc0\t1\tsrv\t80\t10\n")
+        code = run(["profile", "--events", events, "--out", tmp_path / "p.txt"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "fvba profile: error: line 2: events are not sorted by timestamp (0.2 after 0.5)")
+
     def test_per_protocol_sections(self, pipeline):
         tmp_path, train, attack, _ = pipeline
         out = tmp_path / "per_proto.txt"

@@ -1,19 +1,21 @@
 import pytest
 
+from event_rows import Row, rows, table
 from fvba import io as fio
-from fvba.errors import ParseError
-from fvba.model import FlowEvent, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
+from fvba.errors import OrderingError, ParseError
+from fvba.model import FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
 
 
 def events_fixture():
     k1 = FlowKey(ProtocolCategory.TCP, "c000", "srv", 40000, 80)
     k2 = FlowKey(ProtocolCategory.UDP, "z000", "srv", 50000, 9)
     k3 = FlowKey(ProtocolCategory.ICMP, "h1", "h2", 0, 0)
-    return [
-        FlowEvent(0.0, k1, 1000),
-        FlowEvent(0.12345678901234, k2, 1),
-        FlowEvent(7.5, k3, 64),
-    ]
+    return table([
+        Row(0.0, k1, 1000),
+        Row(0.12345678901234, k2, 1),
+        Row(7.5, k3, 64),
+        Row(7.5, k1, 2**63 - 1),
+    ])
 
 
 class TestEventFormat:
@@ -30,9 +32,51 @@ class TestEventFormat:
             fio.load_events("0.0\tTCP\tc0\t1\tsrv\n")
 
     def test_invalid_bytes_named_by_line(self):
-        good = fio.dump_events(events_fixture()[:1])
+        good = fio.dump_events(events_fixture()).splitlines()[0] + "\n"
         with pytest.raises(ParseError, match="line 2"):
             fio.load_events(good + "1.0\tTCP\tc0\t1\tsrv\t80\t0\n")
+
+    @pytest.mark.parametrize("timestamp", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_timestamp_named_by_line(self, timestamp):
+        text = f"0.0\tTCP\tc0\t1\tsrv\t80\t10\n{timestamp}\tTCP\tc0\t1\tsrv\t80\t10\n"
+        with pytest.raises(ParseError, match="line 2: non-finite timestamp"):
+            fio.load_events(text)
+
+    def test_negative_timestamp_named_by_line(self):
+        with pytest.raises(ParseError, match="line 1: negative timestamp: -0.5"):
+            fio.load_events("-0.5\tTCP\tc0\t1\tsrv\t80\t10\n")
+
+    def test_bytes_beyond_int64_named_by_line(self):
+        line = "0.0\tTCP\tc0\t1\tsrv\t80\t{}\n"
+        assert len(fio.load_events(line.format(2**63 - 1))) == 1
+        with pytest.raises(ParseError, match="line 2: .*does not fit int64"):
+            fio.load_events(line.format(1) + line.format(2**63))
+
+    def test_unsorted_named_by_line(self):
+        # A blank line still counts, so the late event is on line 4.
+        text = ("0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n"
+                "0.6\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tUDP\tz0\t9\tsrv\t9\t10\n")
+        with pytest.raises(OrderingError, match=r"line 4: .*\(0.1 after 0.6\)"):
+            fio.load_events(text)
+
+    def test_key_errors_named_by_line_once_per_key(self):
+        # The key of line 2 is known from line 1; line 3's is new and bad.
+        text = ("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\t10\n"
+                "0.2\tTCP\tc0\t1\tsrv\t99999\t10\n")
+        with pytest.raises(ParseError, match="line 3: port out of range"):
+            fio.load_events(text)
+        with pytest.raises(ParseError, match="line 2: expected 7 columns, got 8"):
+            fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\t10\t1\n")
+
+    def test_key_spellings_intern_to_one_flow(self):
+        events = fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\ttcp\tc0\t01\tsrv\t80\t20\n")
+        assert len(events.keys) == 1
+        assert rows(events) == [Row(0.0, events.keys[0], 10), Row(0.1, events.keys[0], 20)]
+
+    def test_blank_lines_skipped(self):
+        events = fio.load_events("\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n\t\t\t\t\t\t\n")
+        assert len(events) == 1
+        assert len(fio.load_events("")) == 0
 
 
 class TestTruthFormat:

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fvba.errors import ParameterError
 from fvba.model import (
     NORMAL,
-    FlowEvent,
+    EventTable,
     FlowKey,
     GroundTruthLabel,
     ProtocolCategory,
@@ -44,13 +46,40 @@ class TestFlowKey:
             key(sport=65536).validate()
 
 
-class TestFlowEvent:
+class TestEventTable:
     def test_validate(self):
-        FlowEvent(0.0, key(), 1).validate()
-        with pytest.raises(ParameterError):
-            FlowEvent(-0.1, key(), 1).validate()
-        with pytest.raises(ParameterError):
-            FlowEvent(0.0, key(), 0).validate()
+        EventTable([0.0], [0], [1], [key()])
+        with pytest.raises(ParameterError, match="event 1"):
+            EventTable([0.0, -0.1], [0, 0], [1, 1], [key()])
+        with pytest.raises(ParameterError, match="event 0"):
+            EventTable([0.0], [0], [0], [key()])
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, timestamp):
+        with pytest.raises(ParameterError, match="finite"):
+            EventTable([0.0, timestamp], [0, 0], [1, 1], [key()])
+
+    def test_structure_validated(self):
+        with pytest.raises(ParameterError, match="flow id"):
+            EventTable([0.0], [1], [1], [key()])
+        with pytest.raises(ParameterError, match="one length"):
+            EventTable([0.0, 1.0], [0], [1, 1], [key()])
+        with pytest.raises(ParameterError, match="distinct"):
+            EventTable([0.0], [0], [1], [key(), key()])
+
+    def test_len_and_protocols(self):
+        udp = key(proto=ProtocolCategory.UDP)
+        events = EventTable([0.0, 0.5], [0, 0], [10, 20], [key(), udp])
+        assert len(events) == 2
+        # A key without events contributes no protocol.
+        assert events.protocols() == {ProtocolCategory.TCP}
+
+    def test_equality_compares_events_not_flow_ids(self):
+        a, b = key(), key(sport=9)
+        first = EventTable([0.0, 1.0], [0, 1], [5, 6], [a, b])
+        assert first == EventTable([0.0, 1.0], [1, 0], [5, 6], [b, a])
+        assert first != EventTable([0.0, 1.0], [1, 0], [5, 6], [a, b])
+        assert first != EventTable([0.0, 1.0], [0, 1], [5, 7], [a, b])
 
 
 class TestWindowSample:

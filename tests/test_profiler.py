@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from event_rows import Row, table
 from fvba.errors import InsufficientDataError, OrderingError, ParameterError, ParseError
-from fvba.model import FlowEvent, FlowKey, ProtocolCategory, WindowSample
+from fvba.model import FlowKey, ProtocolCategory, WindowSample
 from fvba.profiler import (
     NormalProfile,
     build_profile,
@@ -23,17 +24,67 @@ def tcp_key(i):
 
 
 def event(t, flow=0, count=100, proto=TCP):
-    k = FlowKey(proto, f"h{flow}", "srv", 1000 + flow, 80)
-    return FlowEvent(t, k, count)
+    if proto is ProtocolCategory.ICMP:
+        return Row(t, FlowKey(proto, f"h{flow}", "srv"), count)
+    return Row(t, FlowKey(proto, f"h{flow}", "srv", 1000 + flow, 80), count)
+
+
+def reference_windowize(events, window_length, protocol=None):
+    """windowize as the per-event dict loop it replaced, kept as the oracle.
+
+    Returns (window index, window start, volume, flow count, per-flow
+    items in first-appearance order) per window of the stream's span.
+    """
+    first = int((events[0].timestamp + 1e-9) / window_length)
+    last = int((events[-1].timestamp + 1e-9) / window_length)
+    buckets = {}
+    for e in events:
+        if protocol is not None and e.key.protocol is not protocol:
+            continue
+        flows = buckets.setdefault(int((e.timestamp + 1e-9) / window_length), {})
+        flows[e.key] = flows.get(e.key, 0) + e.bytes
+    windows = []
+    for w in range(first, last + 1):
+        flows = buckets.get(w, {})
+        windows.append((w, w * window_length, sum(flows.values()), len(flows), list(flows.items())))
+    return windows
+
+
+def observed(samples):
+    """The oracle's view of windowize output, per-flow order included."""
+    return [
+        (s.window_index, s.window_start, s.volume, s.flow_count, list(s.per_flow_bytes.items()))
+        for s in samples
+    ]
+
+
+@st.composite
+def boundary_streams(draw):
+    """Sorted streams with timestamps on k*L boundaries or anywhere, over
+    three protocols, a few repeated flows and gaps of empty windows."""
+    length = draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 1.0]))
+    # k*L as a float product and as the decimal a file would carry (0.6,
+    # 25.0); either may divide by L to just below k.
+    on_boundary = st.integers(0, 60).flatmap(
+        lambda k: st.sampled_from([k * length, round(k * length, 9)]))
+    anywhere = st.floats(0, 60 * length, allow_nan=False, allow_infinity=False)
+    times = sorted(draw(st.lists(st.one_of(on_boundary, anywhere), min_size=1, max_size=60)))
+    events = [
+        event(t, flow=draw(st.integers(0, 3)), proto=draw(st.sampled_from(list(ProtocolCategory))),
+              # Beyond 2**53, where float sums lose bytes; 60 of them fit int64.
+              count=draw(st.integers(1, 2**56)))
+        for t in times
+    ]
+    return events, length
 
 
 class TestWindowize:
     def test_empty_input(self):
-        assert windowize([], 0.2, TCP) == []
+        assert windowize(table([]), 0.2, TCP) == []
 
     def test_single_window_aggregation(self):
         events = [event(0.05), event(0.15)]
-        samples = windowize(events, 0.2, TCP)
+        samples = windowize(table(events), 0.2, TCP)
         assert len(samples) == 1
         assert samples[0].volume == 200
         assert samples[0].flow_count == 1
@@ -46,7 +97,7 @@ class TestWindowize:
              for _ in range(1000)),
             key=lambda e: e.timestamp,
         )
-        samples = windowize(events, 0.2, TCP)
+        samples = windowize(table(events), 0.2, TCP)
         assert len(samples) == 10
         assert sum(s.volume for s in samples) == sum(e.bytes for e in events)
         expected = [0] * 10
@@ -56,12 +107,12 @@ class TestWindowize:
 
     def test_each_event_in_exactly_one_window(self):
         events = [event(t / 10) for t in range(25)]
-        samples = windowize(events, 0.2, TCP)
+        samples = windowize(table(events), 0.2, TCP)
         assert sum(s.volume for s in samples) == 2500
 
     def test_empty_windows_included(self):
         events = [event(0.1), event(1.1)]
-        samples = windowize(events, 0.2, TCP)
+        samples = windowize(table(events), 0.2, TCP)
         assert [s.window_index for s in samples] == [0, 1, 2, 3, 4, 5]
         assert [s.volume for s in samples] == [100, 0, 0, 0, 0, 100]
 
@@ -69,31 +120,50 @@ class TestWindowize:
         # The UDP series spans the same windows as the stream even where
         # only TCP traffic exists, so series indices stay aligned.
         events = [event(0.1, proto=TCP), event(0.5, proto=UDP), event(0.9, proto=TCP)]
-        udp = windowize(events, 0.2, UDP)
+        udp = windowize(table(events), 0.2, UDP)
         assert [s.window_index for s in udp] == [0, 1, 2, 3, 4]
         assert [s.volume for s in udp] == [0, 0, 100, 0, 0]
 
     def test_aggregate_series(self):
         events = [event(0.1, proto=TCP), event(0.15, proto=UDP)]
-        samples = windowize(events, 0.2)
+        samples = windowize(table(events), 0.2)
         assert samples[0].protocol is None
         assert samples[0].volume == 200
         assert samples[0].flow_count == 2
 
     def test_unsorted_rejected(self):
         with pytest.raises(OrderingError):
-            windowize([event(1.0), event(0.5)], 0.2, TCP)
+            windowize(table([event(1.0), event(0.5)]), 0.2, TCP)
+
+    def test_unsorted_names_first_late_event(self):
+        events = table([event(0.0), event(1.0), event(1.0), event(0.5), event(0.1)])
+        with pytest.raises(OrderingError, match=r"event 3: .*\(0.5 after 1.0\)"):
+            windowize(events, 0.2)
+
+    def test_byte_total_beyond_int64_rejected(self):
+        events = table([event(0.0, count=2**62), event(0.1, count=2**62 - 1)])
+        assert windowize(events, 0.2)[0].volume == 2**63 - 1
+        with pytest.raises(ParameterError, match="int64"):
+            windowize(table([event(0.0, count=2**62)] * 2), 0.2)
 
     def test_bad_window_length(self):
         with pytest.raises(ParameterError):
-            windowize([event(0.1)], 0.0, TCP)
+            windowize(table([event(0.1)]), 0.0, TCP)
 
     def test_boundary_timestamp_bins_right(self):
         # 25.0 / 0.2 evaluates just below 125 in floats; the event must
         # still land in window 125.
-        samples = windowize([event(0.0), event(25.0)], 0.2, TCP)
+        samples = windowize(table([event(0.0), event(25.0)]), 0.2, TCP)
         assert samples[-1].window_index == 125
         assert samples[-1].volume == 100
+
+    @given(boundary_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_loop_oracle(self, stream):
+        events, length = stream
+        for protocol in (None, *ProtocolCategory):
+            samples = windowize(table(events), length, protocol)
+            assert observed(samples) == reference_windowize(events, length, protocol)
 
 
 class TestBuildProfile:
@@ -127,16 +197,19 @@ class TestBuildProfile:
     def test_poisson_windows_match_two_pass_oracle(self):
         rng = random.Random(7)
         events = sorted(
-            (event(rng.uniform(0, 10.0), flow=rng.randrange(25), count=rng.randint(40, 4000))
-             for _ in range(5000)),
+            (event(rng.uniform(0, 10.0), flow=rng.randrange(25), count=rng.randint(40, 4000),
+                   proto=rng.choice([TCP, TCP, UDP]))
+             for _ in range(6000)),
             key=lambda e: e.timestamp,
         )
-        samples = windowize(events, 0.2, TCP)
+        samples = windowize(table(events), 0.2, TCP)
         assert len(samples) == 50
+        oracle = reference_windowize(events, 0.2, TCP)
+        assert observed(samples) == oracle
         profile = build_profile(samples)
 
-        volumes = [s.volume for s in samples]
-        counts = [s.flow_count for s in samples]
+        volumes = [volume for _, _, volume, _, _ in oracle]
+        counts = [count for _, _, _, count, _ in oracle]
 
         def two_pass(values):
             mean = sum(values) / len(values)
@@ -151,7 +224,8 @@ class TestBuildProfile:
 
         totals = {}
         for e in events:
-            totals[e.key] = totals.get(e.key, 0) + e.bytes
+            if e.key.protocol is TCP:
+                totals[e.key] = totals.get(e.key, 0) + e.bytes
         pm, ps = two_pass(list(totals.values()))
         assert profile.per_flow_mean == pytest.approx(pm, rel=1e-9)
         assert profile.per_flow_std == pytest.approx(ps, rel=1e-9)
@@ -193,9 +267,9 @@ class TestProfileProperties:
     @settings(max_examples=50, deadline=None)
     def test_scale_equivariance(self, raw, c):
         events = self._with_anchors(raw)
-        scaled = [FlowEvent(e.timestamp, e.key, e.bytes * c) for e in events]
-        base = build_profile(windowize(events, 0.5, TCP))
-        big = build_profile(windowize(scaled, 0.5, TCP))
+        scaled = [Row(e.timestamp, e.key, e.bytes * c) for e in events]
+        base = build_profile(windowize(table(events), 0.5, TCP))
+        big = build_profile(windowize(table(scaled), 0.5, TCP))
         assert big.volume_mean == pytest.approx(c * base.volume_mean, rel=1e-12)
         assert big.volume_std == pytest.approx(c * base.volume_std, rel=1e-9, abs=1e-9)
         assert big.per_flow_mean == pytest.approx(c * base.per_flow_mean, rel=1e-12)
@@ -216,8 +290,8 @@ class TestProfileProperties:
             block = list(groups[t])
             rng.shuffle(block)
             permuted.extend(block)
-        assert build_profile(windowize(events, 0.5, TCP)) == build_profile(
-            windowize(permuted, 0.5, TCP)
+        assert build_profile(windowize(table(events), 0.5, TCP)) == build_profile(
+            windowize(table(permuted), 0.5, TCP)
         )
 
 
@@ -225,8 +299,8 @@ class TestProfileSerialization:
     def test_round_trip_is_exact(self):
         events = [event(t / 7, flow=t % 3, count=37 + t) for t in range(40)]
         profiles = [
-            build_profile(windowize(events, 0.3, TCP)),
-            build_profile(windowize(events, 0.3)),
+            build_profile(windowize(table(events), 0.3, TCP)),
+            build_profile(windowize(table(events), 0.3)),
         ]
         loaded = load_profiles(dump_profiles(profiles))
         assert loaded[TCP] == profiles[0]

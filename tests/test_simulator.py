@@ -1,5 +1,6 @@
 import pytest
 
+from event_rows import rows
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
 from fvba.simulator import (
@@ -66,20 +67,21 @@ class TestGenerate:
 
     def test_events_sorted_and_valid(self):
         stream = generate(small_attack())
-        times = [e.timestamp for e in stream.events]
+        events = rows(stream.events)
+        times = [e.timestamp for e in events]
         assert times == sorted(times)
-        assert all(e.bytes >= 1 and e.timestamp >= 0 for e in stream.events)
-        assert all(e.key in stream.truth for e in stream.events)
+        assert all(e.bytes >= 1 and e.timestamp >= 0 for e in events)
+        assert all(e.key in stream.truth for e in events)
 
     def test_attack_events_confined_to_interval(self):
         stream = generate(small_attack())
-        for e in stream.events:
+        for e in rows(stream.events):
             if stream.truth[e.key].is_attack:
                 assert 5.0 <= e.timestamp < 20.0
 
     def test_attack_free_has_no_udp_and_normal_truth(self):
         stream = generate(ScenarioConfig.attack_free(10, duration=20.0, seed=3))
-        assert all(e.key.protocol is TCP for e in stream.events)
+        assert all(e.key.protocol is TCP for e in rows(stream.events))
         assert all(not label.is_attack for label in stream.truth.values())
         assert stream.attack_windows(0.2) == set()
 
@@ -101,7 +103,7 @@ class TestGenerate:
         stream = generate(config)
         expected_per_zombie = config.zombie_rate_bps * 25.0 / 8.0
         per_zombie: dict = {}
-        for e in stream.events:
+        for e in rows(stream.events):
             if stream.truth[e.key].is_attack:
                 per_zombie[e.key] = per_zombie.get(e.key, 0) + e.bytes
         assert len(per_zombie) == 5
@@ -120,10 +122,20 @@ class TestGenerate:
         assert min(attacked) >= int(5.0 / 0.2) - 1
         assert max(attacked) <= int(20.0 / 0.2)
 
+    def test_attack_windows_match_per_event_oracle(self):
+        stream = generate(small_attack(kind=ScenarioKind.VARIED_RATE, zombies=6))
+        for length in (0.2, 0.25, 1.0):
+            expected = {
+                int((e.timestamp + 1e-9) / length)
+                for e in rows(stream.events)
+                if stream.truth[e.key].is_attack
+            }
+            assert stream.attack_windows(length) == expected
+
     def test_diluted_uses_low_rate(self):
         stream = generate(small_attack(kind=ScenarioKind.DILUTED_LOW_RATE))
         attack_bytes = sum(
-            e.bytes for e in stream.events if stream.truth[e.key].is_attack
+            e.bytes for e in rows(stream.events) if stream.truth[e.key].is_attack
         )
         expected = 4 * 1e5 * 15.0 / 8.0
         assert attack_bytes == pytest.approx(expected, rel=0.2)
