@@ -38,6 +38,7 @@ from .detector import (
 from .errors import Error, InsufficientDataError, ParameterError, ParseError
 from .evaluation import dump_breakdown, dump_roc, dump_score, dump_score_table, score, sweep
 from .kdd import (
+    NORMAL_LABEL,
     KddDosFilter,
     build_profiles,
     evaluate_split,
@@ -225,7 +226,7 @@ def cmd_kdd(args) -> int:
     training = parse_kdd(args.train)
     print(f"kdd: training records: {len(training)}")
     train_stream = select_dos_and_normal(training, dos_filter, "training")
-    normal = [r for r in train_stream if r.label == "normal"]
+    normal = train_stream[train_stream.label_mask({NORMAL_LABEL})]
     profiles = build_profiles(normal, args.record_window)
     evaluation = evaluate_split(
         train_stream, dos_filter.training_attacks, profiles, factors, args.record_window

@@ -15,6 +15,7 @@ volume drops more than the lower threshold below normal.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,10 +41,14 @@ class ToleranceFactors:
         object.__setattr__(self, "r2", float(self.r2))
         if self.r3 is not None:
             object.__setattr__(self, "r3", float(self.r3))
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise ParameterError("tolerance factors must be positive")
-        if self.r3 is not None and self.r3 <= 0:
-            raise ParameterError("lower volume factor must be positive when present")
+        if not (0 < self.r1 < math.inf and 0 < self.r2 < math.inf):
+            raise ParameterError(
+                f"tolerance factors must be positive and finite, got r1={self.r1}, r2={self.r2}"
+            )
+        if self.r3 is not None and not 0 < self.r3 < math.inf:
+            raise ParameterError(
+                f"lower volume factor must be positive and finite when present, got {self.r3}"
+            )
 
 
 # Default operating points: tuned per-protocol values for dataset runs,

@@ -16,9 +16,12 @@ on a few.
 from __future__ import annotations
 
 import gzip
-import io
+import os
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple
+
+import numpy as np
 
 from .detector import DEFAULT_FACTORS, ToleranceFactors, compute_thresholds, detect_series
 from .errors import ParameterError, ParseError
@@ -29,16 +32,20 @@ from .evaluation import (
     per_attack_breakdown,
     score_records,
 )
-from .model import FlowKey, ProtocolCategory, WindowSample
-from .profiler import NormalProfile, build_profile
+from .model import FlowKey, ProtocolCategory, WindowFlows, WindowSample
+from .profiler import NormalProfile, build_profile, window_totals
 
 FEATURE_COUNT = 41
 # Positions of the symbolic features in the standard 41-feature layout.
 PROTOCOL_INDEX, SERVICE_INDEX, FLAG_INDEX = 1, 2, 3
 SRC_BYTES_INDEX, DST_BYTES_INDEX = 4, 5
 SYMBOLIC_INDICES = frozenset({PROTOCOL_INDEX, SERVICE_INDEX, FLAG_INDEX})
+_BYTE_FIELDS = {SRC_BYTES_INDEX: "src_bytes", DST_BYTES_INDEX: "dst_bytes"}
+_MAX_BYTES = 2**63 - 1
 
-_PROTOCOLS = {"tcp": ProtocolCategory.TCP, "udp": ProtocolCategory.UDP, "icmp": ProtocolCategory.ICMP}
+# A record's protocol code is its category's position in PROTOCOLS.
+PROTOCOLS = tuple(ProtocolCategory)
+_PROTOCOL_CODES = {p.value.lower(): code for code, p in enumerate(PROTOCOLS)}
 
 NORMAL_LABEL = "normal"
 
@@ -61,128 +68,135 @@ class KddDosFilter:
         raise ParameterError(f"unknown split: {split!r} (expected training or testing)")
 
 
-@dataclass(frozen=True, slots=True)
-class KddRecord:
-    """One connection record: 41 features plus its label (trailing dot stripped)."""
+class KddRecord(NamedTuple):
+    """One record of a KddTable, holding the fields the pipeline reads."""
 
-    features: tuple
+    protocol: ProtocolCategory
+    service: str
+    flag: str
+    src_bytes: int
+    dst_bytes: int
     label: str
 
-    @property
-    def protocol(self) -> ProtocolCategory:
-        return _PROTOCOLS[self.features[PROTOCOL_INDEX]]
 
-    @property
-    def service(self) -> str:
-        return self.features[SERVICE_INDEX]
+class KddTable:
+    """Connection records in file order, stored as columns.
 
-    @property
-    def flag(self) -> str:
-        return self.features[FLAG_INDEX]
+    Record i has protocol `PROTOCOLS[protocol[i]]`, flow `keys[flow[i]]`
+    (a `FlowKey(protocol, service, flag, 0, 0)`), byte counts
+    `src_bytes[i]` and `dst_bytes[i]`, and label `labels[label[i]]`
+    (lowercase, trailing dot stripped).  The columns are int8, int32,
+    int64, int64 and int32 arrays of one length.  This is the toolkit's
+    only in-memory form of KDD records.  Treat the arrays as read-only.
+    """
 
-    @property
-    def src_bytes(self) -> int:
-        return int(self.features[SRC_BYTES_INDEX])
+    __slots__ = ("protocol", "flow", "src_bytes", "dst_bytes", "label", "keys", "labels")
 
-    @property
-    def dst_bytes(self) -> int:
-        return int(self.features[DST_BYTES_INDEX])
+    def __init__(self, protocol, flow, src_bytes, dst_bytes, label,
+                 keys: tuple[FlowKey, ...], labels: tuple[str, ...]):
+        self.protocol = np.asarray(protocol, dtype=np.int8)
+        self.flow = np.asarray(flow, dtype=np.int32)
+        self.src_bytes = np.asarray(src_bytes, dtype=np.int64)
+        self.dst_bytes = np.asarray(dst_bytes, dtype=np.int64)
+        self.label = np.asarray(label, dtype=np.int32)
+        self.keys, self.labels = keys, labels
+
+    def __len__(self) -> int:
+        return self.label.size
+
+    def __getitem__(self, rows) -> "KddTable":
+        """The records picked by a slice, boolean mask or index array."""
+        return KddTable(self.protocol[rows], self.flow[rows], self.src_bytes[rows],
+                        self.dst_bytes[rows], self.label[rows], self.keys, self.labels)
+
+    def __iter__(self) -> Iterator[KddRecord]:
+        for flow, src, dst, label in zip(self.flow.tolist(), self.src_bytes.tolist(),
+                                         self.dst_bytes.tolist(), self.label.tolist()):
+            key = self.keys[flow]
+            yield KddRecord(key.protocol, key.src_addr, key.dst_addr, src, dst, self.labels[label])
+
+    def label_mask(self, names: Collection[str]) -> np.ndarray:
+        """Boolean mask of the records labelled with one of `names`."""
+        return np.array([name in names for name in self.labels], dtype=bool)[self.label]
 
 
 def _open_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        path = str(source)
+    if isinstance(source, (str, bytes, os.PathLike)):
+        path = os.fsdecode(source)
         opener = gzip.open if path.endswith(".gz") else open
         with opener(path, "rt", encoding="utf-8") as handle:
             yield from handle
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        yield from source
     else:
         yield from source
 
 
-def parse(source) -> list[KddRecord]:
-    """Parse connection records from a path (gzip or plain), file object
-    or iterable of lines.
+def _number(token: str, index: int, line: int) -> int | float:
+    try:
+        return float(token) if "." in token else int(token)
+    except ValueError:
+        raise ParseError(f"non-numeric continuous field {index}: {token!r}", line=line) from None
 
-    Every line must carry 42 comma-separated fields; malformed lines
-    raise ParseError naming the line number.
+
+def _byte_count(fields: list[str], index: int, line: int, known: dict[str, int]) -> int:
+    count = known.get(fields[index])
+    if count is None:
+        value = _number(fields[index], index, line)
+        if not 0 <= value <= _MAX_BYTES:
+            raise ParseError(f"{_BYTE_FIELDS[index]} must be a non-negative count within int64,"
+                             f" got {fields[index]!r}", line=line)
+        count = known[fields[index]] = int(value)
+    return count
+
+
+def parse(source) -> KddTable:
+    """Parse connection records from a path (gzip or plain) or an iterable of lines.
+
+    Blank lines are skipped.  Raises ParseError naming the line for a line
+    without 42 comma-separated fields, an unknown protocol_type, a
+    continuous field that is not a number (`float()` when the token holds
+    a ".", `int()` otherwise), and a src_bytes or dst_bytes value that is
+    negative, non-finite or beyond int64 (a fractional count is truncated).
     """
-    records = []
-    symbols: dict[str, str] = {}
-    numbers: dict[str, object] = {}
+    protocols, flows, srcs, dsts, labels = (array(t) for t in ("b", "i", "q", "q", "i"))
+    flow_ids: dict[tuple[int, str, str], int] = {}
+    names: dict[str, int] = {}
+    # Continuous-field and byte-field tokens that have passed their checks.
+    accepted: set[str] = set()
+    byte_counts: dict[str, int] = {}
     for number, raw in enumerate(_open_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != FEATURE_COUNT + 1:
-            raise ParseError(
-                f"expected {FEATURE_COUNT + 1} fields, got {len(fields)}", line=number
-            )
-        if fields[PROTOCOL_INDEX] not in _PROTOCOLS:
-            raise ParseError(
-                f"unknown protocol_type {fields[PROTOCOL_INDEX]!r}", line=number
-            )
-        values = []
-        for index, token in enumerate(fields[:FEATURE_COUNT]):
-            if index in SYMBOLIC_INDICES:
-                values.append(symbols.setdefault(token, token))
-                continue
-            value = numbers.get(token)
-            if value is None:
-                try:
-                    value = float(token) if "." in token else int(token)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric continuous field {index}: {token!r}", line=number
-                    ) from None
-                numbers[token] = value
-            values.append(value)
-        label = fields[FEATURE_COUNT].rstrip(".").lower()
-        records.append(KddRecord(features=tuple(values), label=label))
-    return records
+            raise ParseError(f"expected {FEATURE_COUNT + 1} fields, got {len(fields)}", line=number)
+        protocol = _PROTOCOL_CODES.get(fields[PROTOCOL_INDEX])
+        if protocol is None:
+            raise ParseError(f"unknown protocol_type {fields[PROTOCOL_INDEX]!r}", line=number)
+        if not (fields[0] in accepted
+                and accepted.issuperset(fields[SRC_BYTES_INDEX:FEATURE_COUNT])):
+            for index, token in enumerate(fields[:FEATURE_COUNT]):
+                if index not in SYMBOLIC_INDICES and token not in accepted:
+                    _number(token, index, number)
+                    accepted.add(token)
+        srcs.append(_byte_count(fields, SRC_BYTES_INDEX, number, byte_counts))
+        dsts.append(_byte_count(fields, DST_BYTES_INDEX, number, byte_counts))
+        protocols.append(protocol)
+        flows.append(flow_ids.setdefault(
+            (protocol, fields[SERVICE_INDEX], fields[FLAG_INDEX]), len(flow_ids)))
+        labels.append(names.setdefault(fields[FEATURE_COUNT].rstrip(".").lower(), len(names)))
+    keys = tuple(FlowKey(PROTOCOLS[p], service, flag, 0, 0) for p, service, flag in flow_ids)
+    return KddTable(protocols, flows, srcs, dsts, labels, keys, tuple(names))
 
 
-def serialize_record(record: KddRecord) -> str:
-    """Canonical comma-separated form; parse(serialize(r)) == r."""
-    tokens = [
-        value if isinstance(value, str) else repr(value)
-        for value in record.features
-    ]
-    tokens.append(record.label)
-    return ",".join(tokens)
-
-
-def filter_dos(
-    records: Iterable[KddRecord], dos_filter: KddDosFilter, split: str
-) -> tuple[list[KddRecord], list[KddRecord]]:
-    """Split records into (DoS-labelled, normal); other categories are dropped."""
-    attacks = dos_filter.attacks_for(split)
-    dos, normal = [], []
-    for record in records:
-        if record.label in attacks:
-            dos.append(record)
-        elif record.label == NORMAL_LABEL:
-            normal.append(record)
-    return dos, normal
-
-
-def select_dos_and_normal(
-    records: Iterable[KddRecord], dos_filter: KddDosFilter, split: str
-) -> list[KddRecord]:
+def select_dos_and_normal(records: KddTable, dos_filter: KddDosFilter, split: str) -> KddTable:
     """DoS plus normal records in original file order (detection stream)."""
     attacks = dos_filter.attacks_for(split)
-    return [r for r in records if r.label in attacks or r.label == NORMAL_LABEL]
-
-
-def _flow_key(record: KddRecord) -> FlowKey:
-    # No addresses in KDD records; flow identity is (protocol, service, flag).
-    return FlowKey(record.protocol, record.service, record.flag, 0, 0)
+    return records[records.label_mask(attacks | {NORMAL_LABEL})]
 
 
 def to_flow_windows(
-    records: Sequence[KddRecord],
+    records: KddTable,
     record_window: int = 100,
     attack_names: frozenset[str] = frozenset(),
 ) -> dict[ProtocolCategory, list[tuple[WindowSample, RecordWindowTruth]]]:
@@ -192,46 +206,44 @@ def to_flow_windows(
     total; a window's ground truth is attack when it contains at least
     one record labelled with a name in `attack_names`.  A trailing group
     shorter than `record_window` is dropped (its artificially low volume
-    and flow count would skew lower-bound detection).
+    and flow count would skew lower-bound detection).  Raises
+    ParameterError when a protocol's byte total does not fit int64.
     """
     if record_window <= 0:
         raise ParameterError(f"record window must be positive, got {record_window}")
-    grouped: dict[ProtocolCategory, list[KddRecord]] = {p: [] for p in ProtocolCategory}
-    for record in records:
-        grouped[record.protocol].append(record)
-
     windows: dict[ProtocolCategory, list[tuple[WindowSample, RecordWindowTruth]]] = {}
-    for protocol, stream in grouped.items():
-        series = []
-        for index in range(len(stream) // record_window):
-            chunk = stream[index * record_window : (index + 1) * record_window]
-            flows: dict[FlowKey, int] = {}
-            attack_counts: dict[str, int] = {}
-            normal_count = 0
-            for record in chunk:
-                key = _flow_key(record)
-                flows[key] = flows.get(key, 0) + record.src_bytes + record.dst_bytes
-                if record.label in attack_names:
-                    attack_counts[record.label] = attack_counts.get(record.label, 0) + 1
-                elif record.label == NORMAL_LABEL:
-                    normal_count += 1
-            sample = WindowSample.from_flows(
-                window_index=index,
-                window_start=float(index * record_window),
-                window_length=float(record_window),
-                protocol=protocol,
-                per_flow_bytes=flows,
-            )
-            series.append(
-                (sample, RecordWindowTruth(attack_counts=attack_counts, normal_count=normal_count))
-            )
-        if series:
-            windows[protocol] = series
+    for code, protocol in enumerate(PROTOCOLS):
+        stream = records[records.protocol == code]
+        count = len(stream) // record_window
+        if not count:
+            continue
+        # Record i of the protocol stream lies in window i // record_window.
+        stream = stream[: count * record_window]
+        window = np.arange(len(stream)) // record_window
+        sizes = stream.src_bytes + stream.dst_bytes
+        _, volumes, flow_counts = window_totals(window, stream.flow, sizes, count, len(stream.keys))
+        attack = stream.label_mask(attack_names)
+        normal = stream.label_mask({NORMAL_LABEL}) & ~attack
+        normals = np.bincount(window[normal], minlength=count)
+        tallies: list[dict[str, int]] = [{} for _ in range(count)]
+        label_ids = len(stream.labels)
+        pairs, hits = np.unique(window[attack] * label_ids + stream.label[attack], return_counts=True)
+        for pair, hit in zip(pairs.tolist(), hits.tolist()):
+            tallies[pair // label_ids][stream.labels[pair % label_ids]] = hit
+        series = windows[protocol] = []
+        for w, (volume, flow_count, normal) in enumerate(
+            zip(volumes.tolist(), flow_counts.tolist(), normals.tolist())
+        ):
+            lo, hi = w * record_window, (w + 1) * record_window
+            flows = WindowFlows(stream.keys, stream.flow[lo:hi], sizes[lo:hi])
+            sample = WindowSample(w, float(lo), float(record_window), protocol, volume, flow_count,
+                                  flows)
+            series.append((sample, RecordWindowTruth(tallies[w], normal)))
     return windows
 
 
 def build_profiles(
-    normal_records: Sequence[KddRecord], record_window: int = 100
+    normal_records: KddTable, record_window: int = 100
 ) -> dict[ProtocolCategory, NormalProfile]:
     """Per-protocol normal profiles from normal-labelled records only.
 
@@ -256,7 +268,7 @@ class KddEvaluation:
 
 
 def evaluate_split(
-    records: Sequence[KddRecord],
+    records: KddTable,
     attack_names: frozenset[str],
     profiles: dict[ProtocolCategory, NormalProfile],
     factors: dict[ProtocolCategory, ToleranceFactors] | None = None,
@@ -272,33 +284,20 @@ def evaluate_split(
     windows = to_flow_windows(records, record_window, attack_names=attack_names)
 
     per_protocol: dict[ProtocolCategory, ScoreReport] = {}
-    breakdown_input: list[tuple[ProtocolCategory, RecordWindowTruth, bool]] = []
-    counts = {"detected": 0, "attacks": 0, "false": 0, "normal": 0}
+    results: list[tuple[ProtocolCategory, RecordWindowTruth, bool]] = []
     for protocol, series in windows.items():
-        samples = [sample for sample, _ in series]
-        truths = [truth for _, truth in series]
         profile = profiles.get(protocol)
         if profile is None:
             flags = [False] * len(series)
         else:
             thresholds = compute_thresholds(profile, factors[protocol])
-            reports = detect_series(samples, profile, thresholds)
+            reports = detect_series([sample for sample, _ in series], profile, thresholds)
             flags = [report.is_attack for report in reports]
-        report = score_records(zip(truths, flags))
-        per_protocol[protocol] = report
-        breakdown_input.extend(
-            (protocol, truth, flag) for truth, flag in zip(truths, flags)
-        )
-        counts["detected"] += report.detected
-        counts["attacks"] += report.actual_attacks
-        counts["false"] += report.false_alarms
-        counts["normal"] += report.normal_events
-
-    overall = ScoreReport.from_counts(
-        counts["detected"], counts["attacks"], counts["false"], counts["normal"]
-    )
+        truths = [truth for _, truth in series]
+        per_protocol[protocol] = score_records(zip(truths, flags))
+        results.extend((protocol, truth, flag) for truth, flag in zip(truths, flags))
     return KddEvaluation(
         per_protocol=per_protocol,
-        overall=overall,
-        breakdown=per_attack_breakdown(breakdown_input),
+        overall=score_records((truth, flag) for _, truth, flag in results),
+        breakdown=per_attack_breakdown(results),
     )

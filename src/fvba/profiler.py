@@ -7,6 +7,7 @@ plus the mean/std of per-flow byte totals used for flow characterization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,10 +22,36 @@ PROFILE_FORMAT_VERSION = 1
 # window boundary (e.g. 25.0 / 0.2 evaluating just below 125).
 _BIN_EPSILON = 1e-9
 
+# Most windows one series may span.  A 24 h capture at 0.1 s windows fits;
+# a stray far-future timestamp is rejected before per-window arrays are
+# allocated.
+MAX_WINDOWS = 1_000_000
+
 
 def window_indices(timestamps: np.ndarray, window_length: float) -> np.ndarray:
     """Index w of the window [w*L, (w+1)*L) containing each timestamp."""
     return ((timestamps + _BIN_EPSILON) / window_length).astype(np.int64)
+
+
+def window_totals(
+    windows: np.ndarray, flow: np.ndarray, counts: np.ndarray, window_count: int, key_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row bounds, byte volumes and distinct-flow counts of windows 0..window_count-1.
+
+    `windows` holds each row's window index in ascending order, `flow` its
+    flow id (below `key_count`) and `counts` its non-negative byte count;
+    window w spans rows bounds[w]:bounds[w + 1].  Raises ParameterError
+    when the byte total of all rows does not fit int64.
+    """
+    bounds = np.searchsorted(windows, np.arange(window_count + 1))
+    running = np.concatenate(([0], np.cumsum(counts)))
+    # Counts are non-negative, so the running total only falls on overflow.
+    if not (running[1:] >= running[:-1]).all():
+        raise ParameterError("byte total of the series does not fit int64")
+    volumes = running[bounds[1:]] - running[bounds[:-1]]
+    pairs = np.unique(windows * key_count + flow)
+    flow_counts = np.bincount(pairs // key_count, minlength=window_count)
+    return bounds, volumes, flow_counts
 
 
 def windowize(
@@ -44,11 +71,12 @@ def windowize(
 
     Raises OrderingError, naming the first event that is earlier than its
     predecessor, if the events are not sorted by timestamp, and
-    ParameterError for a non-positive window length or a series byte
+    ParameterError for a window length that is not positive and finite,
+    a timestamp span of more than MAX_WINDOWS windows or a series byte
     total beyond int64.
     """
-    if window_length <= 0:
-        raise ParameterError(f"window length must be positive, got {window_length}")
+    if not 0 < window_length < math.inf:
+        raise ParameterError(f"window length must be positive and finite, got {window_length}")
     if not len(events):
         return []
     timestamps = events.timestamp
@@ -60,24 +88,24 @@ def windowize(
             f" ({float(timestamps[index])} after {float(timestamps[index - 1])})"
         )
 
-    windows = window_indices(timestamps, window_length)
-    first, last = int(windows[0]), int(windows[-1])
+    # The same IEEE operations as window_indices, on Python floats, so the
+    # span is known before anything is allocated for it.
+    start, end = float(timestamps[0]), float(timestamps[-1])
+    first, last = (int((t + _BIN_EPSILON) / window_length) for t in (start, end))
+    if last - first >= MAX_WINDOWS:
+        raise ParameterError(
+            f"timestamps span {start!r} to {end!r} s, {last - first + 1} windows of"
+            f" {window_length} s; at most {MAX_WINDOWS} windows are supported"
+        )
+    windows = window_indices(timestamps, window_length) - first
     flow, counts = events.flow, events.bytes
     if protocol is not None:
         chosen = np.array([k.protocol is protocol for k in events.keys], dtype=bool)[flow]
         windows, flow, counts = windows[chosen], flow[chosen], counts[chosen]
 
-    # Window indices are sorted with the timestamps, so window first + i
-    # holds the selected events bounds[i]:bounds[i + 1].
-    bounds = np.searchsorted(windows, np.arange(first, last + 2))
-    running = np.concatenate(([0], np.cumsum(counts)))
-    # Byte counts are positive, so the running total only wraps on overflow.
-    if running.size > 1 and not (running[1:] > running[:-1]).all():
-        raise ParameterError("byte total of the series does not fit int64")
-    volumes = running[bounds[1:]] - running[bounds[:-1]]
-    pairs = np.unique((windows - first) * len(events.keys) + flow)
-    flow_counts = np.bincount(pairs // len(events.keys), minlength=last - first + 1)
-
+    bounds, volumes, flow_counts = window_totals(
+        windows, flow, counts, last - first + 1, len(events.keys)
+    )
     bounds = bounds.tolist()
     return [
         WindowSample(
@@ -117,6 +145,10 @@ class NormalProfile:
     per_flow_std: float
 
     def __post_init__(self):
+        for name in ("window_length", "volume_mean", "volume_std", "flow_mean", "flow_std",
+                     "per_flow_mean", "per_flow_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("volume_std", "flow_std", "per_flow_std"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
@@ -222,35 +254,41 @@ def dump_profiles(profiles: Iterable[NormalProfile]) -> str:
 
 
 def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
-    """Parse a profile document back into profiles keyed by protocol."""
+    """Parse a profile document back into profiles keyed by protocol.
+
+    Raises ParseError, naming the first line of the block, for a block
+    with a missing, malformed or out-of-range field (such as a non-finite
+    statistic) and for a repeated protocol.
+    """
     fields: dict[str, str] = {}
-    blocks: list[dict[str, str]] = []
+    blocks: list[tuple[int, dict[str, str]]] = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             if fields:
-                blocks.append(fields)
+                blocks.append((start, fields))
                 fields = {}
             continue
         if "=" not in line:
             raise ParseError(f"expected field=value, got {line!r}", line=number)
+        if not fields:
+            start = number
         name, value = line.split("=", 1)
         fields[name.strip()] = value.strip()
     if fields:
-        blocks.append(fields)
+        blocks.append((start, fields))
 
-    if not blocks or blocks[0].get("version") != str(PROFILE_FORMAT_VERSION):
+    if not blocks or blocks[0][1].get("version") != str(PROFILE_FORMAT_VERSION):
         raise ParseError(
             f"missing or unsupported profile version (expected {PROFILE_FORMAT_VERSION})"
         )
-    version_block = blocks[0]
     profile_blocks = blocks[1:]
     # A single block may carry version plus the first profile.
-    if "protocol" in version_block:
-        profile_blocks.insert(0, version_block)
+    if "protocol" in blocks[0][1]:
+        profile_blocks.insert(0, blocks[0])
 
     profiles: dict[ProtocolCategory | None, NormalProfile] = {}
-    for block in profile_blocks:
+    for start, block in profile_blocks:
         try:
             token = block["protocol"]
             protocol = None if token == _AGGREGATE_TOKEN else ProtocolCategory.parse(token)
@@ -266,8 +304,10 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
                 per_flow_std=float(block["per_flow_std"]),
             )
         except KeyError as missing:
-            raise ParseError(f"profile block missing field {missing}") from None
+            raise ParseError(f"profile block missing field {missing}", line=start) from None
+        except ValueError as bad:
+            raise ParseError(f"bad profile block: {bad}", line=start) from None
         if profile.protocol in profiles:
-            raise ParseError(f"duplicate profile block for {token}")
+            raise ParseError(f"duplicate profile block for {token}", line=start)
         profiles[profile.protocol] = profile
     return profiles

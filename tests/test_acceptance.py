@@ -344,10 +344,8 @@ def test_criterion_6_kdd_reproduction():
 
     training = parse_kdd(train_path)
     assert len(training) == 494021, f"training record count {len(training)}"
-    train_dos, train_normal = (
-        [r for r in training if r.label in dos_filter.training_attacks],
-        [r for r in training if r.label == "normal"],
-    )
+    train_dos = training[training.label_mask(dos_filter.training_attacks)]
+    train_normal = training[training.label_mask({"normal"})]
     train_counts = {}
     for r in train_dos:
         train_counts[r.label] = train_counts.get(r.label, 0) + 1

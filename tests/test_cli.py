@@ -79,6 +79,16 @@ class TestProfileCommand:
         assert capsys.readouterr().err.startswith(
             "fvba profile: error: line 2: events are not sorted by timestamp (0.2 after 0.5)")
 
+    def test_far_future_timestamp_fails_before_allocating(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        events.write_text("".join(f"{t}\tTCP\tc0\t1\tsrv\t80\t10\n" for t in ("0.0", "0.1", "1e15")))
+        code = run(["profile", "--events", events, "--out", tmp_path / "p.txt"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("fvba profile: error: timestamps span 0.0 to 1000000000000000.0 s,"
+                              " 5000000000000001 windows of 0.2 s")
+        assert "Traceback" not in err
+
     def test_per_protocol_sections(self, pipeline):
         tmp_path, train, attack, _ = pipeline
         out = tmp_path / "per_proto.txt"
@@ -114,6 +124,15 @@ class TestDetectCommand:
         code = run(["detect", "--events", attack, "--profile", tmp_path / "nope.txt",
                     "--out", tmp_path / "v.tsv"], tmp_path)
         assert code == 1
+
+    def test_non_finite_factor_rejected(self, pipeline, capsys):
+        tmp_path, _, attack, profile = pipeline
+        code = run(["detect", "--events", attack, "--profile", profile, "--r1", "nan",
+                    "--out", tmp_path / "v.tsv"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("fvba detect: error: tolerance factors must be positive and finite")
+        assert not (tmp_path / "v.tsv").exists()
 
     def test_jobs_flag_does_not_change_output(self, pipeline):
         tmp_path, _, attack, profile = pipeline
@@ -205,6 +224,30 @@ class TestKddCommand:
         assert table[0].startswith("series\t")
         assert any(row.startswith("training/overall") for row in table)
         assert "neptune" in (tmp_path / "breakdown.tsv").read_text()
+
+    @pytest.mark.parametrize("token", ["1.e999", "-500"])
+    def test_bad_byte_count_fails_with_line(self, tmp_path, capsys, token):
+        data = self.make_file(tmp_path)
+        lines = data.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4] = token
+        lines[2] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        code = run(["kdd", "--train", data, "--out", tmp_path / "scores.tsv"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"fvba kdd: error: line 3: src_bytes must be a non-negative count"
+                              f" within int64, got '{token}'")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--r1", "--udp-r3"])
+    def test_non_finite_factor_rejected(self, tmp_path, capsys, flag):
+        data = self.make_file(tmp_path)
+        code = run(["kdd", "--train", data, flag, "nan", "--out", tmp_path / "scores.tsv"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("fvba kdd: error: ") and "finite" in err
+        assert "Traceback" not in err
 
 
 class TestConfigFile:

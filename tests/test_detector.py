@@ -61,6 +61,14 @@ class TestToleranceFactors:
         with pytest.raises(ParameterError):
             ToleranceFactors(1, 2, r3=0)
 
+    @pytest.mark.parametrize("r1,r2,r3", [
+        (float("nan"), 5, None), (1, float("inf"), None), (1, 5, float("nan")),
+        (1, 5, float("inf")),
+    ])
+    def test_non_finite_rejected(self, r1, r2, r3):
+        with pytest.raises(ParameterError, match="finite"):
+            ToleranceFactors(r1, r2, r3)
+
     def test_table_defaults(self):
         assert DEFAULT_FACTORS[TCP] == ToleranceFactors(1, 5)
         assert DEFAULT_FACTORS[UDP] == ToleranceFactors(6, 8, 1.5)

@@ -2,21 +2,21 @@ import gzip
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvba.detector import ToleranceFactors
 from fvba.errors import ParameterError, ParseError
 from fvba.kdd import (
     KddDosFilter,
+    KddRecord,
     TRAINING_ATTACKS,
     build_profiles,
     evaluate_split,
-    filter_dos,
     parse,
     select_dos_and_normal,
-    serialize_record,
     to_flow_windows,
 )
-from fvba.model import ProtocolCategory
+from fvba.model import FlowKey, ProtocolCategory
 
 TCP = ProtocolCategory.TCP
 ICMP = ProtocolCategory.ICMP
@@ -33,20 +33,108 @@ def make_records(lines):
     return parse(lines)
 
 
+def number_by_old_rule(token):
+    return float(token) if "." in token else int(token)
+
+
+def reference_parse(lines):
+    """parse's checks as the per-token loop they replaced, kept as the oracle.
+
+    Returns (number of the first rejected line, None) or (None, (src_bytes,
+    dst_bytes)).
+    """
+    srcs, dsts = [], []
+    for number, raw in enumerate(lines, start=1):
+        fields = raw.strip().split(",")
+        try:
+            for index, token in enumerate(fields[:41]):
+                if index not in (1, 2, 3):
+                    number_by_old_rule(token)
+        except ValueError:
+            return number, None
+        src, dst = number_by_old_rule(fields[4]), number_by_old_rule(fields[5])
+        if not (0 <= src <= 2**63 - 1 and 0 <= dst <= 2**63 - 1):
+            return number, None
+        srcs.append(int(src))
+        dsts.append(int(dst))
+    return None, (srcs, dsts)
+
+
+def reference_to_flow_windows(rows, record_window, attack_names):
+    """to_flow_windows as the per-record dict loop it replaced, kept as the oracle.
+
+    `rows` are (protocol token, service, flag, src_bytes, dst_bytes, label)
+    tuples; returns, per protocol with a full window, (index, start,
+    length, volume, flow count, per-flow items in first-appearance order,
+    attack tallies, normal count) per window.
+    """
+    grouped = {p: [] for p in ProtocolCategory}
+    for proto, service, flag, src, dst, label in rows:
+        protocol = ProtocolCategory[proto.upper()]
+        grouped[protocol].append(
+            (FlowKey(protocol, service, flag, 0, 0), src + dst, label.rstrip(".").lower())
+        )
+    windows = {}
+    for protocol, stream in grouped.items():
+        series = []
+        for index in range(len(stream) // record_window):
+            flows, attack_counts, normal_count = {}, {}, 0
+            for key, size, label in stream[index * record_window : (index + 1) * record_window]:
+                flows[key] = flows.get(key, 0) + size
+                if label in attack_names:
+                    attack_counts[label] = attack_counts.get(label, 0) + 1
+                elif label == "normal":
+                    normal_count += 1
+            series.append((index, float(index * record_window), float(record_window),
+                           sum(flows.values()), len(flows), list(flows.items()),
+                           attack_counts, normal_count))
+        if series:
+            windows[protocol] = series
+    return windows
+
+
+def observed(windows):
+    """The oracle's view of to_flow_windows output, per-flow order included."""
+    return {
+        protocol: [
+            (s.window_index, s.window_start, s.window_length, s.volume, s.flow_count,
+             list(s.per_flow_bytes.items()), truth.attack_counts, truth.normal_count)
+            for s, truth in series
+        ]
+        for protocol, series in windows.items()
+    }
+
+
+# Numeric tokens on both sides of the float()/int() rule and the byte checks.
+NUMERIC_TOKENS = st.sampled_from([
+    "0", "-0", "7", "-1", "+3", "1_0", "3.", ".5", " 7", "7 ", "42.9", "-0.5", "1e5",
+    "1.5e3", "nan", "inf", "1.e999", "-500", "", ".", "abc", "0x10",
+    "9223372036854775807", "9223372036854775808", "9.3e18", "9.2e18",
+]) | st.integers(-5, 2**64).map(str)
+NUMERIC_FIELDS = st.sampled_from([0, 4, 5, 6, 12, 22, 40])
+
+
 class TestParse:
     def test_parses_fields(self):
-        (r,) = parse([record_line(src=181, dst=5450, label="normal.")])
+        records = parse([record_line(src=181, dst=5450, label="normal.")])
+        (r,) = records
+        assert r == KddRecord(TCP, "http", "SF", 181, 5450, "normal")
         assert r.protocol is TCP
-        assert r.service == "http"
-        assert r.flag == "SF"
-        assert (r.src_bytes, r.dst_bytes) == (181, 5450)
-        assert r.label == "normal"
-        assert len(r.features) == 41
+        assert records.keys == (FlowKey(TCP, "http", "SF", 0, 0),)
+        assert records.labels == ("normal",)
 
     def test_label_dot_optional(self):
         (a,) = parse([record_line(label="smurf.")])
         (b,) = parse([record_line(label="smurf")])
         assert a.label == b.label == "smurf"
+
+    def test_interns_flows_and_labels(self):
+        records = parse([record_line(label="smurf."), record_line(label="SMURF"),
+                         record_line(flag="S0", label="normal."), record_line()])
+        assert records.labels == ("smurf", "normal")
+        assert records.label.tolist() == [0, 0, 1, 1]
+        assert records.flow.tolist() == [0, 0, 1, 0]
+        assert records.protocol.tolist() == [0, 0, 0, 0]
 
     def test_wrong_field_count_names_line(self):
         good = record_line()
@@ -63,16 +151,66 @@ class TestParse:
         with pytest.raises(ParseError, match="non-numeric"):
             parse([line])
 
+    @pytest.mark.parametrize("index", [0, 4, 5, 6, 40])
+    def test_non_numeric_field_after_cached_line(self, index):
+        # Line 1 puts every token of line 2 but one in the accepted cache.
+        fields = record_line().split(",")
+        fields[index] = "1e5"
+        with pytest.raises(ParseError, match=rf"^line 2: non-numeric continuous field {index}: '1e5'"):
+            parse([record_line(), ",".join(fields)])
+
+    @pytest.mark.parametrize("token", ["-500", "-0.5", "1.e999", "9223372036854775808", "9.3e18"])
+    @pytest.mark.parametrize("field", ["src", "dst"])
+    def test_bad_byte_count_names_line(self, token, field):
+        lines = [record_line(), record_line(**{field: token})]
+        with pytest.raises(ParseError, match=rf"^line 2: {field}_bytes must be .* got '{token}'"):
+            parse(lines)
+
+    def test_byte_count_limits(self):
+        records = parse([record_line(src=0, dst="9223372036854775807"),
+                         record_line(src="42.9", dst="-0")])
+        assert records.src_bytes.tolist() == [0, 42]
+        assert records.dst_bytes.tolist() == [2**63 - 1, 0]
+
     def test_reads_gzip_paths(self, tmp_path):
+        text = record_line() + "\n\n" + record_line(label="smurf.") + "\n"
         path = tmp_path / "mini.gz"
         with gzip.open(path, "wt") as handle:
-            handle.write(record_line() + "\n" + record_line(label="smurf.") + "\n")
+            handle.write(text)
         assert len(parse(path)) == 2
+        (tmp_path / "mini.txt").write_text(text)
+        assert [r.label for r in parse(str(tmp_path / "mini.txt"))] == ["normal", "smurf"]
 
-    def test_round_trip(self):
-        (original,) = parse([record_line(duration=3, src=42)])
-        (again,) = parse([serialize_record(original)])
-        assert again == original
+    @given(st.lists(st.lists(st.tuples(NUMERIC_FIELDS, NUMERIC_TOKENS), max_size=4),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_token_rule(self, edits):
+        lines = []
+        for line_edits in edits:
+            fields = record_line().split(",")
+            for index, token in line_edits:
+                fields[index] = token
+            lines.append(",".join(fields))
+        bad_line, columns = reference_parse(lines)
+        if bad_line is None:
+            records = parse(lines)
+            assert (records.src_bytes.tolist(), records.dst_bytes.tolist()) == columns
+        else:
+            with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
+                parse(lines)
+
+
+class TestKddTable:
+    def test_slices_masks_and_iterates_in_file_order(self):
+        records = parse([record_line(label=f"{name}.", src=i)
+                         for i, name in enumerate(["normal", "smurf", "normal", "back"])])
+        assert len(records) == 4
+        assert [r.src_bytes for r in records[1:3]] == [1, 2]
+        mask = records.label_mask({"normal", "back"})
+        assert mask.tolist() == [True, False, True, True]
+        assert [(r.label, r.src_bytes) for r in records[mask]] == [
+            ("normal", 0), ("normal", 2), ("back", 3)]
+        assert len(records[records.label_mask(set())]) == 0
 
 
 class TestFilterDos:
@@ -90,20 +228,17 @@ class TestFilterDos:
             record_line(label="satan."),      # probe: discarded
             record_line(label="apache2."),    # DoS only in the testing split
         ])
-        dos, normal = filter_dos(records, KddDosFilter(), "training")
-        assert [r.label for r in dos] == ["neptune"]
-        assert len(normal) == 1
-        dos, normal = filter_dos(records, KddDosFilter(), "testing")
-        assert sorted(r.label for r in dos) == ["apache2", "neptune"]
-        # dos + normal + discarded partitions the input
-        assert len(dos) + len(normal) + 1 == len(records)
+        stream = select_dos_and_normal(records, KddDosFilter(), "training")
+        assert [r.label for r in stream] == ["neptune", "normal"]
+        stream = select_dos_and_normal(records, KddDosFilter(), "testing")
+        assert [r.label for r in stream] == ["neptune", "normal", "apache2"]
 
     def test_unknown_split_rejected(self):
         with pytest.raises(ParameterError):
-            filter_dos([], KddDosFilter(), "validation")
+            select_dos_and_normal(parse([]), KddDosFilter(), "validation")
 
     def test_empty_input(self):
-        assert filter_dos([], KddDosFilter(), "training") == ([], [])
+        assert len(select_dos_and_normal(parse([]), KddDosFilter(), "training")) == 0
 
     def test_ordered_selection(self):
         records = parse([
@@ -176,6 +311,32 @@ class TestToFlowWindows:
     def test_bad_window_size(self):
         with pytest.raises(ParameterError):
             to_flow_windows([], record_window=0)
+
+    def test_byte_total_beyond_int64_rejected(self):
+        lines = [record_line(src=2**62, dst=0), record_line(src=2**62 - 1, dst=0)]
+        ((sample, _),) = to_flow_windows(make_records(lines), 2)[TCP]
+        assert sample.volume == 2**63 - 1
+        with pytest.raises(ParameterError, match="int64"):
+            to_flow_windows(make_records([record_line(src=2**62, dst=2**62)]), 1)
+
+    @given(
+        st.lists(st.tuples(
+            st.sampled_from(["tcp", "udp", "icmp"]),
+            st.sampled_from(["http", "smtp", "private"]),
+            st.sampled_from(["SF", "S0"]),
+            st.integers(0, 3) | st.integers(0, 2**40),
+            st.integers(0, 3) | st.integers(0, 2**40),
+            st.sampled_from(["normal.", "neptune.", "smurf.", "back", "satan.", "ipsweep."]),
+        ), max_size=80),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_loop_oracle(self, rows, record_window):
+        records = parse([record_line(*row[:5], label=row[5]) for row in rows])
+        attacks = frozenset({"neptune", "smurf", "back"})
+        windows = to_flow_windows(records, record_window, attacks)
+        assert observed(windows) == reference_to_flow_windows(rows, record_window, attacks)
+        assert list(windows) == list(reference_to_flow_windows(rows, record_window, attacks))
 
     def test_zero_byte_records_still_counted_as_flows(self):
         lines = [record_line(service=f"s{i}", src=0, dst=0) for i in range(10)]

@@ -150,6 +150,22 @@ class TestWindowize:
         with pytest.raises(ParameterError):
             windowize(table([event(0.1)]), 0.0, TCP)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_non_finite_window_length(self, length):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            windowize(table([event(0.1)]), length, TCP)
+
+    def test_window_count_bounded_before_allocation(self):
+        with pytest.raises(ParameterError, match=r"span 0.0 to 1000000000000000.0 s, 5000000000000001 windows"):
+            windowize(table([event(0.0), event(0.1), event(1e15)]), 0.2)
+        with pytest.raises(ParameterError, match="windows"):
+            windowize(table([event(0.0), event(1e300)]), 0.2)
+
+    def test_day_long_capture_at_default_window_admitted(self):
+        samples = windowize(table([event(0.0), event(86_400.0 - 0.1)]), 0.2)
+        assert len(samples) == 432_000
+        assert samples[-1].volume == 100
+
     def test_boundary_timestamp_bins_right(self):
         # 25.0 / 0.2 evaluates just below 125 in floats; the event must
         # still land in window 125.
@@ -316,6 +332,26 @@ class TestProfileSerialization:
         ).replace("flow_std=4.0\n", "")
         with pytest.raises(ParseError):
             load_profiles(text)
+
+    @pytest.mark.parametrize("field", ["volume_std", "flow_mean", "per_flow_std", "window_length"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_statistic_names_block(self, field, value):
+        profiles = [NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                    NormalProfile(UDP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        lines = dump_profiles(profiles).splitlines()
+        bad = lines.index(f"{field}=" + repr(getattr(profiles[1], field)), 12)
+        lines[bad] = f"{field}={value}"
+        with pytest.raises(ParseError, match=rf"line 13: bad profile block: {field} must be finite"):
+            load_profiles("\n".join(lines))
+
+    def test_malformed_number_names_block(self):
+        text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        with pytest.raises(ParseError, match="line 3: bad profile block"):
+            load_profiles(text.replace("flow_std=4.0", "flow_std=four"))
+
+    def test_non_finite_profile_rejected(self):
+        with pytest.raises(ParameterError, match="volume_std must be finite"):
+            NormalProfile(TCP, 0.2, 10, 1.0, math.nan, 3.0, 4.0, 5.0, 6.0)
 
     def test_duplicate_block_rejected(self):
         profile = NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
