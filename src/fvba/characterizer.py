@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
+from .detector import VerdictReport
 from .errors import ParameterError
-from .model import FlowKey
+from .model import FlowKey, WindowSample
+from .profiler import NormalProfile
 
 _STRENGTH_EPSILON = 1e-9
 
@@ -134,6 +136,31 @@ def throttle_directives(
         ThrottleDirective(flow=key, rate_multiplier=multiplier)
         for key in sorted(suspicious, key=_flow_sort_key)
     ]
+
+
+def characterize(
+    samples: Iterable[WindowSample],
+    reports: Iterable[VerdictReport],
+    profile: NormalProfile,
+) -> Iterator[tuple[int, list[FlowClassification], list[ThrottleDirective]]]:
+    """(window_index, classifications, directives) for each flagged window of one series.
+
+    `samples` and `reports` are the series' windows and verdicts in window
+    order.  Flows are banded by the profile's six-sigma limits with the
+    previous window as history; suspicious flows are throttled by the
+    window's volume excess over the profile mean.
+    """
+    limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
+    # The previous window's flow map is built only if an attack-band flow
+    # of a flagged window is looked up in it.
+    previous: Container[FlowKey] = frozenset()
+    for sample, report in zip(samples, reports):
+        if report.is_attack:
+            classifications = classify_flows(sample.per_flow_bytes, limits, previous)
+            suspicious = [c.key for c in classifications if c.band is FlowBand.SUSPICIOUS]
+            strength = volume_excess_ratio(sample.volume, profile.volume_mean)
+            yield sample.window_index, classifications, throttle_directives(suspicious, strength)
+        previous = sample.per_flow_bytes
 
 
 def _flow_sort_key(key: FlowKey):

@@ -12,25 +12,21 @@ long flag names without the leading dashes); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import io as fio
 from .characterizer import (
     CLASSIFICATION_HEADER,
     THROTTLE_HEADER,
-    FlowBand,
+    characterize,
     classification_line,
-    classify_flows,
-    sigma_limits,
-    throttle_directives,
     throttle_line,
-    volume_excess_ratio,
 )
 from .detector import (
     DEFAULT_FACTORS,
     ToleranceFactors,
-    compute_thresholds,
-    detect_series,
+    detect_profiled,
     dump_verdicts,
     flagged_windows,
     load_verdicts,
@@ -39,7 +35,8 @@ from .errors import Error, InsufficientDataError, ParameterError, ParseError
 from .evaluation import dump_breakdown, dump_roc, dump_score, dump_score_table, score, sweep
 from .kdd import (
     NORMAL_LABEL,
-    KddDosFilter,
+    TESTING_ATTACKS,
+    TRAINING_ATTACKS,
     build_profiles,
     evaluate_split,
     parse as parse_kdd,
@@ -50,6 +47,7 @@ from .profiler import build_profile, dump_profiles, load_profiles, windowize
 from .simulator import ScenarioConfig, ScenarioKind, generate
 
 DEFAULT_WINDOW_SECONDS = 0.2
+_JOBS_HELP = "accepted for interface compatibility; output is identical for any value"
 
 
 def _write(path: str, text: str) -> None:
@@ -62,49 +60,34 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+_FACTOR_SERIES = ((None, ""), (ProtocolCategory.TCP, "tcp_"), (ProtocolCategory.UDP, "udp_"),
+                  (ProtocolCategory.ICMP, "icmp_"))
+_FACTOR_ROLES = {"r1": "volume factor", "r2": "flow factor", "r3": "lower volume factor"}
+
+
 def _resolve_factors(args) -> dict[ProtocolCategory | None, ToleranceFactors]:
     """Per-series tolerance factors: tuned defaults overridden by flags."""
     factors = dict(DEFAULT_FACTORS)
-    if args.r1 is not None or args.r2 is not None or args.r3 is not None:
-        base = factors[None]
-        factors[None] = ToleranceFactors(
-            r1=args.r1 if args.r1 is not None else base.r1,
-            r2=args.r2 if args.r2 is not None else base.r2,
-            r3=args.r3,
-        )
-    for protocol, prefix in ((ProtocolCategory.TCP, "tcp"), (ProtocolCategory.UDP, "udp"),
-                             (ProtocolCategory.ICMP, "icmp")):
-        r1 = getattr(args, f"{prefix}_r1")
-        r2 = getattr(args, f"{prefix}_r2")
-        r3 = getattr(args, f"{prefix}_r3", None)
-        if r1 is not None or r2 is not None or r3 is not None:
-            base = factors[protocol]
-            factors[protocol] = ToleranceFactors(
-                r1=r1 if r1 is not None else base.r1,
-                r2=r2 if r2 is not None else base.r2,
-                r3=r3 if r3 is not None else base.r3,
-            )
+    for protocol, prefix in _FACTOR_SERIES:
+        given = {name: getattr(args, prefix + name, None) for name in ("r1", "r2", "r3")}
+        given = {name: value for name, value in given.items() if value is not None}
+        if given:
+            factors[protocol] = dataclasses.replace(factors[protocol], **given)
     return factors
 
 
 def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--r1", type=float, help="volume factor for the aggregate series")
-    parser.add_argument("--r2", type=float, help="flow factor for the aggregate series")
-    parser.add_argument("--r3", type=float, help="lower volume factor (UDP-style series)")
-    for prefix in ("tcp", "udp", "icmp"):
-        parser.add_argument(f"--{prefix}-r1", type=float, dest=f"{prefix}_r1")
-        parser.add_argument(f"--{prefix}-r2", type=float, dest=f"{prefix}_r2")
-        if prefix == "udp":
-            parser.add_argument("--udp-r3", type=float, dest="udp_r3")
+    for protocol, prefix in _FACTOR_SERIES:
+        series = "aggregate" if protocol is None else protocol
+        names = ("r1", "r2", "r3") if protocol in (None, ProtocolCategory.UDP) else ("r1", "r2")
+        for name in names:
+            parser.add_argument(f"--{prefix.replace('_', '-')}{name}", type=float,
+                                help=f"{_FACTOR_ROLES[name]} of the {series} series")
 
 
 def cmd_simulate(args) -> int:
-    kind = ScenarioKind.parse(args.kind)
-    if kind is ScenarioKind.ATTACK_FREE:
-        # No zombies, so the attack interval is irrelevant; span the run.
-        args.attack_start, args.attack_end = 0.0, args.duration
     config = ScenarioConfig(
-        kind=kind,
+        kind=ScenarioKind.parse(args.kind),
         legit_clients=args.clients,
         legit_request_rate=args.request_rate,
         legit_bytes_per_request=args.request_bytes,
@@ -149,33 +132,25 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _warn_unprofiled(events, profiles) -> None:
-    if None in profiles:
-        return
-    unprofiled = events.protocols() - set(profiles)
+def _profiled_series(args):
+    """The events windowed per profiled series, and the profiles; notes unprofiled protocols."""
+    events = fio.load_events(_read(args.events))
+    profiles = load_profiles(_read(args.profile))
+    unprofiled = set() if None in profiles else events.protocols() - set(profiles)
     if unprofiled:
         names = ", ".join(sorted(p.value for p in unprofiled))
         print(f"fvba: note: no profile for {names}; those windows are not evaluated"
               " (profile an aggregate series or training traffic with that protocol)",
               file=sys.stderr)
-
-
-def _detect_all(events, profiles, factors):
-    """Verdict reports for every profiled series, ordered by series then window."""
-    reports = []
-    for protocol, profile in profiles.items():
-        thresholds = compute_thresholds(profile, factors[protocol])
-        samples = windowize(events, profile.window_length, protocol)
-        reports.extend(detect_series(samples, profile, thresholds))
-    return reports
+    series = {p: windowize(events, profile.window_length, p) for p, profile in profiles.items()}
+    return series, profiles
 
 
 def cmd_detect(args) -> int:
-    events = fio.load_events(_read(args.events))
-    profiles = load_profiles(_read(args.profile))
     factors = _resolve_factors(args)
-    _warn_unprofiled(events, profiles)
-    reports = _detect_all(events, profiles, factors)
+    series, profiles = _profiled_series(args)
+    verdicts = detect_profiled(series, profiles, factors)
+    reports = [report for reports in verdicts.values() for report in reports]
     _write(args.out, dump_verdicts(reports))
     flags = flagged_windows(reports)
     attacked = sum(flags.values())
@@ -184,32 +159,18 @@ def cmd_detect(args) -> int:
 
 
 def cmd_characterize(args) -> int:
-    events = fio.load_events(_read(args.events))
-    profiles = load_profiles(_read(args.profile))
     factors = _resolve_factors(args)
-    _warn_unprofiled(events, profiles)
+    series, profiles = _profiled_series(args)
     classification_lines = [CLASSIFICATION_HEADER]
     throttle_lines = [THROTTLE_HEADER]
     flagged = 0
-    for protocol, profile in profiles.items():
-        thresholds = compute_thresholds(profile, factors[protocol])
-        samples = windowize(events, profile.window_length, protocol)
-        limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
-        reports = detect_series(samples, profile, thresholds)
-        # The previous window's flow map is built only if an attack-band
-        # flow of a flagged window is looked up in it.
-        previous = frozenset()
-        for sample, report in zip(samples, reports):
-            if report.is_attack:
-                flagged += 1
-                classifications = classify_flows(sample.per_flow_bytes, limits, previous)
-                for c in classifications:
-                    classification_lines.append(classification_line(sample.window_index, c))
-                suspicious = [c.key for c in classifications if c.band is FlowBand.SUSPICIOUS]
-                strength = volume_excess_ratio(sample.volume, profile.volume_mean)
-                for directive in throttle_directives(suspicious, strength):
-                    throttle_lines.append(throttle_line(sample.window_index, directive))
-            previous = sample.per_flow_bytes
+    verdicts = detect_profiled(series, profiles, factors)
+    for protocol, reports in verdicts.items():
+        for window, classifications, directives in characterize(series[protocol], reports,
+                                                                profiles[protocol]):
+            flagged += 1
+            classification_lines.extend(classification_line(window, c) for c in classifications)
+            throttle_lines.extend(throttle_line(window, d) for d in directives)
     _write(args.out, "\n".join(classification_lines) + "\n")
     if args.throttle_out:
         _write(args.throttle_out, "\n".join(throttle_lines) + "\n")
@@ -218,45 +179,32 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_kdd(args) -> int:
-    dos_filter = KddDosFilter()
-    factor_map = _resolve_factors(args)
-    factors = {p: factor_map[p] for p in ProtocolCategory}
-    sections = []
-
-    training = parse_kdd(args.train)
-    print(f"kdd: training records: {len(training)}")
-    train_stream = select_dos_and_normal(training, dos_filter, "training")
-    normal = train_stream[train_stream.label_mask({NORMAL_LABEL})]
-    profiles = build_profiles(normal, args.record_window)
-    evaluation = evaluate_split(
-        train_stream, dos_filter.training_attacks, profiles, factors, args.record_window
-    )
-    sections.append(("training", evaluation))
-    del training, train_stream
-
+    factors = _resolve_factors(args)
+    splits = [("training", args.train, TRAINING_ATTACKS)]
     if args.test:
-        testing = parse_kdd(args.test)
-        print(f"kdd: testing records: {len(testing)}")
-        test_stream = select_dos_and_normal(testing, dos_filter, "testing")
-        evaluation = evaluate_split(
-            test_stream, dos_filter.testing_attacks, profiles, factors, args.record_window
-        )
-        sections.append(("testing", evaluation))
-        del testing, test_stream
-
+        splits.append(("testing", args.test, TESTING_ATTACKS))
+    profiles = None
     rows = []
     breakdown_text = []
-    for split, evaluation in sections:
-        for protocol in ProtocolCategory:
-            report = evaluation.per_protocol.get(protocol)
-            if report is not None:
-                rows.append((f"{split}/{protocol.value}", report))
+    rate_lines = []
+    for split, path, attacks in splits:
+        records = parse_kdd(path)
+        print(f"kdd: {split} records: {len(records)}")
+        stream = select_dos_and_normal(records, attacks)
+        del records
+        if profiles is None:
+            # Profiles come from the normal records of the training split.
+            profiles = build_profiles(stream[stream.label_mask({NORMAL_LABEL})], args.record_window)
+        evaluation = evaluate_split(stream, attacks, profiles, factors, args.record_window)
+        del stream
+        rows.extend((f"{split}/{p.value}", report) for p, report in evaluation.per_protocol.items())
         rows.append((f"{split}/overall", evaluation.overall))
         breakdown_text.append(f"# {split}\n" + dump_breakdown(evaluation.breakdown))
         rate = evaluation.overall.detection_rate
         fp = evaluation.overall.false_positive_rate
-        print(f"kdd: {split} overall detection {100 * (rate or 0):.2f}%"
-              f" false positives {100 * (fp or 0):.3f}%")
+        rate_lines.append(f"kdd: {split} overall detection {100 * (rate or 0):.2f}%"
+                          f" false positives {100 * (fp or 0):.3f}%")
+    print("\n".join(rate_lines))
     _write(args.out, dump_score_table(rows))
     if args.breakdown_out:
         _write(args.breakdown_out, "\n".join(breakdown_text))
@@ -271,8 +219,11 @@ def _load_grid(path: str) -> list[ToleranceFactors]:
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ParseError("grid rows carry r1, r2 and optionally r3", line=number)
-        r3 = float(parts[2]) if len(parts) == 3 and parts[2] != "-" else None
-        grid.append(ToleranceFactors(r1=float(parts[0]), r2=float(parts[1]), r3=r3))
+        try:
+            r3 = float(parts[2]) if len(parts) == 3 and parts[2] != "-" else None
+            grid.append(ToleranceFactors(r1=float(parts[0]), r2=float(parts[1]), r3=r3))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=number) from None
     return grid
 
 
@@ -353,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--profile", required=True)
     _add_factor_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for interface"
-                   " compatibility; output is identical for any value")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_detect)
 
@@ -371,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test")
     p.add_argument("--record-window", type=int, default=100)
     _add_factor_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--breakdown-out")
     p.set_defaults(handler=cmd_kdd)
@@ -383,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="TSV rows: r1, r2 and optional r3")
     p.add_argument("--volume-only", action="store_true",
                    help="ignore the flow condition (single-metric sweep)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_sweep)
 

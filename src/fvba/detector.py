@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ParameterError, ParseError
 from .model import ProtocolCategory, WindowSample
@@ -175,11 +175,34 @@ def detect_series(
     return [detect(sample, profile, thresholds) for sample in samples]
 
 
-def flagged_windows(reports: Iterable[VerdictReport]) -> dict[int, bool]:
-    """Merge verdicts into per-window flags (attack iff any protocol alarms)."""
+def detect_profiled(
+    series: Mapping[ProtocolCategory | None, Sequence[WindowSample]],
+    profiles: Mapping[ProtocolCategory | None, NormalProfile],
+    factors: Mapping[ProtocolCategory | None, ToleranceFactors] = DEFAULT_FACTORS,
+) -> dict[ProtocolCategory | None, list[VerdictReport]]:
+    """Verdicts for every series that has a profile, in the order of `series`.
+
+    Each series is thresholded with its own protocol's factors; a series
+    without a profile gets no entry.
+    """
+    verdicts = {}
+    for protocol, samples in series.items():
+        if protocol in profiles:
+            thresholds = compute_thresholds(profiles[protocol], factors[protocol])
+            verdicts[protocol] = detect_series(samples, profiles[protocol], thresholds)
+    return verdicts
+
+
+def flagged_windows(
+    reports: Iterable[VerdictReport],
+    triggers: Collection[TriggerCondition] = frozenset(TriggerCondition),
+) -> dict[int, bool]:
+    """Merge verdicts into per-window flags: a window is flagged when any of
+    its verdicts (any protocol) fired one of `triggers`, by default any."""
     flags: dict[int, bool] = {}
     for report in reports:
-        flags[report.window_index] = flags.get(report.window_index, False) or report.is_attack
+        fired = not report.triggered.isdisjoint(triggers)
+        flags[report.window_index] = flags.get(report.window_index, False) or fired
     return flags
 
 
@@ -215,17 +238,18 @@ def load_verdicts(text: str) -> list[VerdictReport]:
         if len(parts) != 6:
             raise ParseError(f"expected 6 columns, got {len(parts)}", line=number)
         index, protocol, attack, triggers, volume_dev, flow_dev = parts
-        triggered = frozenset(
-            TriggerCondition(token) for token in triggers.split(",") if token != "-"
-        )
-        reports.append(
-            VerdictReport(
-                window_index=int(index),
-                protocol=None if protocol == "ALL" else ProtocolCategory.parse(protocol),
-                is_attack=bool(int(attack)),
-                triggered=triggered,
-                volume_deviation=float(volume_dev),
-                flow_deviation=float(flow_dev),
+        try:
+            reports.append(
+                VerdictReport(
+                    window_index=int(index),
+                    protocol=None if protocol == "ALL" else ProtocolCategory.parse(protocol),
+                    is_attack=bool(int(attack)),
+                    triggered=frozenset(TriggerCondition(token)
+                                        for token in triggers.split(",") if token != "-"),
+                    volume_deviation=float(volume_dev),
+                    flow_deviation=float(flow_dev),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ParseError(str(exc), line=number) from None
     return reports

@@ -160,19 +160,6 @@ def per_attack_breakdown(
     ]
 
 
-def window_flags(
-    reports: Sequence[VerdictReport], volume_only: bool = False
-) -> dict[int, bool]:
-    """Per-window flags, optionally counting only the volume conditions."""
-    if not volume_only:
-        return flagged_windows(reports)
-    flags: dict[int, bool] = {}
-    for report in reports:
-        fired = bool(_VOLUME_TRIGGERS & report.triggered)
-        flags[report.window_index] = flags.get(report.window_index, False) or fired
-    return flags
-
-
 def sweep(
     samples: Sequence[WindowSample],
     profile: NormalProfile,
@@ -188,11 +175,12 @@ def sweep(
     """
     if not grid:
         raise ParameterError("sweep grid must be non-empty")
+    triggers = _VOLUME_TRIGGERS if volume_only else frozenset(TriggerCondition)
     points = []
     for factors in grid:
         thresholds = compute_thresholds(profile, factors)
         reports = detect_series(samples, profile, thresholds)
-        report = _score_flags(window_flags(reports, volume_only=volume_only), truth)
+        report = _score_flags(flagged_windows(reports, triggers), truth)
         points.append(
             RocPoint(
                 factors=factors,

@@ -154,5 +154,8 @@ def load_window_truth(text: str) -> dict[int, bool]:
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in ("attack", "normal"):
             raise ParseError(f"malformed window-truth line: {line!r}", line=number)
-        truth[int(parts[0])] = parts[1] == "attack"
+        try:
+            truth[int(parts[0])] = parts[1] == "attack"
+        except ValueError as exc:
+            raise ParseError(str(exc), line=number) from None
     return truth

@@ -19,11 +19,11 @@ import gzip
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Collection, Iterator, NamedTuple
+from typing import Collection, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .detector import DEFAULT_FACTORS, ToleranceFactors, compute_thresholds, detect_series
+from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
 from .errors import ParameterError, ParseError
 from .evaluation import (
     BreakdownRow,
@@ -51,21 +51,6 @@ NORMAL_LABEL = "normal"
 
 TRAINING_ATTACKS = frozenset({"back", "land", "neptune", "pod", "smurf", "teardrop"})
 TESTING_ATTACKS = TRAINING_ATTACKS | {"apache2", "mailbomb", "processtable", "udpstorm"}
-
-
-@dataclass(frozen=True)
-class KddDosFilter:
-    """Attack-name sets of the denial-of-service category per split."""
-
-    training_attacks: frozenset[str] = TRAINING_ATTACKS
-    testing_attacks: frozenset[str] = TESTING_ATTACKS
-
-    def attacks_for(self, split: str) -> frozenset[str]:
-        if split == "training":
-            return self.training_attacks
-        if split == "testing":
-            return self.testing_attacks
-        raise ParameterError(f"unknown split: {split!r} (expected training or testing)")
 
 
 class KddRecord(NamedTuple):
@@ -189,10 +174,10 @@ def parse(source) -> KddTable:
     return KddTable(protocols, flows, srcs, dsts, labels, keys, tuple(names))
 
 
-def select_dos_and_normal(records: KddTable, dos_filter: KddDosFilter, split: str) -> KddTable:
-    """DoS plus normal records in original file order (detection stream)."""
-    attacks = dos_filter.attacks_for(split)
-    return records[records.label_mask(attacks | {NORMAL_LABEL})]
+def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTable:
+    """Records labelled normal or with a name in `attacks` (TRAINING_ATTACKS or
+    TESTING_ATTACKS), in original file order (the detection stream)."""
+    return records[records.label_mask({NORMAL_LABEL, *attacks})]
 
 
 def to_flow_windows(
@@ -260,7 +245,7 @@ def build_profiles(
 
 @dataclass(frozen=True)
 class KddEvaluation:
-    """Per-protocol and overall record-level scores plus per-attack rows."""
+    """Per-protocol (in PROTOCOLS order) and overall record-level scores plus per-attack rows."""
 
     per_protocol: dict[ProtocolCategory, ScoreReport]
     overall: ScoreReport
@@ -271,7 +256,7 @@ def evaluate_split(
     records: KddTable,
     attack_names: frozenset[str],
     profiles: dict[ProtocolCategory, NormalProfile],
-    factors: dict[ProtocolCategory, ToleranceFactors] | None = None,
+    factors: Mapping[ProtocolCategory | None, ToleranceFactors] = DEFAULT_FACTORS,
     record_window: int = 100,
 ) -> KddEvaluation:
     """Detect over a DoS+normal record stream and score per record.
@@ -280,19 +265,15 @@ def evaluate_split(
     preserved).  Protocols without a profile contribute undetected
     windows.
     """
-    factors = factors or {p: DEFAULT_FACTORS[p] for p in ProtocolCategory}
     windows = to_flow_windows(records, record_window, attack_names=attack_names)
+    samples = {protocol: [sample for sample, _ in series] for protocol, series in windows.items()}
+    verdicts = detect_profiled(samples, profiles, factors)
 
     per_protocol: dict[ProtocolCategory, ScoreReport] = {}
     results: list[tuple[ProtocolCategory, RecordWindowTruth, bool]] = []
     for protocol, series in windows.items():
-        profile = profiles.get(protocol)
-        if profile is None:
-            flags = [False] * len(series)
-        else:
-            thresholds = compute_thresholds(profile, factors[protocol])
-            reports = detect_series([sample for sample, _ in series], profile, thresholds)
-            flags = [report.is_attack for report in reports]
+        reports = verdicts.get(protocol)
+        flags = [False] * len(series) if reports is None else [r.is_attack for r in reports]
         truths = [truth for _, truth in series]
         per_protocol[protocol] = score_records(zip(truths, flags))
         results.extend((protocol, truth, flag) for truth, flag in zip(truths, flags))

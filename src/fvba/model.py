@@ -38,7 +38,8 @@ class ProtocolCategory(enum.Enum):
 class FlowKey(NamedTuple):
     """5-tuple flow identity.
 
-    Addresses are opaque tokens (the toolkit never interprets them).
+    Addresses are opaque tokens (the toolkit never interprets them), but
+    hold no tab or line break, so that the event format can carry them.
     ICMP flows carry port 0 on both sides.
     """
 
@@ -49,6 +50,10 @@ class FlowKey(NamedTuple):
     dst_port: int = 0
 
     def validate(self) -> "FlowKey":
+        for address in (self.src_addr, self.dst_addr):
+            # splitlines drops exactly the characters it splits on.
+            if "\t" in address or "".join(address.splitlines()) != address:
+                raise ParameterError(f"flow address holds a tab or line break: {address!r}")
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
                 raise ParameterError(f"port out of range: {port}")
@@ -68,7 +73,8 @@ class EventTable:
 
     Raises ParameterError, naming the first offending event, for a
     non-finite or negative timestamp, a byte count below 1 or a flow id
-    outside `keys`, and for repeated keys.  Time order is checked where it
+    outside `keys`, for repeated keys and for a key that fails
+    `FlowKey.validate`.  Time order is checked where it
     is relied on (`profiler.windowize`).
     """
 
@@ -84,6 +90,8 @@ class EventTable:
             raise ParameterError("event columns must be one-dimensional and of one length")
         if len(set(self.keys)) != len(self.keys):
             raise ParameterError("flow keys must be distinct")
+        for key in self.keys:
+            key.validate()
         _reject_first(~(np.isfinite(self.timestamp) & (self.timestamp >= 0)), self.timestamp,
                       "timestamp must be finite and non-negative, got {}")
         _reject_first(self.bytes < 1, self.bytes, "event byte count must be >= 1, got {}")

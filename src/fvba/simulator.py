@@ -15,6 +15,7 @@ Generation is deterministic for a fixed seed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class ScenarioKind(enum.Enum):
 HIGH_RATE_LABEL = GroundTruthLabel("highrate")
 LOW_RATE_LABEL = GroundTruthLabel("lowrate")
 
+# Most events a scenario may expect, and most clients or zombies it may have.  The
+# default 75 s high-rate scenario expects about 1M; 20M events take ~0.4 GB as columns.
+MAX_EXPECTED_EVENTS = 20_000_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -51,7 +56,7 @@ class ScenarioConfig:
     high-rate scenario); `zombie_low_rate_bps` the low-rate class (used
     by every zombie in a diluted scenario).  A varied-rate scenario puts
     `high_rate_fraction` of the zombies on the high rate and the rest on
-    the low rate.
+    the low rate.  An attack-free scenario's attack interval spans the run.
     """
 
     kind: ScenarioKind
@@ -71,31 +76,42 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.legit_clients <= 0:
-            raise ParameterError("at least one legitimate client is required")
-        if self.legit_request_rate <= 0 or self.legit_bytes_per_request <= 0:
-            raise ParameterError("legitimate request rate and size must be positive")
-        if self.client_link_rate_bps <= 0 or self.chunk_bytes <= 0:
-            raise ParameterError("client link rate and chunk size must be positive")
-        if self.zombie_rate_bps <= 0 or self.zombie_low_rate_bps <= 0:
-            raise ParameterError("zombie rates must be positive")
+        if self.kind is ScenarioKind.ATTACK_FREE:
+            object.__setattr__(self, "attack_start", 0.0)
+            object.__setattr__(self, "attack_end", self.duration)
+        if not 0 < self.legit_clients <= MAX_EXPECTED_EVENTS:
+            raise ParameterError(f"legitimate clients must lie in [1, {MAX_EXPECTED_EVENTS:,}]")
+        if not (0 < self.legit_request_rate < math.inf and self.legit_bytes_per_request > 0):
+            raise ParameterError("legitimate request rate (finite) and size must be positive")
+        if not (0 < self.client_link_rate_bps < math.inf and self.chunk_bytes > 0):
+            raise ParameterError("client link rate (finite) and chunk size must be positive")
+        if not (0 < self.zombie_rate_bps < math.inf and 0 < self.zombie_low_rate_bps < math.inf):
+            raise ParameterError("zombie rates must be positive and finite")
         if self.zombie_packet_bytes <= 0:
             raise ParameterError("zombie packet size must be positive")
         if not 0.0 <= self.high_rate_fraction <= 1.0:
             raise ParameterError("high-rate fraction must lie in [0, 1]")
-        if not self.attack_start < self.attack_end <= self.duration:
-            raise ParameterError("require attack_start < attack_end <= duration")
-        if self.zombies < 0:
-            raise ParameterError("zombie count cannot be negative")
+        if not -math.inf < self.attack_start < self.attack_end <= self.duration < math.inf:
+            raise ParameterError("require finite attack_start < attack_end <= duration")
+        if not 0 <= self.zombies <= MAX_EXPECTED_EVENTS:
+            raise ParameterError(f"zombie count must lie in [0, {MAX_EXPECTED_EVENTS:,}]")
         if (self.zombies == 0) != (self.kind is ScenarioKind.ATTACK_FREE):
             raise ParameterError("zombies == 0 exactly for attack-free scenarios")
+        # Mean event count (request chunks plus zombie packets), bounded before generating.
+        chunks = -(-self.legit_bytes_per_request // self.chunk_bytes)
+        high, low = _zombie_counts(self)
+        zombie_bps = high * self.zombie_rate_bps + low * self.zombie_low_rate_bps
+        expected = (self.legit_clients * self.legit_request_rate * self.duration * chunks
+                    + zombie_bps / 8.0 / self.zombie_packet_bytes
+                    * (self.attack_end - self.attack_start))
+        if expected > MAX_EXPECTED_EVENTS:
+            raise ParameterError(f"scenario expects {expected:.4g} events, more than the"
+                                 f" {MAX_EXPECTED_EVENTS:,} one run may generate")
 
     @classmethod
     def attack_free(cls, legit_clients: int, duration: float = 75.0, seed: int = 0, **kw) -> "ScenarioConfig":
-        # No zombies, so the attack interval is irrelevant; span the run.
         return cls(kind=ScenarioKind.ATTACK_FREE, legit_clients=legit_clients,
-                   zombies=0, duration=duration, seed=seed,
-                   attack_start=0.0, attack_end=duration, **kw)
+                   zombies=0, duration=duration, seed=seed, **kw)
 
     @classmethod
     def high_rate(cls, legit_clients: int, zombies: int = 100, seed: int = 0, **kw) -> "ScenarioConfig":
@@ -188,7 +204,8 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
 
     # Zombies: one UDP flow each, fixed-size packets with exponential gaps
     # at the class mean rate, confined to the attack interval.
-    zombie_rates = _zombie_rates(config)
+    high, low = _zombie_counts(config)
+    zombie_rates = [config.zombie_rate_bps] * high + [config.zombie_low_rate_bps] * low
     attack_span = config.attack_end - config.attack_start
     for i, rate_bps in enumerate(zombie_rates):
         key = FlowKey(ProtocolCategory.UDP, f"z{i:03d}", "srv", 50000 + i, 9)
@@ -215,12 +232,13 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
     )
 
 
-def _zombie_rates(config: ScenarioConfig) -> list[float]:
+def _zombie_counts(config: ScenarioConfig) -> tuple[int, int]:
+    """Numbers of zombies on the high and on the low rate."""
     if config.kind is ScenarioKind.ATTACK_FREE:
-        return []
+        return 0, 0
     if config.kind is ScenarioKind.HIGH_RATE_DISRUPTIVE:
-        return [config.zombie_rate_bps] * config.zombies
+        return config.zombies, 0
     if config.kind is ScenarioKind.DILUTED_LOW_RATE:
-        return [config.zombie_low_rate_bps] * config.zombies
+        return 0, config.zombies
     high = round(config.zombies * config.high_rate_fraction)
-    return [config.zombie_rate_bps] * high + [config.zombie_low_rate_bps] * (config.zombies - high)
+    return high, config.zombies - high

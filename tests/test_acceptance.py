@@ -26,7 +26,8 @@ from fvba.detector import (
 )
 from fvba.evaluation import ScoreReport, sweep
 from fvba.kdd import (
-    KddDosFilter,
+    TESTING_ATTACKS,
+    TRAINING_ATTACKS,
     build_profiles,
     evaluate_split,
     parse as parse_kdd,
@@ -340,11 +341,10 @@ def test_criterion_6_kdd_reproduction():
         pytest.skip("KDD-99 dataset not available")
     train_path, test_path = paths
     started = time.perf_counter()
-    dos_filter = KddDosFilter()
 
     training = parse_kdd(train_path)
     assert len(training) == 494021, f"training record count {len(training)}"
-    train_dos = training[training.label_mask(dos_filter.training_attacks)]
+    train_dos = training[training.label_mask(TRAINING_ATTACKS)]
     train_normal = training[training.label_mask({"normal"})]
     train_counts = {}
     for r in train_dos:
@@ -352,9 +352,9 @@ def test_criterion_6_kdd_reproduction():
     assert train_counts == TRAINING_TABLE, train_counts
 
     profiles = build_profiles(train_normal, record_window=100)
-    train_stream = select_dos_and_normal(training, dos_filter, "training")
+    train_stream = select_dos_and_normal(training, TRAINING_ATTACKS)
     del training
-    evaluation = evaluate_split(train_stream, dos_filter.training_attacks,
+    evaluation = evaluate_split(train_stream, TRAINING_ATTACKS,
                                 profiles, record_window=100)
     del train_stream
     lines = []
@@ -374,12 +374,12 @@ def test_criterion_6_kdd_reproduction():
     assert len(testing) == 311029, f"testing record count {len(testing)}"
     test_counts = {}
     for r in testing:
-        if r.label in dos_filter.testing_attacks:
+        if r.label in TESTING_ATTACKS:
             test_counts[r.label] = test_counts.get(r.label, 0) + 1
     assert test_counts == TESTING_TABLE, test_counts
-    test_stream = select_dos_and_normal(testing, dos_filter, "testing")
+    test_stream = select_dos_and_normal(testing, TESTING_ATTACKS)
     del testing
-    test_eval = evaluate_split(test_stream, dos_filter.testing_attacks,
+    test_eval = evaluate_split(test_stream, TESTING_ATTACKS,
                                profiles, record_window=100)
     del test_stream
     overall = test_eval.overall.detection_rate or 0.0

@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 from fvba.characterizer import (
     FlowBand,
     SigmaLimits,
+    characterize,
     classify_flows,
     sigma_limits,
     throttle_directives,
     volume_excess_ratio,
 )
+from fvba.detector import TriggerCondition, VerdictReport
 from fvba.errors import ParameterError
-from fvba.model import FlowKey, ProtocolCategory
+from fvba.model import FlowKey, ProtocolCategory, WindowSample
+from fvba.profiler import NormalProfile
 
 
 def key(i):
@@ -151,3 +154,50 @@ class TestVolumeExcessRatio:
 
     def test_below_mean_floors_at_zero(self):
         assert volume_excess_ratio(50, 100) == 0.0
+
+
+class TestCharacterize:
+    # Per-flow limits 100 +/- 30 (suspicious) and 100 +/- 60 (attack);
+    # window volumes are compared with a mean of 1000.
+    PROFILE = NormalProfile(protocol=ProtocolCategory.TCP, window_length=0.2,
+                            training_windows=10, volume_mean=1000.0, volume_std=50.0,
+                            flow_mean=5.0, flow_std=1.0, per_flow_mean=100.0, per_flow_std=10.0)
+
+    def run(self, windows):
+        """Characterize windows given as (flagged, {flow id: bytes}) pairs."""
+        samples, reports = [], []
+        for index, (flagged, flows) in enumerate(windows):
+            per_flow = {key(i): count for i, count in flows.items()}
+            samples.append(WindowSample.from_flows(index, index * 0.2, 0.2,
+                                                   ProtocolCategory.TCP, per_flow))
+            triggered = frozenset({TriggerCondition.VOLUME_UPPER} if flagged else ())
+            reports.append(VerdictReport(index, ProtocolCategory.TCP, flagged, triggered,
+                                         0.0, 0.0))
+        return list(characterize(samples, reports, self.PROFILE))
+
+    def test_yields_flagged_windows_only(self):
+        results = self.run([(False, {0: 100}), (True, {0: 100}), (False, {0: 100})])
+        assert [window for window, _, _ in results] == [1]
+
+    def test_first_window_has_no_history(self):
+        ((_, (c,), directives),) = self.run([(True, {0: 500})])
+        assert c.band is FlowBand.ATTACK and not c.excluded_by_history
+        assert directives == []
+
+    def test_history_from_unflagged_previous_window(self):
+        ((window, classifications, _),) = self.run([(False, {0: 100}), (True, {0: 500, 1: 500})])
+        bands = {c.key: (c.band, c.excluded_by_history) for c in classifications}
+        assert window == 1
+        assert bands == {key(0): (FlowBand.SUSPICIOUS, True), key(1): (FlowBand.ATTACK, False)}
+
+    def test_exactly_suspicious_flows_throttled_sorted(self):
+        # Flow 3 is history-demoted, flows 5 and 2 lie between the limits.
+        ((_, classifications, directives),) = self.run([
+            (False, {3: 10}),
+            (True, {5: 140, 4: 100, 3: 500, 2: 150, 1: 500}),
+        ])
+        suspicious = {c.key for c in classifications if c.band is FlowBand.SUSPICIOUS}
+        assert suspicious == {key(2), key(3), key(5)}
+        assert [d.flow for d in directives] == [key(2), key(3), key(5)]
+        # Volume 1390 is 39% above the mean of 1000.
+        assert all(d.rate_multiplier == 1 / (1 + 390 / 1000) for d in directives)

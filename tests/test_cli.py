@@ -1,10 +1,13 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from fvba.cli import main
+from fvba.cli import _resolve_factors, build_parser, main
 from fvba import io as fio
+from fvba.detector import DEFAULT_FACTORS
+from fvba.model import ProtocolCategory
 
 
 def run(args, tmp_path):
@@ -225,6 +228,24 @@ class TestKddCommand:
         assert any(row.startswith("training/overall") for row in table)
         assert "neptune" in (tmp_path / "breakdown.tsv").read_text()
 
+    def test_training_and_testing_splits(self, tmp_path, capsys):
+        data = self.make_file(tmp_path)
+        code = run(["kdd", "--train", data, "--test", data, "--out", tmp_path / "scores.tsv",
+                    "--breakdown-out", tmp_path / "breakdown.tsv"], tmp_path)
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:2] == ["kdd: training records: 600", "kdd: testing records: 600"]
+        assert printed[2].startswith("kdd: training overall detection 100.00%")
+        assert printed[3].startswith("kdd: testing overall detection 100.00%")
+        assert len(printed) == 4
+        rows = [row.split("\t") for row in (tmp_path / "scores.tsv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["training/TCP", "training/overall",
+                                             "testing/TCP", "testing/overall"]
+        # One file as both splits: its neptune records are DoS in both.
+        assert rows[0][1:] == rows[2][1:]
+        breakdown = (tmp_path / "breakdown.tsv").read_text()
+        assert breakdown.startswith("# training\n") and "\n# testing\n" in breakdown
+
     @pytest.mark.parametrize("token", ["1.e999", "-500"])
     def test_bad_byte_count_fails_with_line(self, tmp_path, capsys, token):
         data = self.make_file(tmp_path)
@@ -248,6 +269,85 @@ class TestKddCommand:
         assert code == 1
         assert err.startswith("fvba kdd: error: ") and "finite" in err
         assert "Traceback" not in err
+
+
+_VERDICT_HEADER = "window_index\tprotocol\tis_attack\ttriggered\tvolume_deviation\tflow_deviation\n"
+
+
+class TestMalformedInput:
+    """A malformed input ends in exit 1 and one `fvba <stage>: error:` line."""
+
+    def fails(self, capsys, args, message):
+        code = main([str(a) for a in args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row,message", [
+        ("6\tsix", "line 2: could not convert string to float: 'six'"),
+        ("6\t6\t-1", "line 2: lower volume factor must be positive and finite"),
+    ])
+    def test_grid_row(self, pipeline, capsys, row, message):
+        tmp_path, _, attack, profile = pipeline
+        grid = tmp_path / "grid.tsv"
+        grid.write_text(f"2\t2\n{row}\n")
+        self.fails(capsys, ["sweep", "--events", attack, "--profile", profile,
+                            "--window-truth", tmp_path / "wt.tsv", "--grid", grid,
+                            "--out", tmp_path / "roc.tsv"], "fvba sweep: error: " + message)
+
+    def score(self, tmp_path, capsys, verdict_rows, truth_rows, message):
+        verdicts, truth = tmp_path / "v.tsv", tmp_path / "wt.tsv"
+        verdicts.write_text(_VERDICT_HEADER + "".join(row + "\n" for row in verdict_rows))
+        truth.write_text("".join(row + "\n" for row in truth_rows))
+        self.fails(capsys, ["score", "--verdicts", verdicts, "--window-truth", truth,
+                            "--out", tmp_path / "s.tsv"], "fvba score: error: " + message)
+
+    @pytest.mark.parametrize("row,message", [
+        ("1\tALL\t1\tbogus\t0.0\t0.0", "line 3: 'bogus' is not a valid TriggerCondition"),
+        ("1\tALL\t1\t-\t0.0\t0.0", "line 3: is_attack must mirror the triggered set"),
+    ])
+    def test_verdict_row(self, tmp_path, capsys, row, message):
+        self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0", row],
+                   ["0\tnormal", "1\tattack"], message)
+
+    def test_window_truth_row(self, tmp_path, capsys):
+        self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "x\tattack"],
+                   "line 2: invalid literal for int()")
+
+    @pytest.mark.parametrize("duration,message", [
+        ("inf", "require finite attack_start < attack_end <= duration"),
+        ("1e12", "scenario expects 6e+13 events, more than the 20,000,000"),
+    ])
+    def test_unbounded_simulate_duration(self, tmp_path, capsys, duration, message):
+        # Rejected when the scenario is built, before anything is generated.
+        self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "2",
+                            "--duration", duration, "--out", tmp_path / "x.tsv"],
+                   "fvba simulate: error: " + message)
+        assert not (tmp_path / "x.tsv").exists()
+
+
+class TestFactorFlags:
+    @pytest.mark.parametrize("flag,protocol,name", [
+        ("--r1", None, "r1"), ("--r2", None, "r2"), ("--r3", None, "r3"),
+        ("--tcp-r1", ProtocolCategory.TCP, "r1"), ("--tcp-r2", ProtocolCategory.TCP, "r2"),
+        ("--udp-r1", ProtocolCategory.UDP, "r1"), ("--udp-r2", ProtocolCategory.UDP, "r2"),
+        ("--udp-r3", ProtocolCategory.UDP, "r3"),
+        ("--icmp-r1", ProtocolCategory.ICMP, "r1"), ("--icmp-r2", ProtocolCategory.ICMP, "r2"),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "characterize", "kdd"])
+    def test_flag_overrides_one_factor_of_one_series(self, command, flag, protocol, name):
+        inputs = ["--train", "t"] if command == "kdd" else ["--events", "e", "--profile", "p"]
+        args = build_parser().parse_args([command, *inputs, "--out", "o", flag, "9"])
+        expected = dict(DEFAULT_FACTORS)
+        expected[protocol] = dataclasses.replace(expected[protocol], **{name: 9.0})
+        assert _resolve_factors(args) == expected
+
+    @pytest.mark.parametrize("flag", ["--tcp-r3", "--icmp-r3"])
+    def test_no_lower_factor_flag_for_tcp_or_icmp(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["detect", "--events", "e", "--profile", "p", "--out", "o",
+                                       flag, "1"])
 
 
 class TestConfigFile:

@@ -8,8 +8,10 @@ from fvba.detector import (
     Thresholds,
     ToleranceFactors,
     TriggerCondition,
+    VerdictReport,
     compute_thresholds,
     detect,
+    detect_profiled,
     detect_series,
     dump_verdicts,
     flagged_windows,
@@ -227,6 +229,50 @@ class TestVerdictProperties:
             [sample(UDP, volume=1000, index=0), sample(UDP, volume=1000, index=1)],
             profile(UDP), udp_th)
         assert flagged_windows(reports) == {0: False, 1: True}
+
+    def test_flagged_windows_trigger_filter(self):
+        def report(index, *triggered):
+            return VerdictReport(index, TCP, bool(triggered), frozenset(triggered), 0.0, 0.0)
+
+        reports = [report(0, FLOW), report(1, VOLUME_LOWER), report(2, FLOW, VOLUME_UPPER),
+                   report(3), report(3, FLOW)]
+        volume = {VOLUME_UPPER, VOLUME_LOWER}
+        assert flagged_windows(reports, volume) == {0: False, 1: True, 2: True, 3: False}
+        assert flagged_windows(reports) == {0: True, 1: True, 2: True, 3: True}
+
+
+class TestDetectProfiled:
+    def test_series_without_profile_gets_no_entry(self):
+        verdicts = detect_profiled({TCP: [sample()], ICMP: [sample(ICMP)]}, {TCP: profile()})
+        assert list(verdicts) == [TCP]
+
+    def test_keeps_series_order(self):
+        profiles = {p: profile(p) for p in (TCP, UDP, ICMP)}
+        for order in ([UDP, ICMP, TCP], [ICMP, TCP, UDP]):
+            verdicts = detect_profiled({p: [sample(p)] for p in order}, profiles)
+            assert list(verdicts) == order
+
+    def test_each_protocol_thresholded_with_its_factors(self):
+        # A rise of 50 is beyond TCP's r1 = 1 (10 bytes) but not ICMP's
+        # r1 = 5; a drop of 50 fires only UDP's lower factor r3 = 1.5.
+        series = {
+            TCP: [sample(TCP, volume=1050, index=0), sample(TCP, volume=950, index=1)],
+            UDP: [sample(UDP, volume=1050, index=0), sample(UDP, volume=950, index=1)],
+            ICMP: [sample(ICMP, volume=1050, index=0), sample(ICMP, volume=950, index=1)],
+        }
+        profiles = {p: profile(p) for p in series}
+        verdicts = detect_profiled(series, profiles)
+        assert {p: [r.triggered for r in reports] for p, reports in verdicts.items()} == {
+            TCP: [{VOLUME_UPPER}, set()],
+            UDP: [set(), {VOLUME_LOWER}],
+            ICMP: [set(), set()],
+        }
+        for p, reports in verdicts.items():
+            thresholds = compute_thresholds(profiles[p], DEFAULT_FACTORS[p])
+            assert reports == detect_series(series[p], profiles[p], thresholds)
+        wider = {TCP: ToleranceFactors(6, 6)}
+        verdicts = detect_profiled({TCP: series[TCP]}, profiles, wider)
+        assert not any(r.is_attack for r in verdicts[TCP])
 
 
 class TestVerdictSerialization:

@@ -9,6 +9,7 @@ from fvba.detector import (
     VerdictReport,
     compute_thresholds,
     detect_series,
+    flagged_windows,
 )
 from fvba.errors import ParameterError
 from fvba.evaluation import (
@@ -20,7 +21,6 @@ from fvba.evaluation import (
     score,
     score_records,
     sweep,
-    window_flags,
 )
 from fvba.model import FlowKey, ProtocolCategory, WindowSample
 from fvba.profiler import NormalProfile
@@ -184,8 +184,10 @@ class TestSweep:
         factors = ToleranceFactors(1000.0, 0.1)  # only the flow condition can fire
         reports = detect_series(samples, profile, compute_thresholds(profile, factors))
         assert any(r.is_attack for r in reports)
-        flags = window_flags(reports, volume_only=True)
-        assert not any(flags.values())
+        volume = {TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER}
+        assert not any(flagged_windows(reports, volume).values())
+        (point,) = sweep(samples, profile, truth, [factors], volume_only=True)
+        assert point.detection_rate == 0.0 and point.false_positive_rate == 0.0
 
 
 class TestTables:

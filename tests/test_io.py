@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from event_rows import Row, rows, table
 from fvba import io as fio
-from fvba.errors import OrderingError, ParseError
+from fvba.errors import OrderingError, ParameterError, ParseError
 from fvba.model import FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
 
 
@@ -77,6 +78,32 @@ class TestEventFormat:
         events = fio.load_events("\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n\t\t\t\t\t\t\n")
         assert len(events) == 1
         assert len(fio.load_events("")) == 0
+
+
+# Address characters: the tab, every character str.splitlines splits on,
+# and ordinary, control, space-like and astral characters that must survive.
+ADDRESS_TEXT = st.text(st.sampled_from(
+    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    "aZ0 :.-_\x00\x7f\xa0\xe9\u200b\u3000\U0001f600"
+), max_size=6)
+
+
+class TestEventAddressRoundTrip:
+    @given(st.lists(st.tuples(ADDRESS_TEXT, ADDRESS_TEXT), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_address_round_trips(self, pairs):
+        keys = []
+        for src, dst in pairs:
+            key = FlowKey(ProtocolCategory.UDP, src, dst, 1, 2)
+            try:
+                key.validate()
+            except ParameterError:
+                continue
+            if key not in keys:
+                keys.append(key)
+        assume(keys)
+        events = table(Row(0.5 * i, k, i + 1) for i, k in enumerate(keys))
+        assert fio.load_events(fio.dump_events(events)) == events
 
 
 class TestTruthFormat:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fvba.detector import ToleranceFactors
 from fvba.errors import ParameterError, ParseError
 from fvba.kdd import (
-    KddDosFilter,
     KddRecord,
+    TESTING_ATTACKS,
     TRAINING_ATTACKS,
     build_profiles,
     evaluate_split,
@@ -215,9 +215,8 @@ class TestKddTable:
 
 class TestFilterDos:
     def test_table_attack_sets(self):
-        trainer = KddDosFilter()
-        assert trainer.training_attacks == {"back", "land", "neptune", "pod", "smurf", "teardrop"}
-        assert trainer.testing_attacks == trainer.training_attacks | {
+        assert TRAINING_ATTACKS == {"back", "land", "neptune", "pod", "smurf", "teardrop"}
+        assert TESTING_ATTACKS == TRAINING_ATTACKS | {
             "apache2", "mailbomb", "processtable", "udpstorm"
         }
 
@@ -228,17 +227,13 @@ class TestFilterDos:
             record_line(label="satan."),      # probe: discarded
             record_line(label="apache2."),    # DoS only in the testing split
         ])
-        stream = select_dos_and_normal(records, KddDosFilter(), "training")
+        stream = select_dos_and_normal(records, TRAINING_ATTACKS)
         assert [r.label for r in stream] == ["neptune", "normal"]
-        stream = select_dos_and_normal(records, KddDosFilter(), "testing")
+        stream = select_dos_and_normal(records, TESTING_ATTACKS)
         assert [r.label for r in stream] == ["neptune", "normal", "apache2"]
 
-    def test_unknown_split_rejected(self):
-        with pytest.raises(ParameterError):
-            select_dos_and_normal(parse([]), KddDosFilter(), "validation")
-
     def test_empty_input(self):
-        assert len(select_dos_and_normal(parse([]), KddDosFilter(), "training")) == 0
+        assert len(select_dos_and_normal(parse([]), TRAINING_ATTACKS)) == 0
 
     def test_ordered_selection(self):
         records = parse([
@@ -246,7 +241,7 @@ class TestFilterDos:
             record_line(label="satan."),
             record_line(label="neptune."),
         ])
-        stream = select_dos_and_normal(records, KddDosFilter(), "training")
+        stream = select_dos_and_normal(records, TRAINING_ATTACKS)
         assert [r.label for r in stream] == ["normal", "neptune"]
 
 

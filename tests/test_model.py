@@ -45,6 +45,15 @@ class TestFlowKey:
         with pytest.raises(ParameterError):
             key(sport=65536).validate()
 
+    @pytest.mark.parametrize("address", ["a\tb", "a\n", "\rb", "a\x0bb", "a\x0cb", "a\x1cb",
+                                         "a\x85", "a\u2028b", "a\u2029"])
+    def test_address_without_tab_or_line_break(self, address):
+        with pytest.raises(ParameterError, match="tab or line break"):
+            key(src=address).validate()
+        with pytest.raises(ParameterError, match="tab or line break"):
+            key(dst=address).validate()
+        key(src="", dst="a b:c").validate()
+
 
 class TestEventTable:
     def test_validate(self):
@@ -66,6 +75,10 @@ class TestEventTable:
             EventTable([0.0, 1.0], [0], [1, 1], [key()])
         with pytest.raises(ParameterError, match="distinct"):
             EventTable([0.0], [0], [1], [key(), key()])
+        with pytest.raises(ParameterError, match="port out of range"):
+            EventTable([0.0], [0], [1], [key(sport=70000)])
+        with pytest.raises(ParameterError, match="tab or line break"):
+            EventTable([0.0], [0], [1], [key(src="a\nb")])
 
     def test_len_and_protocols(self):
         udp = key(proto=ProtocolCategory.UDP)

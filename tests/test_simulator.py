@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from event_rows import rows
@@ -6,6 +8,7 @@ from fvba.model import ProtocolCategory
 from fvba.simulator import (
     HIGH_RATE_LABEL,
     LOW_RATE_LABEL,
+    MAX_EXPECTED_EVENTS,
     ScenarioConfig,
     ScenarioKind,
     generate,
@@ -47,6 +50,35 @@ class TestScenarioConfig:
         assert free.zombies == 0 and free.attack_end == 20.0
         assert ScenarioConfig.high_rate(10).zombies == 100
         assert ScenarioConfig.diluted_low_rate(10).kind is ScenarioKind.DILUTED_LOW_RATE
+
+    def test_attack_free_spans_the_run(self):
+        # Shorter than the default attack_end of 50 s.
+        config = ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=2, duration=10.0)
+        assert (config.attack_start, config.attack_end) == (0.0, 10.0)
+
+    @pytest.mark.parametrize("field", ["duration", "attack_start", "attack_end",
+                                       "legit_request_rate", "zombie_rate_bps"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_times_and_rates_rejected(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            small_attack(**{field: value})
+
+    def test_expected_event_count_bounded(self):
+        # Rejected in the constructor, before generate allocates anything.
+        with pytest.raises(ParameterError, match=r"expects 6e\+13 events"):
+            ScenarioConfig.attack_free(2, duration=1e12)
+        # 10**5 zombies at 3 Mb/s send 3.75e7 packets/s over the 25 s attack,
+        # on top of 90,000 request chunks.
+        with pytest.raises(ParameterError, match=r"expects 9.376e\+08 events"):
+            ScenarioConfig.high_rate(40, zombies=100_000)
+        # Flow counts share the bound, so no count overflows the float arithmetic.
+        with pytest.raises(ParameterError, match="legitimate clients must lie in"):
+            ScenarioConfig.attack_free(10**400)
+        with pytest.raises(ParameterError, match="zombie count must lie in"):
+            ScenarioConfig.high_rate(40, zombies=10**400)
+        # The default high-rate scenario expects 90,000 chunks and 937,500 packets.
+        assert 1_027_500 <= MAX_EXPECTED_EVENTS
+        ScenarioConfig.high_rate(40)
 
     def test_kind_parse(self):
         assert ScenarioKind.parse("varied") is ScenarioKind.VARIED_RATE
