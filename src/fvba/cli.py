@@ -26,6 +26,7 @@ from .characterizer import (
 from .detector import (
     DEFAULT_FACTORS,
     ToleranceFactors,
+    compute_thresholds,
     detect_profiled,
     dump_verdicts,
     flagged_windows,
@@ -43,7 +44,7 @@ from .kdd import (
     select_dos_and_normal,
 )
 from .model import ProtocolCategory
-from .profiler import build_profile, dump_profiles, load_profiles, windowize
+from .profiler import NormalProfile, build_profile, dump_profiles, load_profiles, windowize
 from .simulator import ScenarioConfig, ScenarioKind, generate
 
 DEFAULT_WINDOW_SECONDS = 0.2
@@ -56,8 +57,17 @@ def _write(path: str, text: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of a UTF-8 file, with "\r\n" and "\r" read as "\n"."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's line, counted as the text formats count lines.
+        line = len((data[: exc.start].decode("utf-8") + "|").splitlines())
+        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line=line) from None
+    del data
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 _FACTOR_SERIES = ((None, ""), (ProtocolCategory.TCP, "tcp_"), (ProtocolCategory.UDP, "udp_"),
@@ -211,7 +221,8 @@ def cmd_kdd(args) -> int:
     return 0
 
 
-def _load_grid(path: str) -> list[ToleranceFactors]:
+def _load_grid(path: str, profile: NormalProfile) -> list[ToleranceFactors]:
+    """Grid rows, each checked against `profile` (r3 exactly for UDP)."""
     grid = []
     for number, line in enumerate(_read(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -222,6 +233,7 @@ def _load_grid(path: str) -> list[ToleranceFactors]:
         try:
             r3 = float(parts[2]) if len(parts) == 3 and parts[2] != "-" else None
             grid.append(ToleranceFactors(r1=float(parts[0]), r2=float(parts[1]), r3=r3))
+            compute_thresholds(profile, grid[-1])
         except ValueError as exc:
             raise ParseError(str(exc), line=number) from None
     return grid
@@ -238,7 +250,7 @@ def cmd_sweep(args) -> int:
     ((protocol, profile),) = profiles.items()
     truth = fio.load_window_truth(_read(args.window_truth))
     samples = windowize(events, profile.window_length, protocol)
-    grid = _load_grid(args.grid)
+    grid = _load_grid(args.grid, profile)
     points = sweep(samples, profile, truth, grid, volume_only=args.volume_only)
     _write(args.out, dump_roc(points))
     print(f"sweep: {len(points)} operating points -> {args.out}")

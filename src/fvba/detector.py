@@ -117,9 +117,8 @@ def compute_thresholds(profile: NormalProfile, factors: ToleranceFactors) -> Thr
         lower = factors.r3 * profile.volume_std
     else:
         if factors.r3 is not None:
-            raise ParameterError(
-                f"lower volume factor r3 only applies to UDP, not {profile.protocol}"
-            )
+            series = profile.protocol or "the aggregate series"
+            raise ParameterError(f"lower volume factor r3 only applies to UDP, not {series}")
         lower = None
     return Thresholds(
         protocol=profile.protocol,

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Collection, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from . import io as fio
 from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
 from .errors import ParameterError, ParseError
 from .evaluation import (
@@ -40,6 +43,8 @@ FEATURE_COUNT = 41
 PROTOCOL_INDEX, SERVICE_INDEX, FLAG_INDEX = 1, 2, 3
 SRC_BYTES_INDEX, DST_BYTES_INDEX = 4, 5
 SYMBOLIC_INDICES = frozenset({PROTOCOL_INDEX, SERVICE_INDEX, FLAG_INDEX})
+# Maps ".", "," and "\n" to themselves and every other byte to "a".
+_MARKS = bytes(b if b in b".,\n" else ord("a") for b in range(256))
 _BYTE_FIELDS = {SRC_BYTES_INDEX: "src_bytes", DST_BYTES_INDEX: "dst_bytes"}
 _MAX_BYTES = 2**63 - 1
 
@@ -105,14 +110,20 @@ class KddTable:
         return np.array([name in names for name in self.labels], dtype=bool)[self.label]
 
 
-def _open_lines(source) -> Iterator[str]:
+def _blocks(source) -> Iterator[bytes]:
+    """The bytes of a path (gzip when it ends in ".gz") or of an iterable of
+    lines, each given a missing "\n"."""
     if isinstance(source, (str, bytes, os.PathLike)):
         path = os.fsdecode(source)
         opener = gzip.open if path.endswith(".gz") else open
-        with opener(path, "rt", encoding="utf-8") as handle:
-            yield from handle
+        with opener(path, "rb") as handle:
+            try:
+                yield from iter(partial(handle.read, fio.CHUNK_BYTES), b"")
+            except (EOFError, zlib.error) as exc:
+                raise ParseError(f"{path}: corrupt or truncated gzip data: {exc}") from None
     else:
-        yield from source
+        for line in source:
+            yield line.encode("utf-8", "surrogatepass") + (b"" if line.endswith("\n") else b"\n")
 
 
 def _number(token: str, index: int, line: int) -> int | float:
@@ -122,34 +133,104 @@ def _number(token: str, index: int, line: int) -> int | float:
         raise ParseError(f"non-numeric continuous field {index}: {token!r}", line=line) from None
 
 
-def _byte_count(fields: list[str], index: int, line: int, known: dict[str, int]) -> int:
-    count = known.get(fields[index])
-    if count is None:
-        value = _number(fields[index], index, line)
-        if not 0 <= value <= _MAX_BYTES:
-            raise ParseError(f"{_BYTE_FIELDS[index]} must be a non-negative count within int64,"
-                             f" got {fields[index]!r}", line=line)
-        count = known[fields[index]] = int(value)
-    return count
+def _byte_count(fields: list[str], index: int, line: int) -> int:
+    value = _number(fields[index], index, line)
+    if not 0 <= value <= _MAX_BYTES:
+        raise ParseError(f"{_BYTE_FIELDS[index]} must be a non-negative count within int64,"
+                         f" got {fields[index]!r}", line=line)
+    return int(value)
 
 
 def parse(source) -> KddTable:
     """Parse connection records from a path (gzip or plain) or an iterable of lines.
 
-    Blank lines are skipped.  Raises ParseError naming the line for a line
-    without 42 comma-separated fields, an unknown protocol_type, a
-    continuous field that is not a number (`float()` when the token holds
-    a ".", `int()` otherwise), and a src_bytes or dst_bytes value that is
-    negative, non-finite or beyond int64 (a fractional count is truncated).
+    The input is read a chunk of lines at a time (`io.read_chunks`): a
+    regular chunk (see `_decode_chunk`) is decoded with array operations,
+    any other goes through the per-line loop `_parse_lines`.  Both number
+    flows and labels in order of first appearance.  Blank lines are
+    skipped.  Raises ParseError naming the line for a line that is not
+    UTF-8 or has not 42 comma-separated fields, an unknown protocol_type,
+    a continuous field that is not a number (`float()` when the token
+    holds a ".", `int()` otherwise), and a src_bytes or dst_bytes value
+    that is negative, non-finite or beyond int64 (a fractional count is
+    truncated); and a ParseError naming the file for corrupt gzip data.
     """
-    protocols, flows, srcs, dsts, labels = (array(t) for t in ("b", "i", "q", "q", "i"))
+    columns = tuple(array(t) for t in ("b", "i", "q", "q", "i"))
     flow_ids: dict[tuple[int, str, str], int] = {}
     names: dict[str, int] = {}
-    # Continuous-field and byte-field tokens that have passed their checks.
-    accepted: set[str] = set()
-    byte_counts: dict[str, int] = {}
-    for number, raw in enumerate(_open_lines(source), start=1):
-        line = raw.strip()
+    number = 0
+    for chunk in fio.read_chunks(_blocks(source)):
+        decoded = _decode_chunk(chunk, flow_ids, names)
+        if decoded is None:
+            number = _parse_lines(chunk, number, columns, flow_ids, names)
+        else:
+            fio.append_columns(columns, decoded)
+            number += chunk.count(b"\n")
+    keys = tuple(FlowKey(PROTOCOLS[p], service, flag, 0, 0) for p, service, flag in flow_ids)
+    return KddTable(*columns, keys, tuple(names))
+
+
+def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
+                  names: dict[str, int]):
+    """The (protocol, flow, src_bytes, dst_bytes, label) columns of a regular chunk, or None.
+
+    Regular: `io.split_fields` accepts it with 42 fields, fields 0 and
+    4-40 are digits with at most one "." (at least one digit), src_bytes
+    and dst_bytes are 1-18 digits and every protocol_type is exactly
+    tcp, udp or icmp.
+    """
+    split = fio.split_fields(chunk, b",", FEATURE_COUNT + 1)
+    if split is None:
+        return None
+    codes, starts, ends = split
+    # With digits deleted and every byte but ".", "," and "\n" made "a", a
+    # continuous field must read "" or "." and be wider in the chunk (hold a
+    # digit).  Field k ends at comma k; field 0 starts its line, fields 4-40
+    # start after commas 3-39.
+    marks = np.frombuffer(chunk.translate(_MARKS, b"0123456789"), dtype=np.uint8)
+    commas = np.flatnonzero(marks == 44).reshape(-1, FEATURE_COUNT)
+    breaks = np.flatnonzero(marks == 10)
+    first = np.concatenate(([0], breaks + 1))[np.searchsorted(breaks, commas[:, 0])]
+    for lefts, rights, widths in (
+        (first, commas[:, 0], ends[:, 0] - starts[:, 0]),
+        (commas[:, 3:-1] + 1, commas[:, 4:], ends[:, 4:-1] - starts[:, 4:-1]),
+    ):
+        kept = rights - lefts
+        if ((kept > 1) | (kept == 1) & (marks[lefts] != 46) | (widths <= kept)).any():
+            return None
+    counts = fio.digit_values(codes, starts[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1],
+                              ends[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1])
+    if counts is None:
+        return None
+
+    def flow_id(token: bytes) -> int | None:
+        protocol, service, flag = token.decode().split(",")
+        code = _PROTOCOL_CODES.get(protocol)
+        return None if code is None else flow_ids.setdefault((code, service, flag), len(flow_ids))
+
+    def label_id(token: bytes) -> int:
+        return names.setdefault(token.decode().rstrip(".").lower(), len(names))
+
+    flows = fio.intern_tokens(fio.token_column(
+        codes, starts[:, PROTOCOL_INDEX], ends[:, FLAG_INDEX]), flow_id)
+    labels = fio.intern_tokens(fio.token_column(
+        codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT]), label_id)
+    if flows is None or labels is None:
+        return None
+    protocols = np.array([p for p, _, _ in flow_ids], dtype=np.int8)[flows]
+    return protocols, flows, counts[:, 0], counts[:, 1], labels
+
+
+def _parse_lines(chunk: bytes, number: int, columns, flow_ids: dict[tuple[int, str, str], int],
+                 names: dict[str, int]) -> int:
+    """Parse the lines of `chunk` after line `number`, appending to `columns`;
+    returns the last line number."""
+    protocols, flows, srcs, dsts, labels = columns
+    for number, raw in enumerate(chunk.split(b"\n")[:-1], start=number + 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: byte {raw[exc.start]:#04x}", line=number) from None
         if not line:
             continue
         fields = line.split(",")
@@ -158,20 +239,16 @@ def parse(source) -> KddTable:
         protocol = _PROTOCOL_CODES.get(fields[PROTOCOL_INDEX])
         if protocol is None:
             raise ParseError(f"unknown protocol_type {fields[PROTOCOL_INDEX]!r}", line=number)
-        if not (fields[0] in accepted
-                and accepted.issuperset(fields[SRC_BYTES_INDEX:FEATURE_COUNT])):
-            for index, token in enumerate(fields[:FEATURE_COUNT]):
-                if index not in SYMBOLIC_INDICES and token not in accepted:
-                    _number(token, index, number)
-                    accepted.add(token)
-        srcs.append(_byte_count(fields, SRC_BYTES_INDEX, number, byte_counts))
-        dsts.append(_byte_count(fields, DST_BYTES_INDEX, number, byte_counts))
+        for index, token in enumerate(fields[:FEATURE_COUNT]):
+            if index not in SYMBOLIC_INDICES:
+                _number(token, index, number)
+        srcs.append(_byte_count(fields, SRC_BYTES_INDEX, number))
+        dsts.append(_byte_count(fields, DST_BYTES_INDEX, number))
         protocols.append(protocol)
         flows.append(flow_ids.setdefault(
             (protocol, fields[SERVICE_INDEX], fields[FLAG_INDEX]), len(flow_ids)))
         labels.append(names.setdefault(fields[FEATURE_COUNT].rstrip(".").lower(), len(names)))
-    keys = tuple(FlowKey(PROTOCOLS[p], service, flag, 0, 0) for p, service, flag in flow_ids)
-    return KddTable(protocols, flows, srcs, dsts, labels, keys, tuple(names))
+    return number
 
 
 def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTable:

@@ -79,6 +79,8 @@ class ScenarioConfig:
         if self.kind is ScenarioKind.ATTACK_FREE:
             object.__setattr__(self, "attack_start", 0.0)
             object.__setattr__(self, "attack_end", self.duration)
+        if not self.duration > 0:
+            raise ParameterError(f"duration must be positive and finite, got {self.duration}")
         if not 0 < self.legit_clients <= MAX_EXPECTED_EVENTS:
             raise ParameterError(f"legitimate clients must lie in [1, {MAX_EXPECTED_EVENTS:,}]")
         if not (0 < self.legit_request_rate < math.inf and self.legit_bytes_per_request > 0):

@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
+import gzip
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvba.cli import _resolve_factors, build_parser, main
 from fvba import io as fio
@@ -287,6 +291,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("row,message", [
         ("6\tsix", "line 2: could not convert string to float: 'six'"),
         ("6\t6\t-1", "line 2: lower volume factor must be positive and finite"),
+        ("6\t6\t1.5", "line 2: lower volume factor r3 only applies to UDP, not the aggregate"
+                      " series"),
     ])
     def test_grid_row(self, pipeline, capsys, row, message):
         tmp_path, _, attack, profile = pipeline
@@ -325,6 +331,107 @@ class TestMalformedInput:
                             "--duration", duration, "--out", tmp_path / "x.tsv"],
                    "fvba simulate: error: " + message)
         assert not (tmp_path / "x.tsv").exists()
+
+    @pytest.mark.parametrize("duration", ["0", "-1"])
+    def test_non_positive_simulate_duration(self, tmp_path, capsys, duration):
+        self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "2",
+                            "--duration", duration, "--out", tmp_path / "x.tsv"],
+                   f"fvba simulate: error: duration must be positive and finite, got {float(duration)}")
+
+    def test_events_not_utf8(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        events.write_bytes(b"0.0\tTCP\tc0\t1\tsrv\t80\t10\r\n0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
+        self.fails(capsys, ["profile", "--events", events, "--out", tmp_path / "p.txt"],
+                   "fvba profile: error: line 2: not UTF-8: byte 0xff")
+
+    def kdd_fails(self, capsys, path, message):
+        self.fails(capsys, ["kdd", "--train", path, "--out", path.parent / "scores.tsv"],
+                   "fvba kdd: error: " + message)
+
+    def test_kdd_not_utf8(self, tmp_path, capsys):
+        path = TestKddCommand().make_file(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b"http", b"htt\xff")
+        path.write_bytes(b"\n".join(lines))
+        self.kdd_fails(capsys, path, "line 5: not UTF-8: byte 0xff")
+
+    def test_kdd_truncated_and_corrupt_gzip(self, tmp_path, capsys):
+        path = tmp_path / "records.gz"
+        data = gzip.compress(TestKddCommand().make_file(tmp_path).read_bytes())
+        path.write_bytes(data[: len(data) // 2])
+        self.kdd_fails(capsys, path, f"{path}: corrupt or truncated gzip data: Compressed file"
+                                     " ended before the end-of-stream marker was reached")
+        path.write_bytes(data[:20] + bytes(64) + data[84:])
+        self.kdd_fails(capsys, path, f"{path}: corrupt or truncated gzip data: Error -3 while"
+                                     " decompressing data")
+
+
+def _mutations(data: bytes):
+    """Byte-level edits of `data`: insert, delete, replace and truncate."""
+    position = st.integers(0, len(data))
+    edit = st.one_of(
+        st.tuples(st.just("insert"), position, st.binary(min_size=1, max_size=4)),
+        st.tuples(st.just("delete"), position, st.integers(1, 40)),
+        st.tuples(st.just("replace"), position, st.binary(min_size=1, max_size=4)),
+        st.tuples(st.just("truncate"), position, st.just(b"")),
+    )
+    return st.lists(edit, min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, value in edits:
+        if kind == "insert":
+            data = data[:at] + value + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + value:]
+        elif kind == "replace":
+            data = data[:at] + value + data[at + len(value):]
+        else:
+            data = data[:at]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small event file with its aggregate profile, and a small KDD file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    events = simulate(root, "events", clients=3, zombies=2, duration=4, start=1, end=3)
+    profile = root / "profile.txt"
+    assert main(["profile", "--events", str(events), "--aggregate", "--out", str(profile)]) == 0
+    kdd_lines = TestKddCommand().make_file(root).read_bytes().split(b"\n")
+    return root, events.read_bytes(), profile, b"\n".join(kdd_lines[:350] + [b""])
+
+
+class TestFuzz:
+    """Mangled input ends in exit 0, 1 or 2, never in an escaping exception;
+    exit 1 prints one `fvba <stage>: error:` line."""
+
+    def check(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith(f"fvba {argv[0]}: error: "), err.getvalue()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_event_commands(self, fuzz_inputs, data):
+        root, events, profile, _ = fuzz_inputs
+        mangled = root / "mangled.tsv"
+        mangled.write_bytes(_mutate(events, data.draw(_mutations(events))))
+        self.check(["profile", "--events", mangled, "--out", root / "p.txt"])
+        self.check(["detect", "--events", mangled, "--profile", profile, "--out", root / "v.tsv"])
+
+    @given(data=st.data(), compress=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_kdd_command(self, fuzz_inputs, data, compress):
+        root, _, _, records = fuzz_inputs
+        if compress:
+            records = gzip.compress(records, mtime=0)
+        mangled = root / ("mangled.csv.gz" if compress else "mangled.csv")
+        mangled.write_bytes(_mutate(records, data.draw(_mutations(records))))
+        self.check(["kdd", "--train", mangled, "--record-window", "50", "--out", root / "s.tsv"])
 
 
 class TestFactorFlags:

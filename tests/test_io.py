@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from chunked import CHUNK_SIZES, NUMERIC_TOKENS, chunk_bytes, outcome, per_line_only
 from event_rows import Row, rows, table
 from fvba import io as fio
 from fvba.errors import OrderingError, ParameterError, ParseError
@@ -78,6 +79,72 @@ class TestEventFormat:
         events = fio.load_events("\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n\t\t\t\t\t\t\n")
         assert len(events) == 1
         assert len(fio.load_events("")) == 0
+
+
+# Odd pieces of event lines: each sends its chunk to the per-line loop,
+# which accepts some and rejects others.
+ODD_PROTOCOLS = st.sampled_from(["tcp", "gre", " UDP", ""])
+ODD_ADDRESSES = st.sampled_from(["a b", "\u00e9", "\x00", "", "2001:db8::1"])
+ODD_PORTS = st.sampled_from(["01", "65536", "-1", "x"])
+TIME_FORMATS = st.sampled_from(["{!r}", "{:.25g}", "{:.3e}", "{:.3f}"])
+# Line breaks besides "\n": str.splitlines splits on all of them; CR LF is one.
+ODD_BREAKS = st.sampled_from(["\r\n", "\r", "\x0b", "\x1c", "\u2028", "\n\n", "\n \n"])
+REGULAR_KEYS = st.sampled_from([["TCP", "c0", "40000", "srv", "80"], ["UDP", "z0", "9", "srv", "9"],
+                                ["ICMP", "h1", "0", "h2", "0"], ["TCP", "c1", "40001", "srv", "80"]])
+
+
+@st.composite
+def event_texts(draw):
+    """An event file of regular lines with odd tokens and breaks mixed in."""
+    times = sorted(draw(st.lists(st.floats(0, 1e4), min_size=1, max_size=12)))
+    text = ""
+    for time in times:
+        fields = [draw(TIME_FORMATS).format(time), *draw(REGULAR_KEYS),
+                  str(draw(st.integers(1, 2**63 - 1)))]
+        if draw(st.integers(0, 7)) == 0:
+            position = draw(st.integers(0, 6))
+            fields[position] = draw(
+                NUMERIC_TOKENS if position in (0, 6) else ODD_PROTOCOLS if position == 1
+                else ODD_PORTS if position in (3, 5) else ODD_ADDRESSES)
+        if draw(st.integers(0, 49)) == 0:
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        text += "\t".join(fields) + draw(
+            ODD_BREAKS if draw(st.integers(0, 5)) == 0 else st.just("\n"))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+class TestChunkedLoad:
+    """The chunk decoder against the per-line loop, on lines that cross chunk ends."""
+
+    @given(text=event_texts(), size=CHUNK_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_line_path(self, text, size):
+        with per_line_only():
+            expected = outcome(fio.load_events, text)
+        with chunk_bytes(size):
+            assert outcome(fio.load_events, text) == expected
+
+    def test_regular_chunks_take_the_decoder(self, monkeypatch):
+        monkeypatch.setattr(fio, "_parse_event_lines", None)
+        events = fio.load_events("0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n0.75\tudp\tz0\t9\tsrv\t9\t20\n"
+                                 "0.75\ttcp\tc0\t01\tsrv\t80\t5")
+        tcp = FlowKey(ProtocolCategory.TCP, "c0", "srv", 1, 80)
+        udp = FlowKey(ProtocolCategory.UDP, "z0", "srv", 9, 9)
+        assert events.keys == (tcp, udp)
+        assert rows(events) == [Row(0.5, tcp, 10), Row(0.75, udp, 20), Row(0.75, tcp, 5)]
+
+    def test_chunks_end_at_unified_breaks(self):
+        # "\r\n" split between two blocks is one break.
+        with chunk_bytes(1):
+            chunks = list(fio.read_chunks([b"a\r", b"\nb\r", b"\r\n", b"c"]))
+        assert b"".join(chunks) == b"a\nb\n\nc\n"
+        assert all(chunk.endswith(b"\n") for chunk in chunks)
+        assert list(fio.read_chunks([b"", b""])) == []
+
+    def test_order_checked_across_chunks(self):
+        text = "0.5\tTCP\tc0\t1\tsrv\t80\t10\n0.25\tTCP\tc0\t1\tsrv\t80\t10\n"
+        with chunk_bytes(4), pytest.raises(OrderingError, match=r"^line 2: .*\(0.25 after 0.5\)"):
+            fio.load_events(text)
 
 
 # Address characters: the tab, every character str.splitlines splits on,

@@ -1,11 +1,14 @@
 import gzip
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chunked import CHUNK_SIZES, NUMERIC_TOKENS, chunk_bytes, outcome, per_line_only
 from fvba.detector import ToleranceFactors
 from fvba.errors import ParameterError, ParseError
+from fvba import kdd
 from fvba.kdd import (
     KddRecord,
     TESTING_ATTACKS,
@@ -105,12 +108,6 @@ def observed(windows):
     }
 
 
-# Numeric tokens on both sides of the float()/int() rule and the byte checks.
-NUMERIC_TOKENS = st.sampled_from([
-    "0", "-0", "7", "-1", "+3", "1_0", "3.", ".5", " 7", "7 ", "42.9", "-0.5", "1e5",
-    "1.5e3", "nan", "inf", "1.e999", "-500", "", ".", "abc", "0x10",
-    "9223372036854775807", "9223372036854775808", "9.3e18", "9.2e18",
-]) | st.integers(-5, 2**64).map(str)
 NUMERIC_FIELDS = st.sampled_from([0, 4, 5, 6, 12, 22, 40])
 
 
@@ -153,7 +150,7 @@ class TestParse:
 
     @pytest.mark.parametrize("index", [0, 4, 5, 6, 40])
     def test_non_numeric_field_after_cached_line(self, index):
-        # Line 1 puts every token of line 2 but one in the accepted cache.
+        # Line 2 differs from the regular line 1 in one token.
         fields = record_line().split(",")
         fields[index] = "1e5"
         with pytest.raises(ParseError, match=rf"^line 2: non-numeric continuous field {index}: '1e5'"):
@@ -198,6 +195,101 @@ class TestParse:
         else:
             with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
                 parse(lines)
+
+
+# Odd field values of KDD lines: each sends its chunk to the per-line loop,
+# which accepts some and rejects others.
+ODD_PROTOCOLS = st.sampled_from(["TCP", "gre", "tcp "])
+ODD_SERVICES = st.sampled_from(["", "a b", "\u00e9", "x.y"])
+ODD_LABELS = st.sampled_from(["SMURF", "x..", ".", ""])
+ODD_BREAKS = st.sampled_from(["\r\n", "\r", "\n\n", "\n \t\n"])
+
+
+@st.composite
+def kdd_texts(draw):
+    """A KDD file of regular lines with odd tokens, padding and breaks mixed in."""
+    text = ""
+    for _ in range(draw(st.integers(1, 12))):
+        odd = draw(st.sampled_from(["", "", "", "", "", "protocol", "service", "label", "numbers"]))
+        fields = record_line(
+            proto=draw(ODD_PROTOCOLS if odd == "protocol" else st.sampled_from(["tcp", "udp", "icmp"])),
+            service=draw(ODD_SERVICES if odd == "service" else st.sampled_from(["http", "ecr_i"])),
+            flag=draw(st.sampled_from(["SF", "S0", "REJ"])),
+            src=draw(st.integers(0, 10**6)), dst=draw(st.integers(0, 10**18)),
+            label=draw(ODD_LABELS if odd == "label" else st.sampled_from(["normal.", "smurf."])),
+        ).split(",")
+        if odd == "numbers":
+            for index, token in draw(st.lists(st.tuples(NUMERIC_FIELDS, NUMERIC_TOKENS),
+                                              min_size=1, max_size=2)):
+                fields[index] = token
+        if draw(st.integers(0, 49)) == 0:
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        line = ",".join(fields)
+        if draw(st.integers(0, 15)) == 0:
+            line = " " + line + "\t"
+        text += line + draw(ODD_BREAKS if draw(st.integers(0, 5)) == 0 else st.just("\n"))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+class TestChunkedParse:
+    """The chunk decoder against the per-line loop, on lines that cross chunk ends."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("kdd") / "records.csv"
+
+    @given(text=kdd_texts(), size=CHUNK_SIZES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_line_path(self, path, text, size):
+        path.write_bytes(text.encode())
+        with per_line_only():
+            expected = outcome(parse, path)
+        with chunk_bytes(size):
+            assert outcome(parse, path) == expected
+            # An iterable is read as the lines of the file.
+            assert outcome(parse, io.StringIO(text, newline="")) == expected
+
+    def test_regular_chunks_take_the_decoder(self, monkeypatch):
+        lines = [record_line(src=i, label=label) for i, label in enumerate(["smurf.", "normal."])]
+        monkeypatch.setattr(kdd, "_parse_lines", None)
+        records = parse(lines + ["", lines[0]])
+        assert records.src_bytes.tolist() == [0, 1, 0]
+        assert records.labels == ("smurf", "normal")
+
+    @pytest.mark.parametrize("token", ["1.2.3", "1..5", ".", "1e5", "-1"])
+    def test_odd_continuous_token_in_regular_lines(self, token):
+        fields = record_line().split(",")
+        fields[6] = token
+        lines = [record_line(), ",".join(fields)]
+        if token == "-1":
+            assert parse(lines).src_bytes.tolist() == [215, 215]
+        else:
+            with pytest.raises(ParseError, match=rf"^line 2: non-numeric continuous field 6: '{token}'"):
+                parse(lines)
+
+    def test_line_numbers_count_every_break(self, tmp_path):
+        path = tmp_path / "records.csv"
+        good = record_line()
+        path.write_bytes(f"{good}\r\n{good}\r\r{good}\n{good},0\n".encode())
+        with pytest.raises(ParseError, match="^line 5: expected 42 fields, got 43"):
+            parse(path)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(f"{record_line()}\n{record_line()}\n".encode()
+                         + record_line(service="\xff").encode("latin-1") + b"\n")
+        with pytest.raises(ParseError, match="^line 3: not UTF-8: byte 0xff$"):
+            parse(path)
+
+    def test_truncated_and_corrupt_gzip(self, tmp_path):
+        path = tmp_path / "records.gz"
+        data = gzip.compress(("\n".join(record_line(src=i) for i in range(2000)) + "\n").encode())
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ParseError, match="corrupt or truncated gzip data: Compressed file ended"):
+            parse(path)
+        path.write_bytes(data[:20] + bytes(64) + data[84:])
+        with pytest.raises(ParseError, match="corrupt or truncated gzip data: Error -3"):
+            parse(path)
 
 
 class TestKddTable:
