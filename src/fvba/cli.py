@@ -63,8 +63,9 @@ def _read(path: str) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bad byte's line, counted as the text formats count lines.
-        line = len((data[: exc.start].decode("utf-8") + "|").splitlines())
+        # The bad byte's line: "\r\n", "\r" and "\n" each end one line.
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line=line) from None
     del data
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -224,7 +225,7 @@ def cmd_kdd(args) -> int:
 def _load_grid(path: str, profile: NormalProfile) -> list[ToleranceFactors]:
     """Grid rows, each checked against `profile` (r3 exactly for UDP)."""
     grid = []
-    for number, line in enumerate(_read(path).splitlines(), start=1):
+    for number, line in enumerate(_read(path).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -375,7 +376,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     injected = []
-    for number, line in enumerate(_read(path).splitlines(), start=1):
+    for number, line in enumerate(_read(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

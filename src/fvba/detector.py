@@ -102,6 +102,9 @@ class VerdictReport:
     def __post_init__(self):
         if self.is_attack != bool(self.triggered):
             raise ParameterError("is_attack must mirror the triggered set")
+        if not (math.isfinite(self.volume_deviation) and math.isfinite(self.flow_deviation)):
+            raise ParameterError(f"deviations must be finite, got {self.volume_deviation}"
+                                 f" and {self.flow_deviation}")
 
 
 def compute_thresholds(profile: NormalProfile, factors: ToleranceFactors) -> Thresholds:
@@ -227,8 +230,8 @@ def dump_verdicts(reports: Iterable[VerdictReport]) -> str:
 def load_verdicts(text: str) -> list[VerdictReport]:
     """Parse the tab-separated verdict format."""
     reports = []
-    lines = text.splitlines()
-    if not lines or lines[0] != _VERDICT_HEADER:
+    lines = text.split("\n")
+    if lines[0] != _VERDICT_HEADER:
         raise ParseError("missing verdict header row", line=1)
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():

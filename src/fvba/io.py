@@ -4,31 +4,33 @@ Event files carry one event per line, in timestamp order:
 
     timestamp<TAB>proto<TAB>src<TAB>sport<TAB>dst<TAB>dport<TAB>bytes
 
-A truth sidecar maps flow keys (``proto:src:sport:dst:dport``) to labels,
-one per line; a window-truth file maps window indices to labels.  All
-files are UTF-8 with LF line endings.
+A truth sidecar maps flow keys, written as the same five key columns, to
+labels (`proto<TAB>src<TAB>sport<TAB>dst<TAB>dport<TAB>label`), one per
+line; a window-truth file maps window indices to labels.  All files are
+UTF-8; "\n", "\r\n" and "\r" are the only line breaks.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import OrderingError, ParseError
+from .errors import Error, OrderingError, ParseError
 from .model import EventTable, FlowKey, GroundTruthLabel, ProtocolCategory
 
-_MAX_BYTES = 2**63 - 1
+_MAX_BYTES = np.uint64(2**63 - 1)
+
+
+def _key_columns(key: FlowKey) -> str:
+    return f"{key.protocol}\t{key.src_addr}\t{key.src_port}\t{key.dst_addr}\t{key.dst_port}"
 
 
 def dump_events(events: EventTable) -> str:
     # The key columns of each flow are formatted once.
-    middles = [
-        f"\t{k.protocol}\t{k.src_addr}\t{k.src_port}\t{k.dst_addr}\t{k.dst_port}\t"
-        for k in events.keys
-    ]
+    middles = [f"\t{_key_columns(k)}\t" for k in events.keys]
     return "".join([
         f"{timestamp!r}{middles[flow]}{count}\n"
         for timestamp, flow, count in zip(
@@ -40,14 +42,11 @@ def dump_events(events: EventTable) -> str:
 def load_events(text: str) -> EventTable:
     """Parse an event file into an EventTable, a chunk of lines at a time.
 
-    A regular chunk (see `_decode_events`) is decoded with array
-    operations; any other chunk goes through the per-line loop
-    `_parse_event_lines`.  Both intern the five key columns by their text,
-    so each distinct flow's key is parsed and validated once, and number
-    flows in order of first appearance.  Raises ParseError naming the line
-    for a malformed line, a non-finite or negative timestamp or a byte
-    count outside [1, 2**63 - 1], and OrderingError naming the line of the
-    first event that is earlier than its predecessor.
+    `_decode_events` decodes each chunk and defines the format.  Each
+    distinct flow's key text is parsed and validated once, and flows are
+    numbered in order of first appearance.  Raises ParseError naming the
+    first malformed line (see `_decode_events`), or OrderingError naming
+    the line of the first event that is earlier than its predecessor.
     """
     columns = (array("d"), array("i"), array("q"))
     interned: dict[str, int] = {}
@@ -55,12 +54,9 @@ def load_events(text: str) -> EventTable:
     number, previous = 0, 0.0
     blocks = (text[start : start + CHUNK_BYTES].encode("utf-8", "surrogatepass")
               for start in range(0, len(text), CHUNK_BYTES))
-    for chunk in read_chunks(blocks):
-        decoded = _decode_events(chunk, previous, interned, flow_ids)
-        if decoded is None:
-            number, previous = _parse_event_lines(chunk.decode("utf-8", "surrogatepass"), number,
-                                                  previous, columns, interned, flow_ids)
-            continue
+    for chunk in decoder_chunks(blocks):
+        decode = partial(_decode_events, previous=previous, interned=interned, flow_ids=flow_ids)
+        decoded = decode_lines(decode, chunk, number)
         append_columns(columns, decoded)
         number += chunk.count(b"\n")
         if len(decoded[0]):
@@ -80,98 +76,54 @@ def _flow_id(text: str, interned: dict[str, int], flow_ids: dict[FlowKey, int]) 
 
 def _decode_events(chunk: bytes, previous: float, interned: dict[str, int],
                    flow_ids: dict[FlowKey, int]):
-    """The (timestamp, flow, bytes) columns of a regular chunk, or None.
+    """The (timestamp, flow, bytes) columns of the lines of a chunk.
 
-    Regular: `split_fields` accepts it with seven columns, every timestamp
-    casts to a finite float64 >= 0 and none is earlier than its
-    predecessor (`previous` for the first), every byte count is 1-18
-    digits and >= 1, and every new key text passes `_flow_id`.
+    An empty line is skipped.  Any other line holds seven tab-separated
+    columns, checked in this order: five key columns that `_flow_id`
+    accepts; a timestamp of bytes [0-9A-Za-z.+-] that numpy's float64
+    cast reads; a byte count of decimal digits; a finite timestamp >= 0;
+    a byte count in [1, 2**63 - 1]; a timestamp no earlier than the line
+    before (`previous` for the first).  Raises BadLine for the first line
+    that fails (see `decode_lines`).
     """
-    split = split_fields(chunk, b"\t", 7)
-    if split is None:
-        return None
-    codes, starts, ends = split
-    column = token_column(codes, starts[:, 0], ends[:, 0])
-    if column is None:
-        return None
-    try:
-        timestamps = column.astype(np.float64)
-    except ValueError:
-        return None
-    if not (np.isfinite(timestamps).all() and (timestamps >= 0).all()
-            and (timestamps[:1] >= previous).all() and (np.diff(timestamps) >= 0).all()):
-        return None
-    counts = digit_values(codes, starts[:, 6], ends[:, 6])
-    if counts is None or (counts < 1).any():
-        return None
+    codes, starts, ends = split_fields(chunk, b"\t", 7, "columns")
+    lines = starts[:, 0]
 
-    def flow_id(token: bytes) -> int | None:
-        text = token.decode()
-        flow = interned.get(text)
-        if flow is None:
-            try:
-                flow = _flow_id(text, interned, flow_ids)
-            except ValueError:
-                return None
-        return flow
+    def text(row: int, column: int) -> str:
+        return chunk[starts[row, column] : ends[row, column]].decode("utf-8", "surrogatepass")
 
-    flows = intern_tokens(token_column(codes, starts[:, 1], ends[:, 5]), flow_id)
-    return None if flows is None else (timestamps, flows, counts)
+    def flow_id(token: bytes) -> int:
+        key_text = token.decode("utf-8", "surrogatepass")
+        flow = interned.get(key_text)
+        return _flow_id(key_text, interned, flow_ids) if flow is None else flow
+
+    flows = intern_tokens(codes, starts[:, 1], ends[:, 5], lines, flow_id)
+    timestamps, bad = float_values(codes, starts[:, 0], ends[:, 0])
+    reject(bad, lines, lambda row: f"malformed timestamp: {text(row, 0)!r}")
+    counts, bad = digit_values(codes, starts[:, 6], ends[:, 6])
+    reject(bad, lines, lambda row: f"malformed event byte count: {text(row, 6)!r}")
+    reject(~(np.isfinite(timestamps) & (timestamps >= 0)), lines, lambda row: (
+        f"non-finite timestamp: {timestamps[row]}" if not np.isfinite(timestamps[row])
+        else f"negative timestamp: {timestamps[row]}"))
+    reject((counts < 1) | (counts > _MAX_BYTES), lines, lambda row: (
+        f"event byte count must be >= 1, got {counts[row]}" if counts[row] < 1
+        else f"event byte count does not fit int64: {text(row, 6)}"))
+    reject(np.diff(timestamps, prepend=previous) < 0, lines, lambda row: (
+        "events are not sorted by timestamp"
+        f" ({timestamps[row]} after {timestamps[row - 1] if row else previous})"), OrderingError)
+    return timestamps, flows, counts.astype(np.int64)
 
 
-def _parse_event_lines(text: str, number: int, previous: float, columns,
-                       interned: dict[str, int], flow_ids: dict[FlowKey, int]) -> tuple[int, float]:
-    """Parse the lines of `text` (`str.splitlines`) after line `number`, appending to
-    `columns`; returns the last line number and timestamp."""
-    timestamps, flows, counts = columns
-    for number, line in enumerate(text.splitlines(), start=number + 1):
-        first, last = line.find("\t"), line.rfind("\t")
-        # An interned key text holds exactly four tabs, so a hit means the
-        # line has seven columns.
-        flow = interned.get(line[first + 1 : last])
-        try:
-            if flow is None:
-                if not line.strip():
-                    continue
-                columns_found = line.count("\t") + 1
-                if columns_found != 7:
-                    raise ParseError(f"expected 7 columns, got {columns_found}")
-                flow = _flow_id(line[first + 1 : last], interned, flow_ids)
-            timestamp = float(line[:first])
-            count = int(line[last + 1 :])
-            if not 0.0 <= timestamp < math.inf:
-                raise ParseError(
-                    f"negative timestamp: {timestamp}" if -math.inf < timestamp < 0
-                    else f"non-finite timestamp: {timestamp}"
-                )
-            if not 1 <= count <= _MAX_BYTES:
-                raise ParseError(
-                    f"event byte count must be >= 1, got {count}" if count < 1
-                    else f"event byte count does not fit int64: {count}"
-                )
-        except (ValueError, ParseError) as exc:
-            raise ParseError(str(exc), line=number) from None
-        if timestamp < previous:
-            raise OrderingError(
-                f"line {number}: events are not sorted by timestamp ({timestamp} after {previous})"
-            )
-        previous = timestamp
-        timestamps.append(timestamp)
-        flows.append(flow)
-        counts.append(count)
-    return number, previous
-
-
-# --- chunked reading ---------------------------------------------------------------
+# --- chunked decoding --------------------------------------------------------------
 
 # About how many bytes the text parsers decode at a time; a chunk ends at
 # a line break.
 CHUNK_BYTES = 256 * 1024
-# Widest token the chunk decoders pad into a fixed-width column; a chunk
-# with a wider one is parsed line by line.
-_MAX_TOKEN = 255
-_PRINTABLE = bytes(range(0x21, 0x7F))
-_POWERS = np.array([10**k for k in range(17, -1, -1)], dtype=np.int64)
+# Longest line `decoder_chunks` leaves among others in a chunk.
+_MAX_LINE = 255
+_POWERS = np.array([10**k for k in range(18, -1, -1)], dtype=np.uint64)
+_FLOAT_BYTES = np.zeros(256, dtype=bool)
+_FLOAT_BYTES[list(b"0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")] = True
 
 
 def read_chunks(blocks: Iterable[bytes]) -> Iterator[bytes]:
@@ -205,24 +157,80 @@ def _unify_breaks(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def split_fields(chunk: bytes, separator: bytes, fields: int):
-    """Field offsets of a chunk of regular lines, or None.
+def decoder_chunks(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """The chunks of `read_chunks`, each line longer than _MAX_LINE bytes in
+    a chunk of its own.
 
-    Regular: every byte is printable ASCII, `separator` or "\n", and every
-    non-empty line holds `fields` fields.  Returns the chunk as a uint8
-    array and two (non-empty lines, `fields`) arrays of start and end
-    offsets of the fields.
+    A decoder pads a chunk's tokens to the widest one, so this bounds its
+    arrays by _MAX_LINE + 1 bytes a line, or by one line.
     """
-    if chunk.translate(None, _PRINTABLE + separator + b"\n"):
-        return None
+    for chunk in read_chunks(blocks):
+        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10) + 1
+        starts = np.concatenate(([0], ends[:-1]))
+        done = 0
+        for line in np.flatnonzero(ends - starts > _MAX_LINE + 1).tolist():
+            if starts[line] > done:
+                yield chunk[done : starts[line]]
+            yield chunk[starts[line] : ends[line]]
+            done = ends[line]
+        if done < len(chunk):
+            yield chunk[done:]
+
+
+class BadLine(Exception):
+    """A chunk decoder's report that the line at chunk offset `offset` breaks
+    its format; `decode_lines` turns it into an error of type `kind`."""
+
+    def __init__(self, offset: int, message: str, kind: type[Error] = ParseError):
+        super().__init__(message)
+        self.offset, self.kind = offset, kind
+
+
+def reject(bad: np.ndarray, offsets: np.ndarray, message: Callable[[int], str],
+           kind: type[Error] = ParseError) -> None:
+    """Raise BadLine for the first line i where `bad[i]` holds; `offsets[i]`
+    is the chunk offset of line i and `message(i)` says what is wrong."""
+    if bad.any():
+        line = int(bad.argmax())
+        raise BadLine(int(offsets[line]), message(line), kind)
+
+
+def decode_lines(decode: Callable[[bytes], tuple], chunk: bytes, number: int) -> tuple:
+    """`decode(chunk)` for a chunk that follows line `number` of its file.
+
+    A decoder checks all its lines for one condition at a time, in the
+    order the conditions apply to one line, and raises BadLine for the
+    first line that fails.  A line before it may fail a later condition,
+    so the lines before it are decoded again first: the error raised
+    names the first bad line of the file.  A rejected chunk yields nothing.
+    """
+    try:
+        return decode(chunk)
+    except BadLine as bad:
+        if bad.offset:
+            decode_lines(decode, chunk[: bad.offset], number)
+        line = number + chunk.count(b"\n", 0, bad.offset) + 1
+        if bad.kind is ParseError:
+            raise ParseError(str(bad), line=line) from None
+        raise bad.kind(f"line {line}: {bad}") from None
+
+
+def split_fields(chunk: bytes, separator: bytes, fields: int, name: str):
+    """Field offsets of the non-empty lines of a chunk that ends in "\n".
+
+    Returns the chunk as a uint8 array and two (non-empty lines, `fields`)
+    int32 arrays of the start and end offsets of the fields.  Raises
+    BadLine for the first non-empty line without `fields` fields
+    ("expected 7 columns, got 6", with `name` "columns").
+    """
     codes = np.frombuffer(chunk, dtype=np.uint8)
     breaks = np.flatnonzero(codes == 10)
     separators = np.flatnonzero(codes == separator[0])
     starts = np.concatenate(([0], breaks[:-1] + 1))
     filled = breaks > starts
     per_line = np.diff(np.searchsorted(separators, breaks), prepend=0)
-    if not np.array_equal(per_line, filled * (fields - 1)):
-        return None
+    reject(per_line != filled * (fields - 1), starts,
+           lambda line: f"expected {fields} {name}, got {per_line[line] + 1}")
     # Row i: the offset before line i's first field, its separators, its break.
     bounds = np.empty((np.count_nonzero(filled), fields + 1), dtype=np.int32)
     bounds[:, 0] = starts[filled] - 1
@@ -231,48 +239,79 @@ def split_fields(chunk: bytes, separator: bytes, fields: int):
     return codes, bounds[:, :-1] + 1, bounds[:, 1:]
 
 
-def token_column(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The tokens codes[starts[i]:ends[i]] as one fixed-width bytes ("S") array,
-    or None when one is wider than _MAX_TOKEN bytes."""
-    width = int((ends - starts).max(initial=1))
-    if width > _MAX_TOKEN:
-        return None
+def padded_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The tokens codes[starts[i]:ends[i]] as the rows of a uint8 array, zero
+    after each token and in at least the last column, and the mask of the
+    bytes that belong to a token."""
+    width = int((ends - starts).max(initial=0)) + 1
     index = starts[:, None] + np.arange(width, dtype=np.int32)
-    padded = codes.take(index, mode="clip")
-    padded *= index < ends[:, None]
-    return padded.view(f"S{width}").ravel()
+    inside = index < ends[:, None]
+    return codes.take(index, mode="clip") * inside, inside
 
 
-def digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The int64 values of the tokens codes[starts:ends] (arrays of any shape),
-    or None unless each is 1 to 18 decimal digits."""
+def float_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The float64 values of the tokens codes[starts:ends], and the mask of
+    the tokens that hold a byte outside [0-9A-Za-z.+-] or that numpy's cast
+    rejects (the cast alone also reads "1_0", " 1" and "1\x0b")."""
+    padded, inside = padded_tokens(codes, starts, ends)
+    bad = any_last(inside > _FLOAT_BYTES.take(padded))
+    tokens = padded.view(f"S{padded.shape[1]}").ravel()
+    tokens[bad] = b"0"
+    try:
+        return tokens.astype(np.float64), bad
+    except ValueError:
+        # Find the tokens the cast rejects, one at a time.
+        for row in range(tokens.size):
+            try:
+                tokens[row : row + 1].astype(np.float64)
+            except ValueError:
+                bad[row], tokens[row] = True, b"0"
+        return tokens.astype(np.float64), bad
+
+
+def digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The values of the tokens codes[starts:ends] (arrays of any shape) as
+    uint64, and the mask of the tokens that are empty or hold a byte other
+    than a decimal digit.  A token of more than 19 digits reads as 2**64 - 1."""
     widths = ends - starts
     width = int(widths.max(initial=1))
-    if width > _POWERS.size or (widths < 1).any():
-        return None
     # Right-aligned digits, zero to the left of each token.
     index = ends[..., None] - width + np.arange(width, dtype=np.int32)
     digits = np.where(index >= starts[..., None], codes[np.maximum(index, 0)] - 48, 0)
-    if (digits > 9).any():
-        return None
-    return digits.astype(np.int64) @ _POWERS[-width:]
+    bad = any_last(digits > 9) | (widths < 1)
+    digits = digits[..., -_POWERS.size :]
+    values = digits.astype(np.uint64) @ _POWERS[-digits.shape[-1] :]
+    values[widths > _POWERS.size] = np.iinfo(np.uint64).max
+    return values, bad
 
 
-def intern_tokens(tokens: np.ndarray | None, ids: Callable[[bytes], int | None]) -> np.ndarray | None:
-    """The id of each token of a bytes column, or None.
+def any_last(mask: np.ndarray) -> np.ndarray:
+    """`mask.any(axis=-1)`, which numpy reduces slowly over a short last axis."""
+    found = np.zeros(mask.shape[:-1], dtype=bool)
+    found.flat[np.flatnonzero(mask) // mask.shape[-1]] = True
+    return found
+
+
+def intern_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines: np.ndarray,
+                  ids: Callable[[bytes], int]) -> np.ndarray:
+    """The id of each token codes[starts[i]:ends[i]].
 
     `ids` is called once per distinct token, in order of first appearance,
-    and returns its id, or None to reject the chunk.
+    and returns its id.  A ValueError it raises rejects the line of that
+    first appearance (`lines[i]` is the chunk offset of token i's line).
     """
-    if tokens is None:
-        return None
-    distinct, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
+    padded, _ = padded_tokens(codes, starts, ends)
+    # A 1 byte after each token: an "S" array ignores trailing NUL bytes,
+    # which would make "SF" and "SF\x00" one token.
+    padded[np.arange(starts.size), ends - starts] = 1
+    distinct, first, inverse = np.unique(padded.view(f"S{padded.shape[1]}").ravel(),
+                                         return_index=True, return_inverse=True)
     found = np.empty(distinct.size, dtype=np.int64)
     for position in np.argsort(first).tolist():
-        value = ids(distinct[position])
-        if value is None:
-            return None
-        found[position] = value
+        try:
+            found[position] = ids(distinct[position][:-1])
+        except ValueError as exc:
+            raise BadLine(int(lines[first[position]]), str(exc)) from None
     return found[inverse.reshape(-1)]
 
 
@@ -282,45 +321,34 @@ def append_columns(columns, values) -> None:
         column.frombytes(np.asarray(value, dtype=column.typecode).tobytes())
 
 
-def flow_key_token(key: FlowKey) -> str:
-    return f"{key.protocol}:{key.src_addr}:{key.src_port}:{key.dst_addr}:{key.dst_port}"
-
-
-def parse_flow_key(token: str) -> FlowKey:
-    parts = token.split(":")
-    if len(parts) != 5:
-        raise ParseError(f"malformed flow key token: {token!r}")
-    proto, src, sport, dst, dport = parts
-    return FlowKey(
-        protocol=ProtocolCategory.parse(proto),
-        src_addr=src,
-        dst_addr=dst,
-        src_port=int(sport),
-        dst_port=int(dport),
-    ).validate()
+# --- small formats -----------------------------------------------------------------
 
 
 def dump_truth(truth: Mapping[FlowKey, GroundTruthLabel]) -> str:
-    lines = [
-        f"{flow_key_token(key)}\t{label}"
-        for key, label in sorted(truth.items(), key=lambda item: flow_key_token(item[0]))
-    ]
-    return "".join(line + "\n" for line in lines)
+    # Sorting the lines sorts by the key columns: keys are distinct, and
+    # the last key column holds digits, which sort after the tab.
+    return "".join(sorted(f"{_key_columns(key)}\t{label}\n" for key, label in truth.items()))
 
 
 def load_truth(text: str) -> dict[FlowKey, GroundTruthLabel]:
-    truth = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    """Parse a truth sidecar; an empty line is skipped.  Each key is parsed
+    as the event format's key columns (`_flow_id`)."""
+    interned: dict[str, int] = {}
+    flow_ids: dict[FlowKey, int] = {}
+    labels: dict[int, GroundTruthLabel] = {}
+    for number, line in enumerate(text.split("\n"), start=1):
+        if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 columns, got {len(parts)}", line=number)
+        columns = line.count("\t") + 1
         try:
-            truth[parse_flow_key(parts[0])] = GroundTruthLabel.parse(parts[1])
+            if columns != 6:
+                raise ParseError(f"expected 6 columns, got {columns}")
+            key_text, label = line.rsplit("\t", 1)
+            labels[_flow_id(key_text, interned, flow_ids)] = GroundTruthLabel.parse(label)
         except (ValueError, ParseError) as exc:
             raise ParseError(str(exc), line=number) from None
-    return truth
+    keys = list(flow_ids)
+    return {keys[flow]: label for flow, label in labels.items()}
 
 
 def dump_window_truth(truth: Mapping[int, bool]) -> str:
@@ -332,15 +360,20 @@ def dump_window_truth(truth: Mapping[int, bool]) -> str:
 
 
 def load_window_truth(text: str) -> dict[int, bool]:
+    """Parse a window-truth file.  Raises ParseError naming the line of a
+    malformed row or of a window index given before."""
     truth = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in ("attack", "normal"):
             raise ParseError(f"malformed window-truth line: {line!r}", line=number)
         try:
-            truth[int(parts[0])] = parts[1] == "attack"
+            index = int(parts[0])
         except ValueError as exc:
             raise ParseError(str(exc), line=number) from None
+        if index in truth:
+            raise ParseError(f"window {index} given twice", line=number)
+        truth[index] = parts[1] == "attack"
     return truth

@@ -42,11 +42,10 @@ FEATURE_COUNT = 41
 # Positions of the symbolic features in the standard 41-feature layout.
 PROTOCOL_INDEX, SERVICE_INDEX, FLAG_INDEX = 1, 2, 3
 SRC_BYTES_INDEX, DST_BYTES_INDEX = 4, 5
-SYMBOLIC_INDICES = frozenset({PROTOCOL_INDEX, SERVICE_INDEX, FLAG_INDEX})
 # Maps ".", "," and "\n" to themselves and every other byte to "a".
 _MARKS = bytes(b if b in b".,\n" else ord("a") for b in range(256))
 _BYTE_FIELDS = {SRC_BYTES_INDEX: "src_bytes", DST_BYTES_INDEX: "dst_bytes"}
-_MAX_BYTES = 2**63 - 1
+_MAX_BYTES = np.uint64(2**63 - 1)
 
 # A record's protocol code is its category's position in PROTOCOLS.
 PROTOCOLS = tuple(ProtocolCategory)
@@ -126,129 +125,97 @@ def _blocks(source) -> Iterator[bytes]:
             yield line.encode("utf-8", "surrogatepass") + (b"" if line.endswith("\n") else b"\n")
 
 
-def _number(token: str, index: int, line: int) -> int | float:
-    try:
-        return float(token) if "." in token else int(token)
-    except ValueError:
-        raise ParseError(f"non-numeric continuous field {index}: {token!r}", line=line) from None
-
-
-def _byte_count(fields: list[str], index: int, line: int) -> int:
-    value = _number(fields[index], index, line)
-    if not 0 <= value <= _MAX_BYTES:
-        raise ParseError(f"{_BYTE_FIELDS[index]} must be a non-negative count within int64,"
-                         f" got {fields[index]!r}", line=line)
-    return int(value)
-
-
 def parse(source) -> KddTable:
     """Parse connection records from a path (gzip or plain) or an iterable of lines.
 
-    The input is read a chunk of lines at a time (`io.read_chunks`): a
-    regular chunk (see `_decode_chunk`) is decoded with array operations,
-    any other goes through the per-line loop `_parse_lines`.  Both number
-    flows and labels in order of first appearance.  Blank lines are
-    skipped.  Raises ParseError naming the line for a line that is not
-    UTF-8 or has not 42 comma-separated fields, an unknown protocol_type,
-    a continuous field that is not a number (`float()` when the token
-    holds a ".", `int()` otherwise), and a src_bytes or dst_bytes value
-    that is negative, non-finite or beyond int64 (a fractional count is
-    truncated); and a ParseError naming the file for corrupt gzip data.
+    The input is read a chunk of lines at a time (`io.decoder_chunks`), and
+    `_decode_chunk` decodes each chunk and defines the format.  Flows and
+    labels are numbered in order of first appearance.  Raises ParseError
+    naming the first malformed line (see `_decode_chunk`), and a
+    ParseError naming the file for corrupt gzip data.
     """
     columns = tuple(array(t) for t in ("b", "i", "q", "q", "i"))
     flow_ids: dict[tuple[int, str, str], int] = {}
     names: dict[str, int] = {}
+    decode = partial(_decode_chunk, flow_ids=flow_ids, names=names)
     number = 0
-    for chunk in fio.read_chunks(_blocks(source)):
-        decoded = _decode_chunk(chunk, flow_ids, names)
-        if decoded is None:
-            number = _parse_lines(chunk, number, columns, flow_ids, names)
-        else:
-            fio.append_columns(columns, decoded)
-            number += chunk.count(b"\n")
+    for chunk in fio.decoder_chunks(_blocks(source)):
+        fio.append_columns(columns, fio.decode_lines(decode, chunk, number))
+        number += chunk.count(b"\n")
     keys = tuple(FlowKey(PROTOCOLS[p], service, flag, 0, 0) for p, service, flag in flow_ids)
     return KddTable(*columns, keys, tuple(names))
 
 
 def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
                   names: dict[str, int]):
-    """The (protocol, flow, src_bytes, dst_bytes, label) columns of a regular chunk, or None.
+    """The (protocol, flow, src_bytes, dst_bytes, label) columns of the lines of a chunk.
 
-    Regular: `io.split_fields` accepts it with 42 fields, fields 0 and
-    4-40 are digits with at most one "." (at least one digit), src_bytes
-    and dst_bytes are 1-18 digits and every protocol_type is exactly
-    tcp, udp or icmp.
+    An empty line is skipped.  Any other line is checked in this order:
+    it is UTF-8; it holds 42 comma-separated fields; protocol_type is
+    exactly tcp, udp or icmp; continuous fields 0 and 6-40 are decimal
+    digits with at most one "." (and at least one digit); src_bytes and
+    dst_bytes are decimal digits within int64.  Service, flag and label
+    may hold any byte but a comma or a line break; a label is lowercased
+    and loses its trailing dots.  Raises io.BadLine for the first line
+    that fails (see `io.decode_lines`).
     """
-    split = fio.split_fields(chunk, b",", FEATURE_COUNT + 1)
-    if split is None:
-        return None
-    codes, starts, ends = split
-    # With digits deleted and every byte but ".", "," and "\n" made "a", a
-    # continuous field must read "" or "." and be wider in the chunk (hold a
-    # digit).  Field k ends at comma k; field 0 starts its line, fields 4-40
-    # start after commas 3-39.
-    marks = np.frombuffer(chunk.translate(_MARKS, b"0123456789"), dtype=np.uint8)
-    commas = np.flatnonzero(marks == 44).reshape(-1, FEATURE_COUNT)
-    breaks = np.flatnonzero(marks == 10)
-    first = np.concatenate(([0], breaks + 1))[np.searchsorted(breaks, commas[:, 0])]
-    for lefts, rights, widths in (
-        (first, commas[:, 0], ends[:, 0] - starts[:, 0]),
-        (commas[:, 3:-1] + 1, commas[:, 4:], ends[:, 4:-1] - starts[:, 4:-1]),
-    ):
-        kept = rights - lefts
-        if ((kept > 1) | (kept == 1) & (marks[lefts] != 46) | (widths <= kept)).any():
-            return None
-    counts = fio.digit_values(codes, starts[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1],
-                              ends[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1])
-    if counts is None:
-        return None
+    if not chunk.isascii():
+        try:
+            chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise fio.BadLine(chunk.rfind(b"\n", 0, exc.start) + 1,
+                              f"not UTF-8: byte {chunk[exc.start]:#04x}") from None
+    codes, starts, ends = fio.split_fields(chunk, b",", FEATURE_COUNT + 1, "fields")
+    lines = starts[:, 0]
 
-    def flow_id(token: bytes) -> int | None:
+    def text(row: int, field: int) -> str:
+        return chunk[starts[row, field] : ends[row, field]].decode()
+
+    def flow_id(token: bytes) -> int:
         protocol, service, flag = token.decode().split(",")
         code = _PROTOCOL_CODES.get(protocol)
-        return None if code is None else flow_ids.setdefault((code, service, flag), len(flow_ids))
+        if code is None:
+            raise ValueError(f"unknown protocol_type {protocol!r}")
+        return flow_ids.setdefault((code, service, flag), len(flow_ids))
 
     def label_id(token: bytes) -> int:
         return names.setdefault(token.decode().rstrip(".").lower(), len(names))
 
-    flows = fio.intern_tokens(fio.token_column(
-        codes, starts[:, PROTOCOL_INDEX], ends[:, FLAG_INDEX]), flow_id)
-    labels = fio.intern_tokens(fio.token_column(
-        codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT]), label_id)
-    if flows is None or labels is None:
-        return None
+    flows = fio.intern_tokens(codes, starts[:, PROTOCOL_INDEX], ends[:, FLAG_INDEX], lines,
+                              flow_id)
+    # With digits deleted and every byte but ".", "," and "\n" made "a", a
+    # continuous field must read "" or "." and be wider in the chunk (hold a
+    # digit).  Field k ends at comma k; field 0 starts its line, field k > 0
+    # after comma k - 1.
+    marks = np.frombuffer(chunk.translate(_MARKS, b"0123456789"), dtype=np.uint8)
+    commas = np.flatnonzero(marks == 44).reshape(-1, FEATURE_COUNT)
+    breaks = np.flatnonzero(marks == 10)
+    first = np.concatenate(([0], breaks + 1))[np.searchsorted(breaks, commas[:, 0])]
+    widths = ends - starts
+    # Field 0, then fields 6-40, the ones after the byte counts.
+    for field, lefts, rights in ((0, first[:, None], commas[:, :1]),
+                                 (DST_BYTES_INDEX + 1, commas[:, DST_BYTES_INDEX:-1] + 1,
+                                  commas[:, DST_BYTES_INDEX + 1 :])):
+        kept = rights - lefts
+        bad = ((kept > 1) | (kept == 1) & (marks[lefts] != 46)
+               | (widths[:, field : field + kept.shape[1]] <= kept))
+        fio.reject(fio.any_last(bad), lines, lambda row: (
+            f"non-numeric continuous field {field + bad[row].argmax()}:"
+            f" {text(row, field + bad[row].argmax())!r}"))
+    counts, bad = fio.digit_values(codes, starts[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1],
+                                   ends[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1])
+    bad |= counts > _MAX_BYTES
+
+    def bad_count(row: int) -> str:
+        field = SRC_BYTES_INDEX + int(bad[row].argmax())
+        return (f"{_BYTE_FIELDS[field]} must be a non-negative count within int64,"
+                f" got {text(row, field)!r}")
+
+    fio.reject(fio.any_last(bad), lines, bad_count)
+    labels = fio.intern_tokens(codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT], lines,
+                               label_id)
     protocols = np.array([p for p, _, _ in flow_ids], dtype=np.int8)[flows]
-    return protocols, flows, counts[:, 0], counts[:, 1], labels
-
-
-def _parse_lines(chunk: bytes, number: int, columns, flow_ids: dict[tuple[int, str, str], int],
-                 names: dict[str, int]) -> int:
-    """Parse the lines of `chunk` after line `number`, appending to `columns`;
-    returns the last line number."""
-    protocols, flows, srcs, dsts, labels = columns
-    for number, raw in enumerate(chunk.split(b"\n")[:-1], start=number + 1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: byte {raw[exc.start]:#04x}", line=number) from None
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != FEATURE_COUNT + 1:
-            raise ParseError(f"expected {FEATURE_COUNT + 1} fields, got {len(fields)}", line=number)
-        protocol = _PROTOCOL_CODES.get(fields[PROTOCOL_INDEX])
-        if protocol is None:
-            raise ParseError(f"unknown protocol_type {fields[PROTOCOL_INDEX]!r}", line=number)
-        for index, token in enumerate(fields[:FEATURE_COUNT]):
-            if index not in SYMBOLIC_INDICES:
-                _number(token, index, number)
-        srcs.append(_byte_count(fields, SRC_BYTES_INDEX, number))
-        dsts.append(_byte_count(fields, DST_BYTES_INDEX, number))
-        protocols.append(protocol)
-        flows.append(flow_ids.setdefault(
-            (protocol, fields[SERVICE_INDEX], fields[FLAG_INDEX]), len(flow_ids)))
-        labels.append(names.setdefault(fields[FEATURE_COUNT].rstrip(".").lower(), len(names)))
-    return number
+    return protocols, flows, counts[:, 0].astype(np.int64), counts[:, 1].astype(np.int64), labels
 
 
 def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTable:

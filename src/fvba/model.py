@@ -196,26 +196,6 @@ class WindowSample:
         if self.flow_count != len(self.per_flow_bytes):
             raise ParameterError("flow_count must equal the number of per-flow entries")
 
-    @classmethod
-    def from_flows(
-        cls,
-        window_index: int,
-        window_start: float,
-        window_length: float,
-        protocol: ProtocolCategory | None,
-        per_flow_bytes: dict[FlowKey, int],
-    ) -> "WindowSample":
-        """Build a sample with volume and flow_count derived from the flow map."""
-        return cls(
-            window_index=window_index,
-            window_start=window_start,
-            window_length=window_length,
-            protocol=protocol,
-            volume=sum(per_flow_bytes.values()),
-            flow_count=len(per_flow_bytes),
-            per_flow_bytes=per_flow_bytes,
-        )
-
 
 @dataclass(frozen=True)
 class GroundTruthLabel:

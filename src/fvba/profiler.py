@@ -262,7 +262,7 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
     """
     fields: dict[str, str] = {}
     blocks: list[tuple[int, dict[str, str]]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             if fields:

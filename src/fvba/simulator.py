@@ -110,26 +110,6 @@ class ScenarioConfig:
             raise ParameterError(f"scenario expects {expected:.4g} events, more than the"
                                  f" {MAX_EXPECTED_EVENTS:,} one run may generate")
 
-    @classmethod
-    def attack_free(cls, legit_clients: int, duration: float = 75.0, seed: int = 0, **kw) -> "ScenarioConfig":
-        return cls(kind=ScenarioKind.ATTACK_FREE, legit_clients=legit_clients,
-                   zombies=0, duration=duration, seed=seed, **kw)
-
-    @classmethod
-    def high_rate(cls, legit_clients: int, zombies: int = 100, seed: int = 0, **kw) -> "ScenarioConfig":
-        return cls(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=legit_clients,
-                   zombies=zombies, seed=seed, **kw)
-
-    @classmethod
-    def diluted_low_rate(cls, legit_clients: int, zombies: int = 100, seed: int = 0, **kw) -> "ScenarioConfig":
-        return cls(kind=ScenarioKind.DILUTED_LOW_RATE, legit_clients=legit_clients,
-                   zombies=zombies, seed=seed, **kw)
-
-    @classmethod
-    def varied_rate(cls, legit_clients: int, zombies: int = 100, seed: int = 0, **kw) -> "ScenarioConfig":
-        return cls(kind=ScenarioKind.VARIED_RATE, legit_clients=legit_clients,
-                   zombies=zombies, seed=seed, **kw)
-
 
 @dataclass
 class LabeledEventStream:
@@ -137,8 +117,6 @@ class LabeledEventStream:
 
     events: EventTable
     truth: dict[FlowKey, GroundTruthLabel]
-    attack_start: float
-    attack_end: float
     _attack_keys: frozenset[FlowKey] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -226,12 +204,7 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
         all_times[order], np.concatenate(flows_parts)[order], np.concatenate(bytes_parts)[order], keys
     )
 
-    return LabeledEventStream(
-        events=events,
-        truth=truth,
-        attack_start=config.attack_start,
-        attack_end=config.attack_end,
-    )
+    return LabeledEventStream(events=events, truth=truth)
 
 
 def _zombie_counts(config: ScenarioConfig) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Row-wise building and reading of event tables, for the tests."""
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from fvba.model import EventTable, FlowKey
+from fvba.model import EventTable, FlowKey, ProtocolCategory, WindowSample
+from fvba.profiler import windowize
 
 
 class Row(NamedTuple):
@@ -28,3 +29,22 @@ def rows(events: EventTable) -> list[Row]:
         Row(t, keys[f], b)
         for t, f, b in zip(events.timestamp.tolist(), events.flow.tolist(), events.bytes.tolist())
     ]
+
+
+def series(windows: list[Mapping[FlowKey, int]], protocol: ProtocolCategory | None,
+           length: float = 0.2, first: int = 0) -> list[WindowSample]:
+    """`windowize(table, length, protocol)` of a table whose window first + i
+    holds one event per entry (flow key: bytes) of windows[i], at its middle.
+
+    For a protocol series each window also holds an event of another
+    protocol, so that an empty window still lies in the table's span.
+    """
+    filler = None if protocol is None else FlowKey(
+        next(p for p in ProtocolCategory if p is not protocol), "filler", "filler")
+    events = []
+    for index, flows in enumerate(windows, start=first):
+        middle = (index + 0.5) * length
+        events += [Row(middle, key, count) for key, count in flows.items()]
+        if filler is not None:
+            events.append(Row(middle, filler, 1))
+    return windowize(table(events), length, protocol)

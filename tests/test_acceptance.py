@@ -33,9 +33,10 @@ from fvba.kdd import (
     parse as parse_kdd,
     select_dos_and_normal,
 )
-from fvba.model import FlowKey, ProtocolCategory, WindowSample
+from event_rows import series
+from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile, build_profile, windowize
-from fvba.simulator import ScenarioConfig, generate
+from fvba.simulator import ScenarioConfig, ScenarioKind, generate
 
 TCP = ProtocolCategory.TCP
 UDP = ProtocolCategory.UDP
@@ -104,7 +105,7 @@ def _sample_for(proto, volume, flows, index=0):
         port = 0 if proto is ICMP else 1000 + i
         share = volume - (flows - 1) if i == 0 else 1
         per_flow[FlowKey(proto or TCP, f"h{i}", "srv", port, port)] = share
-    return WindowSample.from_flows(index, index * 0.2, 0.2, proto, per_flow)
+    return series([per_flow], proto, first=index)[0]
 
 
 def test_criterion_2_detection_truth_table():
@@ -177,15 +178,19 @@ def test_criterion_3_classification_oracle():
 @pytest.fixture(scope="module")
 def simulation():
     """Aggregate-series pipeline over the desk-scale scenario set."""
-    train = generate(ScenarioConfig.attack_free(legit_clients=40, duration=75.0, seed=11))
+    train = generate(ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=40,
+                                    duration=75.0, seed=11))
     profile = build_profile(windowize(train.events, WINDOW_SECONDS))
     thresholds = compute_thresholds(profile, OPERATING_FACTORS)
 
     runs = {}
     for name, config in (
-        ("high", ScenarioConfig.high_rate(legit_clients=40, zombies=100, seed=21)),
-        ("low", ScenarioConfig.diluted_low_rate(legit_clients=40, zombies=100, seed=22)),
-        ("varied", ScenarioConfig.varied_rate(legit_clients=40, zombies=100, seed=23)),
+        ("high", ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40,
+                                zombies=100, seed=21)),
+        ("low", ScenarioConfig(kind=ScenarioKind.DILUTED_LOW_RATE, legit_clients=40,
+                               zombies=100, seed=22)),
+        ("varied", ScenarioConfig(kind=ScenarioKind.VARIED_RATE, legit_clients=40,
+                                  zombies=100, seed=23)),
     ):
         started = time.perf_counter()
         stream = generate(config)

@@ -14,7 +14,8 @@ from fvba.characterizer import (
 )
 from fvba.detector import TriggerCondition, VerdictReport
 from fvba.errors import ParameterError
-from fvba.model import FlowKey, ProtocolCategory, WindowSample
+from event_rows import series
+from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile
 
 
@@ -165,14 +166,13 @@ class TestCharacterize:
 
     def run(self, windows):
         """Characterize windows given as (flagged, {flow id: bytes}) pairs."""
-        samples, reports = [], []
+        reports = []
         for index, (flagged, flows) in enumerate(windows):
-            per_flow = {key(i): count for i, count in flows.items()}
-            samples.append(WindowSample.from_flows(index, index * 0.2, 0.2,
-                                                   ProtocolCategory.TCP, per_flow))
             triggered = frozenset({TriggerCondition.VOLUME_UPPER} if flagged else ())
             reports.append(VerdictReport(index, ProtocolCategory.TCP, flagged, triggered,
                                          0.0, 0.0))
+        samples = series([{key(i): count for i, count in flows.items()} for _, flows in windows],
+                         ProtocolCategory.TCP)
         return list(characterize(samples, reports, self.PROFILE))
 
     def test_yields_flagged_windows_only(self):

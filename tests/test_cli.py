@@ -321,6 +321,15 @@ class TestMalformedInput:
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "x\tattack"],
                    "line 2: invalid literal for int()")
 
+    def test_window_truth_repeated_index(self, tmp_path, capsys):
+        self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "0\tattack"],
+                   "line 2: window 0 given twice")
+
+    @pytest.mark.parametrize("deviations", ["nan\t0.0", "0.0\tinf", "-inf\t0.0"])
+    def test_verdict_non_finite_deviation(self, tmp_path, capsys, deviations):
+        self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0", f"1\tALL\t0\t-\t{deviations}"],
+                   ["0\tnormal", "1\tnormal"], "line 3: deviations must be finite")
+
     @pytest.mark.parametrize("duration,message", [
         ("inf", "require finite attack_start < attack_end <= duration"),
         ("1e12", "scenario expects 6e+13 events, more than the 20,000,000"),
@@ -343,6 +352,11 @@ class TestMalformedInput:
         events.write_bytes(b"0.0\tTCP\tc0\t1\tsrv\t80\t10\r\n0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
         self.fails(capsys, ["profile", "--events", events, "--out", tmp_path / "p.txt"],
                    "fvba profile: error: line 2: not UTF-8: byte 0xff")
+        # "\r" ends a line, "\x0b" and "\x85" do not.
+        events.write_bytes(b"0.0\tTCP\tc\x0b\xc2\x85\t1\tsrv\t80\t10\r0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
+        self.fails(capsys, ["detect", "--events", events, "--profile", tmp_path / "p.txt",
+                            "--out", tmp_path / "v.tsv"],
+                   "fvba detect: error: line 2: not UTF-8: byte 0xff")
 
     def kdd_fails(self, capsys, path, message):
         self.fails(capsys, ["kdd", "--train", path, "--out", path.parent / "scores.tsv"],
@@ -393,13 +407,26 @@ def _mutate(data: bytes, edits) -> bytes:
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """A small event file with its aggregate profile, and a small KDD file."""
+    """A small event file with its aggregate profile, and a small KDD file;
+    the event file's window truth is left in wtruth.tsv."""
     root = tmp_path_factory.mktemp("fuzz")
-    events = simulate(root, "events", clients=3, zombies=2, duration=4, start=1, end=3)
+    events = simulate(root, "events", "--window-truth-out", root / "wtruth.tsv", clients=3,
+                      zombies=2, duration=4, start=1, end=3)
     profile = root / "profile.txt"
     assert main(["profile", "--events", str(events), "--aggregate", "--out", str(profile)]) == 0
     kdd_lines = TestKddCommand().make_file(root).read_bytes().split(b"\n")
     return root, events.read_bytes(), profile, b"\n".join(kdd_lines[:350] + [b""])
+
+
+@pytest.fixture(scope="module")
+def fuzz_tables(fuzz_inputs):
+    """Verdicts and window truth of the fuzz event file, and a sweep grid."""
+    root, _, profile, _ = fuzz_inputs
+    verdicts = root / "verdicts.tsv"
+    assert main(["detect", "--events", str(root / "events.tsv"), "--profile", str(profile),
+                 "--out", str(verdicts)]) in (0, 2)
+    return (verdicts.read_bytes(), (root / "wtruth.tsv").read_bytes(),
+            b"# r1 r2\n2\t2\n4\t4\t-\n6\t6\n")
 
 
 class TestFuzz:
@@ -432,6 +459,30 @@ class TestFuzz:
         mangled = root / ("mangled.csv.gz" if compress else "mangled.csv")
         mangled.write_bytes(_mutate(records, data.draw(_mutations(records))))
         self.check(["kdd", "--train", mangled, "--record-window", "50", "--out", root / "s.tsv"])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_score_command(self, fuzz_inputs, fuzz_tables, data):
+        root = fuzz_inputs[0]
+        files = []
+        for name, content in zip(("mangled-verdicts.tsv", "mangled-wtruth.tsv"), fuzz_tables):
+            files.append(root / name)
+            if data.draw(st.booleans()):
+                content = _mutate(content, data.draw(_mutations(content)))
+            files[-1].write_bytes(content)
+        self.check(["score", "--verdicts", files[0], "--window-truth", files[1],
+                    "--out", root / "score.tsv"])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_command(self, fuzz_inputs, fuzz_tables, data):
+        root, _, profile, _ = fuzz_inputs
+        grid = fuzz_tables[2]
+        mangled = root / "mangled-grid.tsv"
+        mangled.write_bytes(_mutate(grid, data.draw(_mutations(grid))))
+        self.check(["sweep", "--events", root / "events.tsv", "--profile", profile,
+                    "--window-truth", root / "wtruth.tsv", "--grid", mangled,
+                    "--out", root / "roc.tsv"])
 
 
 class TestFactorFlags:

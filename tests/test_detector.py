@@ -18,7 +18,8 @@ from fvba.detector import (
     load_verdicts,
 )
 from fvba.errors import ParameterError
-from fvba.model import FlowKey, ProtocolCategory, WindowSample
+from event_rows import series
+from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile
 
 TCP = ProtocolCategory.TCP
@@ -50,8 +51,8 @@ def sample(proto=TCP, volume=1000, flows=20, index=0):
     for i in range(flows):
         port = 0 if proto is ICMP else 1000 + i
         share = volume - (flows - 1) if i == 0 else 1
-        per_flow[FlowKey(proto, f"h{i}", "srv", port, port)] = share
-    return WindowSample.from_flows(index, index * 0.2, 0.2, proto, per_flow)
+        per_flow[FlowKey(proto or TCP, f"h{i}", "srv", port, port)] = share
+    return series([per_flow], proto, first=index)[0]
 
 
 class TestToleranceFactors:
@@ -157,7 +158,7 @@ class TestDetect:
             detect(sample(UDP), profile(TCP), Thresholds(TCP, 60, 12))
 
     def test_window_length_mismatch_rejected(self):
-        bad = WindowSample.from_flows(0, 0.0, 0.5, TCP, {})
+        (bad,) = series([{}], TCP, length=0.5)
         with pytest.raises(ParameterError):
             detect(bad, profile(), Thresholds(TCP, 60, 12))
 

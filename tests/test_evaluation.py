@@ -22,7 +22,8 @@ from fvba.evaluation import (
     score_records,
     sweep,
 )
-from fvba.model import FlowKey, ProtocolCategory, WindowSample
+from event_rows import series
+from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile
 
 TCP = ProtocolCategory.TCP
@@ -129,7 +130,7 @@ def series_fixture():
         per_flow_mean=50.0, per_flow_std=5.0,
     )
     rng = random.Random(17)
-    samples = []
+    windows = []
     truth = {}
     for w in range(120):
         attacked = 40 <= w < 80
@@ -138,9 +139,9 @@ def series_fixture():
         per_flow = {FlowKey(TCP, f"h{i}", "srv", 1000 + i, 80): 1 for i in range(flows)}
         first = FlowKey(TCP, "h0", "srv", 1000, 80)
         per_flow[first] = volume - (flows - 1)
-        samples.append(WindowSample.from_flows(w, w * 0.2, 0.2, TCP, per_flow))
+        windows.append(per_flow)
         truth[w] = attacked
-    return profile, samples, truth
+    return profile, series(windows, TCP), truth
 
 
 class TestSweep:

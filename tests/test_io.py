@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chunked import CHUNK_SIZES, NUMERIC_TOKENS, chunk_bytes, outcome, per_line_only
+from chunked import CHUNK_SIZES, chunk_bytes, file_layout
 from event_rows import Row, rows, table
 from fvba import io as fio
 from fvba.errors import OrderingError, ParameterError, ParseError
@@ -53,6 +53,10 @@ class TestEventFormat:
         assert len(fio.load_events(line.format(2**63 - 1))) == 1
         with pytest.raises(ParseError, match="line 2: .*does not fit int64"):
             fio.load_events(line.format(1) + line.format(2**63))
+        # 19 digits that fit uint64 but not int64, and 20 digits.
+        for count in ("9999999999999999999", "18446744073709551616"):
+            with pytest.raises(ParseError, match=f"^line 1: .*does not fit int64: {count}$"):
+                fio.load_events(line.format(count))
 
     def test_unsorted_named_by_line(self):
         # A blank line still counts, so the late event is on line 4.
@@ -70,68 +74,163 @@ class TestEventFormat:
         with pytest.raises(ParseError, match="line 2: expected 7 columns, got 8"):
             fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\t10\t1\n")
 
+    def test_first_bad_line_named_whatever_its_fault(self):
+        # Keys are checked before byte counts, yet line 2's count is named.
+        text = ("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\tx\n"
+                "0.2\tgre\tc0\t1\tsrv\t80\t10\n")
+        with pytest.raises(ParseError, match="^line 2: malformed event byte count: 'x'$"):
+            fio.load_events(text)
+
     def test_key_spellings_intern_to_one_flow(self):
         events = fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\ttcp\tc0\t01\tsrv\t80\t20\n")
         assert len(events.keys) == 1
         assert rows(events) == [Row(0.0, events.keys[0], 10), Row(0.1, events.keys[0], 20)]
 
     def test_blank_lines_skipped(self):
-        events = fio.load_events("\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n\t\t\t\t\t\t\n")
+        events = fio.load_events("\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n\n")
         assert len(events) == 1
         assert len(fio.load_events("")) == 0
+        # Only an empty line is blank.
+        with pytest.raises(ParseError, match="^line 2: expected 7 columns, got 1$"):
+            fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n")
+        with pytest.raises(ParseError, match="^line 1: unknown protocol category: ''"):
+            fio.load_events("\t\t\t\t\t\t\n")
 
 
-# Odd pieces of event lines: each sends its chunk to the per-line loop,
-# which accepts some and rejects others.
-ODD_PROTOCOLS = st.sampled_from(["tcp", "gre", " UDP", ""])
-ODD_ADDRESSES = st.sampled_from(["a b", "\u00e9", "\x00", "", "2001:db8::1"])
-ODD_PORTS = st.sampled_from(["01", "65536", "-1", "x"])
-TIME_FORMATS = st.sampled_from(["{!r}", "{:.25g}", "{:.3e}", "{:.3f}"])
-# Line breaks besides "\n": str.splitlines splits on all of them; CR LF is one.
-ODD_BREAKS = st.sampled_from(["\r\n", "\r", "\x0b", "\x1c", "\u2028", "\n\n", "\n \n"])
-REGULAR_KEYS = st.sampled_from([["TCP", "c0", "40000", "srv", "80"], ["UDP", "z0", "9", "srv", "9"],
-                                ["ICMP", "h1", "0", "h2", "0"], ["TCP", "c1", "40001", "srv", "80"]])
+# Address characters: the tab, every character str.splitlines splits on,
+# and ordinary, control, space-like and astral characters that must survive.
+ADDRESS_TEXT = st.text(st.sampled_from(
+    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    "aZ0 :.-_\x00\x7f\xa0\xe9\u200b\u3000\U0001f600"
+), max_size=6)
+
+
+PROTOCOL_SPELLINGS = {
+    ProtocolCategory.TCP: ["TCP", "tcp", " Tcp"],
+    ProtocolCategory.UDP: ["UDP", "udp"],
+    ProtocolCategory.ICMP: ["ICMP", "icmp"],
+}
+TIME_FORMATS = st.sampled_from(["{!r}", "{:.25g}", "{:.3e}", "{:.3E}", "{:.3f}", "+{!r}"])
 
 
 @st.composite
-def event_texts(draw):
-    """An event file of regular lines with odd tokens and breaks mixed in."""
-    times = sorted(draw(st.lists(st.floats(0, 1e4), min_size=1, max_size=12)))
-    text = ""
-    for time in times:
-        fields = [draw(TIME_FORMATS).format(time), *draw(REGULAR_KEYS),
-                  str(draw(st.integers(1, 2**63 - 1)))]
-        if draw(st.integers(0, 7)) == 0:
-            position = draw(st.integers(0, 6))
-            fields[position] = draw(
-                NUMERIC_TOKENS if position in (0, 6) else ODD_PROTOCOLS if position == 1
-                else ODD_PORTS if position in (3, 5) else ODD_ADDRESSES)
-        if draw(st.integers(0, 49)) == 0:
-            del fields[draw(st.integers(0, len(fields) - 1))]
-        text += "\t".join(fields) + draw(
-            ODD_BREAKS if draw(st.integers(0, 5)) == 0 else st.just("\n"))
-    return text if draw(st.booleans()) else text.rstrip("\n")
+def event_keys(draw):
+    """A flow key that `FlowKey.validate` accepts."""
+    protocol = draw(st.sampled_from(list(ProtocolCategory)))
+    ports = (st.just(0) if protocol is ProtocolCategory.ICMP else st.integers(0, 65535))
+    key = FlowKey(protocol, draw(ADDRESS_TEXT), draw(ADDRESS_TEXT), draw(ports), draw(ports))
+    try:
+        return key.validate()
+    except ParameterError:
+        return FlowKey(protocol, "a", "b", key.src_port, key.dst_port)
+
+
+@st.composite
+def event_lines(draw, min_size=1):
+    """Valid event lines in odd but accepted spellings, and the events they hold."""
+    keys = draw(st.lists(event_keys(), min_size=1, max_size=4))
+    events = []
+    for _ in range(draw(st.integers(min_size, 10))):
+        timestamp = draw(TIME_FORMATS).format(draw(st.floats(0, 1e4)))
+        count = draw(st.integers(1, 2**63 - 1))
+        events.append((float(timestamp), timestamp, draw(st.sampled_from(keys)), count))
+    events.sort(key=lambda event: event[0])
+    lines = []
+    for _, timestamp, key, count in events:
+        ports = [str(port).zfill(draw(st.integers(1, 3))) for port in (key.src_port, key.dst_port)]
+        lines.append("\t".join([
+            timestamp, draw(st.sampled_from(PROTOCOL_SPELLINGS[key.protocol])), key.src_addr,
+            ports[0], key.dst_addr, ports[1], str(count).zfill(draw(st.integers(1, 19))),
+        ]))
+    return lines, [Row(value, key, count) for value, _, key, count in events]
+
+
+# (column, token, start of the message) of one bad field; column None
+# replaces the whole line, column "pad" wraps it in the token.
+EVENT_MUTATIONS = st.sampled_from([
+    (0, "nan", "non-finite timestamp"), (0, "1e999", "non-finite timestamp"),
+    (0, "-1", "negative timestamp"), (0, " 0.5", "malformed timestamp"),
+    (0, "1_0", "malformed timestamp"), (0, "0.5\x0b", "malformed timestamp"),
+    (0, "0.5\x00", "malformed timestamp"), (0, "", "malformed timestamp"),
+    (0, "1e", "malformed timestamp"), (0, "0x10", "malformed timestamp"),
+    (1, "gre", "unknown protocol category"), (3, "x", "invalid literal for int()"),
+    (3, "65536", "port out of range"), (2, "a\x0bb", "flow address holds a tab or line break"),
+    (6, "+100", "malformed event byte count"), (6, "1_00", "malformed event byte count"),
+    (6, "100 ", "malformed event byte count"), (6, "1.5", "malformed event byte count"),
+    (6, "", "malformed event byte count"), (6, "0", "event byte count must be >= 1"),
+    (6, "9223372036854775808", "event byte count does not fit int64"),
+    (6, "99999999999999999999", "event byte count does not fit int64"),
+    (None, " ", "expected 7 columns, got 1"), (None, "\t" * 7, "expected 7 columns, got 8"),
+    ("pad", " ", "malformed timestamp"),
+])
 
 
 class TestChunkedLoad:
-    """The chunk decoder against the per-line loop, on lines that cross chunk ends."""
+    """The chunk decoder on lines that cross chunk ends, against an oracle."""
 
-    @given(text=event_texts(), size=CHUNK_SIZES)
+    @given(data=st.data(), size=CHUNK_SIZES)
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_line_path(self, text, size):
-        with per_line_only():
-            expected = outcome(fio.load_events, text)
+    def test_valid_lines_match_oracle(self, data, size):
+        lines, events = data.draw(event_lines())
+        text, _ = data.draw(file_layout(lines))
         with chunk_bytes(size):
-            assert outcome(fio.load_events, text) == expected
+            loaded = fio.load_events(text)
+        assert rows(loaded) == events
+        assert loaded.keys == tuple(dict.fromkeys(event.key for event in events))
 
-    def test_regular_chunks_take_the_decoder(self, monkeypatch):
-        monkeypatch.setattr(fio, "_parse_event_lines", None)
+    @given(data=st.data(), size=CHUNK_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_line_named(self, data, size):
+        lines, _ = data.draw(event_lines())
+        bad = data.draw(st.integers(0, len(lines) - 1))
+        # Maybe a second bad line after the first, of any fault.
+        for index in {bad, data.draw(st.integers(bad, len(lines) - 1))}:
+            column, token, message = data.draw(EVENT_MUTATIONS)
+            if index == bad:
+                expected = message
+            if column is None:
+                lines[index] = token
+            elif column == "pad":
+                lines[index] = token + lines[index] + token
+            else:
+                fields = lines[index].split("\t")
+                fields[column] = token
+                lines[index] = "\t".join(fields)
+        text, numbers = data.draw(file_layout(lines))
+        with chunk_bytes(size), pytest.raises(ParseError) as error:
+            fio.load_events(text)
+        assert str(error.value).startswith(f"line {numbers[bad]}: {expected}")
+
+    @given(data=st.data(), size=CHUNK_SIZES)
+    @settings(max_examples=50, deadline=None)
+    def test_first_unsorted_line_named(self, data, size):
+        lines, events = data.draw(event_lines(min_size=2))
+        late = data.draw(st.integers(1, len(lines) - 1))
+        assume(events[late - 1].timestamp > 0)
+        lines[late] = "0" + lines[late][lines[late].index("\t"):]
+        text, numbers = data.draw(file_layout(lines))
+        with chunk_bytes(size), pytest.raises(OrderingError, match=rf"^line {numbers[late]}: "):
+            fio.load_events(text)
+
+    def test_regular_chunks_take_the_decoder(self):
         events = fio.load_events("0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n0.75\tudp\tz0\t9\tsrv\t9\t20\n"
                                  "0.75\ttcp\tc0\t01\tsrv\t80\t5")
         tcp = FlowKey(ProtocolCategory.TCP, "c0", "srv", 1, 80)
         udp = FlowKey(ProtocolCategory.UDP, "z0", "srv", 9, 9)
         assert events.keys == (tcp, udp)
         assert rows(events) == [Row(0.5, tcp, 10), Row(0.75, udp, 20), Row(0.75, tcp, 5)]
+
+    def test_long_lines_decode_alone(self):
+        # A line beyond fio._MAX_LINE bytes gets a chunk of its own.
+        wide = FlowKey(ProtocolCategory.TCP, "w" * 1000, "srv", 1, 80)
+        short = FlowKey(ProtocolCategory.UDP, "z0", "srv", 9, 9)
+        events = table([Row(0.0, short, 5), Row(0.1, wide, 6), Row(0.2, short, 7)])
+        text = fio.dump_events(events)
+        assert [len(chunk) for chunk in fio.decoder_chunks([text.encode()])] == [
+            len(line) + 1 for line in text.splitlines()]
+        assert fio.load_events(text) == events
+        with pytest.raises(ParseError, match="^line 2: malformed event byte count"):
+            fio.load_events(text.replace("\t6\n", "\t6 \n"))
 
     def test_chunks_end_at_unified_breaks(self):
         # "\r\n" split between two blocks is one break.
@@ -145,14 +244,6 @@ class TestChunkedLoad:
         text = "0.5\tTCP\tc0\t1\tsrv\t80\t10\n0.25\tTCP\tc0\t1\tsrv\t80\t10\n"
         with chunk_bytes(4), pytest.raises(OrderingError, match=r"^line 2: .*\(0.25 after 0.5\)"):
             fio.load_events(text)
-
-
-# Address characters: the tab, every character str.splitlines splits on,
-# and ordinary, control, space-like and astral characters that must survive.
-ADDRESS_TEXT = st.text(st.sampled_from(
-    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-    "aZ0 :.-_\x00\x7f\xa0\xe9\u200b\u3000\U0001f600"
-), max_size=6)
 
 
 class TestEventAddressRoundTrip:
@@ -174,6 +265,28 @@ class TestEventAddressRoundTrip:
 
 
 class TestTruthFormat:
+    @given(st.lists(st.tuples(ADDRESS_TEXT, ADDRESS_TEXT), min_size=1, max_size=6),
+           st.sampled_from([NORMAL, GroundTruthLabel("highrate"), GroundTruthLabel("low rate")]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_address_round_trips(self, pairs, label):
+        truth = {}
+        for src, dst in pairs:
+            key = FlowKey(ProtocolCategory.UDP, src, dst, 1, 2)
+            try:
+                truth[key.validate()] = label
+            except ParameterError:
+                continue
+        assert fio.load_truth(fio.dump_truth(truth)) == truth
+
+    def test_key_columns_of_the_event_format(self):
+        key = FlowKey(ProtocolCategory.TCP, "2001:db8::1", "srv", 1, 80)
+        text = fio.dump_truth({key: NORMAL})
+        assert text == "TCP\t2001:db8::1\t1\tsrv\t80\tnormal\n"
+        assert fio.load_truth(text) == {key: NORMAL}
+        assert fio.load_truth("tcp\t2001:db8::1\t01\tsrv\t80\tnormal\n") == {key: NORMAL}
+        with pytest.raises(ParseError, match="^line 2: port out of range"):
+            fio.load_truth(text + "TCP\ta\t1\tb\t65536\tnormal\n")
+
     def test_round_trip(self):
         truth = {
             FlowKey(ProtocolCategory.TCP, "c000", "srv", 40000, 80): NORMAL,
@@ -202,3 +315,12 @@ class TestWindowTruthFormat:
     def test_label_validated(self):
         with pytest.raises(ParseError):
             fio.load_window_truth("3\tmaybe\n")
+
+    def test_repeated_index_named_by_line(self):
+        with pytest.raises(ParseError, match="^line 3: window 1 given twice$"):
+            fio.load_window_truth("1\tattack\n0\tnormal\n1\tnormal\n")
+
+    def test_only_newline_breaks_lines(self):
+        # A vertical tab is no line break: this is one malformed line.
+        with pytest.raises(ParseError, match="^line 1: malformed window-truth line"):
+            fio.load_window_truth("0\tnormal\x0b1\tattack\n")

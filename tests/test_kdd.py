@@ -1,11 +1,12 @@
 import gzip
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chunked import CHUNK_SIZES, NUMERIC_TOKENS, chunk_bytes, outcome, per_line_only
+from chunked import CHUNK_SIZES, chunk_bytes, file_layout
 from fvba.detector import ToleranceFactors
 from fvba.errors import ParameterError, ParseError
 from fvba import kdd
@@ -36,30 +37,30 @@ def make_records(lines):
     return parse(lines)
 
 
-def number_by_old_rule(token):
-    return float(token) if "." in token else int(token)
+# Numeric tokens on both sides of the continuous-field and byte-count rules.
+NUMERIC_TOKENS = st.sampled_from([
+    "0", "-0", "7", "-1", "+3", "1_0", "3.", ".5", " 7", "7 ", "42.9", "-0.5", "1e5",
+    "1.5e3", "nan", "inf", "1.e999", "-500", "", ".", "abc", "0x10",
+    "9223372036854775807", "9223372036854775808", "9.3e18", "9.2e18", "1.2.3", "1..5",
+]) | st.integers(-5, 2**64).map(str)
 
 
 def reference_parse(lines):
-    """parse's checks as the per-token loop they replaced, kept as the oracle.
+    """parse's numeric checks as per-token regular expressions, the oracle.
 
     Returns (number of the first rejected line, None) or (None, (src_bytes,
     dst_bytes)).
     """
     srcs, dsts = [], []
-    for number, raw in enumerate(lines, start=1):
-        fields = raw.strip().split(",")
-        try:
-            for index, token in enumerate(fields[:41]):
-                if index not in (1, 2, 3):
-                    number_by_old_rule(token)
-        except ValueError:
+    for number, line in enumerate(lines, start=1):
+        fields = line.split(",")
+        if not all(re.fullmatch(r"[0-9]+\.?[0-9]*|\.[0-9]+", fields[index])
+                   for index in (0, *range(6, 41))):
             return number, None
-        src, dst = number_by_old_rule(fields[4]), number_by_old_rule(fields[5])
-        if not (0 <= src <= 2**63 - 1 and 0 <= dst <= 2**63 - 1):
+        if not all(re.fullmatch(r"[0-9]+", token) and int(token) < 2**63 for token in fields[4:6]):
             return number, None
-        srcs.append(int(src))
-        dsts.append(int(dst))
+        srcs.append(int(fields[4]))
+        dsts.append(int(fields[5]))
     return None, (srcs, dsts)
 
 
@@ -150,10 +151,14 @@ class TestParse:
 
     @pytest.mark.parametrize("index", [0, 4, 5, 6, 40])
     def test_non_numeric_field_after_cached_line(self, index):
-        # Line 2 differs from the regular line 1 in one token.
+        # Line 2 differs from the regular line 1 in one token.  The byte
+        # counts, fields 4 and 5, have their own message.
         fields = record_line().split(",")
         fields[index] = "1e5"
-        with pytest.raises(ParseError, match=rf"^line 2: non-numeric continuous field {index}: '1e5'"):
+        message = {4: "src_bytes must be a non-negative count within int64, got",
+                   5: "dst_bytes must be a non-negative count within int64, got"}.get(
+                       index, f"non-numeric continuous field {index}:")
+        with pytest.raises(ParseError, match=rf"^line 2: {message} '1e5'"):
             parse([record_line(), ",".join(fields)])
 
     @pytest.mark.parametrize("token", ["-500", "-0.5", "1.e999", "9223372036854775808", "9.3e18"])
@@ -165,9 +170,23 @@ class TestParse:
 
     def test_byte_count_limits(self):
         records = parse([record_line(src=0, dst="9223372036854775807"),
-                         record_line(src="42.9", dst="-0")])
+                         record_line(src="0000000000000000042", dst="00")])
         assert records.src_bytes.tolist() == [0, 42]
         assert records.dst_bytes.tolist() == [2**63 - 1, 0]
+        # Byte counts are decimal digits only.
+        for src in ("42.9", "-0"):
+            with pytest.raises(ParseError, match=f"^line 1: src_bytes must be .* got '{src}'$"):
+                parse([record_line(src=src)])
+
+    def test_trailing_nul_bytes_kept(self):
+        # A fixed-width bytes column ignores trailing NUL bytes; they stay
+        # part of the flag and of the label.
+        records = parse([record_line(flag="SF"), record_line(flag="SF\x00", label="normal.\x00"),
+                         record_line(flag="SF\x00\x00", label="normal.")])
+        assert [key.dst_addr for key in records.keys] == ["SF", "SF\x00", "SF\x00\x00"]
+        assert records.flow.tolist() == [0, 1, 2]
+        assert records.labels == ("normal", "normal.\x00")
+        assert records.label.tolist() == [0, 1, 0]
 
     def test_reads_gzip_paths(self, tmp_path):
         text = record_line() + "\n\n" + record_line(label="smurf.") + "\n"
@@ -197,61 +216,110 @@ class TestParse:
                 parse(lines)
 
 
-# Odd field values of KDD lines: each sends its chunk to the per-line loop,
-# which accepts some and rejects others.
-ODD_PROTOCOLS = st.sampled_from(["TCP", "gre", "tcp "])
-ODD_SERVICES = st.sampled_from(["", "a b", "\u00e9", "x.y"])
-ODD_LABELS = st.sampled_from(["SMURF", "x..", ".", ""])
-ODD_BREAKS = st.sampled_from(["\r\n", "\r", "\n\n", "\n \t\n"])
+# Service, flag and label texts: any character but a comma or a line
+# break, trailing NUL bytes, dots and non-ASCII included.
+FIELD_TEXT = st.text(st.sampled_from("aZ0 ._-\x00\x0b\x7f\xe9\u2028\U0001f600"), max_size=5)
+CONTINUOUS_TOKENS = st.sampled_from(["0", "7", "3.", ".5", "0.25", "007", "1.00"])
 
 
 @st.composite
-def kdd_texts(draw):
-    """A KDD file of regular lines with odd tokens, padding and breaks mixed in."""
-    text = ""
-    for _ in range(draw(st.integers(1, 12))):
-        odd = draw(st.sampled_from(["", "", "", "", "", "protocol", "service", "label", "numbers"]))
-        fields = record_line(
-            proto=draw(ODD_PROTOCOLS if odd == "protocol" else st.sampled_from(["tcp", "udp", "icmp"])),
-            service=draw(ODD_SERVICES if odd == "service" else st.sampled_from(["http", "ecr_i"])),
-            flag=draw(st.sampled_from(["SF", "S0", "REJ"])),
-            src=draw(st.integers(0, 10**6)), dst=draw(st.integers(0, 10**18)),
-            label=draw(ODD_LABELS if odd == "label" else st.sampled_from(["normal.", "smurf."])),
-        ).split(",")
-        if odd == "numbers":
-            for index, token in draw(st.lists(st.tuples(NUMERIC_FIELDS, NUMERIC_TOKENS),
-                                              min_size=1, max_size=2)):
-                fields[index] = token
-        if draw(st.integers(0, 49)) == 0:
-            del fields[draw(st.integers(0, len(fields) - 1))]
-        line = ",".join(fields)
-        if draw(st.integers(0, 15)) == 0:
-            line = " " + line + "\t"
-        text += line + draw(ODD_BREAKS if draw(st.integers(0, 5)) == 0 else st.just("\n"))
-    return text if draw(st.booleans()) else text.rstrip("\n")
+def kdd_lines(draw):
+    """Valid KDD lines in odd but accepted spellings, and the
+    (protocol, service, flag, src_bytes, dst_bytes, label) each holds."""
+    services = draw(st.lists(FIELD_TEXT, min_size=1, max_size=3))
+    labels = draw(st.lists(FIELD_TEXT | st.sampled_from(["normal.", "SMURF", "smurf.."]),
+                           min_size=1, max_size=3))
+    lines, records = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        record = (draw(st.sampled_from(["tcp", "udp", "icmp"])), draw(st.sampled_from(services)),
+                  draw(FIELD_TEXT), draw(st.integers(0, 2**63 - 1)),
+                  draw(st.integers(0, 10**6)), draw(st.sampled_from(labels)))
+        protocol, service, flag, src, dst, label = record
+        fields = [draw(CONTINUOUS_TOKENS), protocol, service, flag, str(src),
+                  str(dst).zfill(draw(st.integers(1, 19)))]
+        fields += [draw(CONTINUOUS_TOKENS) for _ in range(35)] + [label]
+        lines.append(",".join(fields))
+        records.append(record)
+    return lines, records
+
+
+# (field, token, start of the message) of one bad field; field None
+# replaces the whole line, field "pad" wraps it in the token.  A lone
+# surrogate is written as the byte it escapes.
+KDD_MUTATIONS = st.sampled_from([
+    (1, "gre", "unknown protocol_type 'gre'"), (1, "TCP", "unknown protocol_type 'TCP'"),
+    (1, "tcp ", "unknown protocol_type 'tcp '"),
+    *((field, token, f"non-numeric continuous field {field}: '{token}'")
+      for field in (0, 6, 22, 40)
+      for token in ("+3", "-1", "1_0", " 7", "1e5", "", ".", "1.2.3", "nan", "\xe9")),
+    *((field, token, f"{name}_bytes must be a non-negative count within int64, got '{token}'")
+      for field, name in ((4, "src"), (5, "dst"))
+      for token in ("42.9", "-0", "+1", "1e5", "", "9223372036854775808",
+                    "99999999999999999999")),
+    (None, " ", "expected 42 fields, got 1"), (None, "0," * 42 + "x", "expected 42 fields, got 43"),
+    (2, "ht\udcfftp", "not UTF-8: byte 0xff"), (41, "\udce9", "not UTF-8: byte 0xe9"),
+    ("pad", " ", "non-numeric continuous field 0: ' "),
+])
 
 
 class TestChunkedParse:
-    """The chunk decoder against the per-line loop, on lines that cross chunk ends."""
+    """The chunk decoder on lines that cross chunk ends, against an oracle."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("kdd") / "records.csv"
 
-    @given(text=kdd_texts(), size=CHUNK_SIZES)
+    @given(data=st.data(), size=CHUNK_SIZES)
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_line_path(self, path, text, size):
+    def test_valid_lines_match_oracle(self, path, data, size):
+        lines, records = data.draw(kdd_lines())
+        text, _ = data.draw(file_layout(lines))
         path.write_bytes(text.encode())
-        with per_line_only():
-            expected = outcome(parse, path)
+        keys = list(dict.fromkeys((protocol, service, flag) for protocol, service, flag, *_ in records))
+        names = list(dict.fromkeys(label.rstrip(".").lower() for *_, label in records))
+        expected = (
+            [kdd.PROTOCOLS.index(ProtocolCategory[p.upper()]) for p, *_ in records],
+            [keys.index((p, service, flag)) for p, service, flag, *_ in records],
+            [src for *_, src, _, _ in records], [dst for *_, dst, _ in records],
+            [names.index(label.rstrip(".").lower()) for *_, label in records],
+            tuple(FlowKey(ProtocolCategory[p.upper()], service, flag, 0, 0) for p, service, flag in keys),
+            tuple(names),
+        )
         with chunk_bytes(size):
-            assert outcome(parse, path) == expected
             # An iterable is read as the lines of the file.
-            assert outcome(parse, io.StringIO(text, newline="")) == expected
+            for source in (path, io.StringIO(text, newline="")):
+                records_read = parse(source)
+                assert (records_read.protocol.tolist(), records_read.flow.tolist(),
+                        records_read.src_bytes.tolist(), records_read.dst_bytes.tolist(),
+                        records_read.label.tolist(), records_read.keys,
+                        records_read.labels) == expected
 
-    def test_regular_chunks_take_the_decoder(self, monkeypatch):
+    @given(data=st.data(), size=CHUNK_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_line_named(self, path, data, size):
+        lines, _ = data.draw(kdd_lines())
+        bad = data.draw(st.integers(0, len(lines) - 1))
+        # Maybe a second bad line after the first, of any fault.
+        for index in {bad, data.draw(st.integers(bad, len(lines) - 1))}:
+            field, token, message = data.draw(KDD_MUTATIONS)
+            if index == bad:
+                expected = message
+            if field is None:
+                lines[index] = token
+            elif field == "pad":
+                lines[index] = token + lines[index] + token
+            else:
+                fields = lines[index].split(",")
+                fields[field] = token
+                lines[index] = ",".join(fields)
+        text, numbers = data.draw(file_layout(lines))
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with chunk_bytes(size), pytest.raises(ParseError) as error:
+            parse(path)
+        assert str(error.value).startswith(f"line {numbers[bad]}: {expected}")
+
+    def test_regular_chunks_take_the_decoder(self):
         lines = [record_line(src=i, label=label) for i, label in enumerate(["smurf.", "normal."])]
-        monkeypatch.setattr(kdd, "_parse_lines", None)
         records = parse(lines + ["", lines[0]])
         assert records.src_bytes.tolist() == [0, 1, 0]
         assert records.labels == ("smurf", "normal")
@@ -261,11 +329,8 @@ class TestChunkedParse:
         fields = record_line().split(",")
         fields[6] = token
         lines = [record_line(), ",".join(fields)]
-        if token == "-1":
-            assert parse(lines).src_bytes.tolist() == [215, 215]
-        else:
-            with pytest.raises(ParseError, match=rf"^line 2: non-numeric continuous field 6: '{token}'"):
-                parse(lines)
+        with pytest.raises(ParseError, match=rf"^line 2: non-numeric continuous field 6: '{token}'"):
+            parse(lines)
 
     def test_line_numbers_count_every_break(self, tmp_path):
         path = tmp_path / "records.csv"

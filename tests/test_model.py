@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from event_rows import series
 from fvba.errors import ParameterError
 from fvba.model import (
     NORMAL,
@@ -96,9 +97,9 @@ class TestEventTable:
 
 
 class TestWindowSample:
-    def test_from_flows_derives_aggregates(self):
+    def test_windowized_sample_derives_aggregates(self):
         flows = {key(): 100, key(sport=9): 50}
-        sample = WindowSample.from_flows(0, 0.0, 0.2, ProtocolCategory.TCP, flows)
+        (sample,) = series([flows], ProtocolCategory.TCP)
         assert sample.volume == 150
         assert sample.flow_count == 2
 
@@ -116,7 +117,7 @@ class TestWindowSample:
         for flow_id, count in entries:
             k = key(sport=1000 + flow_id)
             flows[k] = flows.get(k, 0) + count
-        sample = WindowSample.from_flows(3, 0.6, 0.2, ProtocolCategory.TCP, flows)
+        (sample,) = series([flows], ProtocolCategory.TCP, first=3)
         assert sample.volume == sum(flows.values())
         assert sample.flow_count == len(flows)
 

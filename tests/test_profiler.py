@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from event_rows import Row, table
+from event_rows import Row, series, table
 from fvba.errors import InsufficientDataError, OrderingError, ParameterError, ParseError
-from fvba.model import FlowKey, ProtocolCategory, WindowSample
+from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import (
     NormalProfile,
     build_profile,
@@ -184,10 +184,7 @@ class TestWindowize:
 
 class TestBuildProfile:
     def make_samples(self, volumes, proto=TCP):
-        return [
-            WindowSample.from_flows(i, i * 0.2, 0.2, proto, {tcp_key(0): v} if v else {})
-            for i, v in enumerate(volumes)
-        ]
+        return series([{tcp_key(0): v} if v else {} for v in volumes], proto)
 
     def test_constant_series(self):
         profile = build_profile(self.make_samples([100, 100, 100]))
@@ -204,9 +201,7 @@ class TestBuildProfile:
             build_profile(self.make_samples([100]))
 
     def test_mixed_protocols_rejected(self):
-        samples = self.make_samples([100, 100]) + [
-            WindowSample.from_flows(2, 0.4, 0.2, UDP, {})
-        ]
+        samples = self.make_samples([100, 100]) + series([{}], UDP, first=2)
         with pytest.raises(ParameterError):
             build_profile(samples)
 
@@ -247,10 +242,7 @@ class TestBuildProfile:
         assert profile.per_flow_std == pytest.approx(ps, rel=1e-9)
 
     def test_window_scope_per_flow_stats(self):
-        samples = [
-            WindowSample.from_flows(0, 0.0, 0.2, TCP, {tcp_key(0): 100, tcp_key(1): 300}),
-            WindowSample.from_flows(1, 0.2, 0.2, TCP, {tcp_key(0): 100}),
-        ]
+        samples = series([{tcp_key(0): 100, tcp_key(1): 300}, {tcp_key(0): 100}], TCP)
         capture = build_profile(samples, per_flow_scope="capture")
         window = build_profile(samples, per_flow_scope="window")
         assert capture.per_flow_mean == 250  # totals {200, 300}

@@ -45,12 +45,6 @@ class TestScenarioConfig:
         with pytest.raises(ParameterError):
             ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=5, zombies=3)
 
-    def test_factories(self):
-        free = ScenarioConfig.attack_free(10, duration=20.0, seed=1)
-        assert free.zombies == 0 and free.attack_end == 20.0
-        assert ScenarioConfig.high_rate(10).zombies == 100
-        assert ScenarioConfig.diluted_low_rate(10).kind is ScenarioKind.DILUTED_LOW_RATE
-
     def test_attack_free_spans_the_run(self):
         # Shorter than the default attack_end of 50 s.
         config = ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=2, duration=10.0)
@@ -66,19 +60,21 @@ class TestScenarioConfig:
     def test_expected_event_count_bounded(self):
         # Rejected in the constructor, before generate allocates anything.
         with pytest.raises(ParameterError, match=r"expects 6e\+13 events"):
-            ScenarioConfig.attack_free(2, duration=1e12)
+            ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=2, duration=1e12)
         # 10**5 zombies at 3 Mb/s send 3.75e7 packets/s over the 25 s attack,
         # on top of 90,000 request chunks.
         with pytest.raises(ParameterError, match=r"expects 9.376e\+08 events"):
-            ScenarioConfig.high_rate(40, zombies=100_000)
+            ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40,
+                           zombies=100_000)
         # Flow counts share the bound, so no count overflows the float arithmetic.
         with pytest.raises(ParameterError, match="legitimate clients must lie in"):
-            ScenarioConfig.attack_free(10**400)
+            ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=10**400)
         with pytest.raises(ParameterError, match="zombie count must lie in"):
-            ScenarioConfig.high_rate(40, zombies=10**400)
+            ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40,
+                           zombies=10**400)
         # The default high-rate scenario expects 90,000 chunks and 937,500 packets.
         assert 1_027_500 <= MAX_EXPECTED_EVENTS
-        ScenarioConfig.high_rate(40)
+        ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40, zombies=100)
 
     def test_kind_parse(self):
         assert ScenarioKind.parse("varied") is ScenarioKind.VARIED_RATE
@@ -112,7 +108,8 @@ class TestGenerate:
                 assert 5.0 <= e.timestamp < 20.0
 
     def test_attack_free_has_no_udp_and_normal_truth(self):
-        stream = generate(ScenarioConfig.attack_free(10, duration=20.0, seed=3))
+        stream = generate(ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=10,
+                                         duration=20.0, seed=3))
         assert all(e.key.protocol is TCP for e in rows(stream.events))
         assert all(not label.is_attack for label in stream.truth.values())
         assert stream.attack_windows(0.2) == set()
