@@ -254,7 +254,7 @@ def float_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     the tokens that hold a byte outside [0-9A-Za-z.+-] or that numpy's cast
     rejects (the cast alone also reads "1_0", " 1" and "1\x0b")."""
     padded, inside = padded_tokens(codes, starts, ends)
-    bad = any_last(inside > _FLOAT_BYTES.take(padded))
+    bad = (inside > _FLOAT_BYTES.take(padded)).any(axis=-1)
     tokens = padded.view(f"S{padded.shape[1]}").ravel()
     tokens[bad] = b"0"
     try:
@@ -278,18 +278,11 @@ def digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     # Right-aligned digits, zero to the left of each token.
     index = ends[..., None] - width + np.arange(width, dtype=np.int32)
     digits = np.where(index >= starts[..., None], codes[np.maximum(index, 0)] - 48, 0)
-    bad = any_last(digits > 9) | (widths < 1)
+    bad = (digits > 9).any(axis=-1) | (widths < 1)
     digits = digits[..., -_POWERS.size :]
     values = digits.astype(np.uint64) @ _POWERS[-digits.shape[-1] :]
     values[widths > _POWERS.size] = np.iinfo(np.uint64).max
     return values, bad
-
-
-def any_last(mask: np.ndarray) -> np.ndarray:
-    """`mask.any(axis=-1)`, which numpy reduces slowly over a short last axis."""
-    found = np.zeros(mask.shape[:-1], dtype=bool)
-    found.flat[np.flatnonzero(mask) // mask.shape[-1]] = True
-    return found
 
 
 def intern_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines: np.ndarray,
@@ -325,8 +318,8 @@ def append_columns(columns, values) -> None:
 
 
 def dump_truth(truth: Mapping[FlowKey, GroundTruthLabel]) -> str:
-    # Sorting the lines sorts by the key columns: keys are distinct, and
-    # the last key column holds digits, which sort after the tab.
+    # Lines sorted as text, for an output that does not depend on the
+    # mapping's order.
     return "".join(sorted(f"{_key_columns(key)}\t{label}\n" for key, label in truth.items()))
 
 

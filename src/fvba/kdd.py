@@ -155,9 +155,10 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
     exactly tcp, udp or icmp; continuous fields 0 and 6-40 are decimal
     digits with at most one "." (and at least one digit); src_bytes and
     dst_bytes are decimal digits within int64.  Service, flag and label
-    may hold any byte but a comma or a line break; a label is lowercased
-    and loses its trailing dots.  Raises io.BadLine for the first line
-    that fails (see `io.decode_lines`).
+    may hold any byte but a comma or a line break, except that a label
+    does not start or end with whitespace; it is lowercased and loses its
+    trailing dots.  Raises io.BadLine for the first line that fails (see
+    `io.decode_lines`).
     """
     if not chunk.isascii():
         try:
@@ -179,7 +180,10 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
         return flow_ids.setdefault((code, service, flag), len(flow_ids))
 
     def label_id(token: bytes) -> int:
-        return names.setdefault(token.decode().rstrip(".").lower(), len(names))
+        label = token.decode()
+        if label != label.strip():
+            raise ValueError(f"label padded with whitespace: {label!r}")
+        return names.setdefault(label.rstrip(".").lower(), len(names))
 
     flows = fio.intern_tokens(codes, starts[:, PROTOCOL_INDEX], ends[:, FLAG_INDEX], lines,
                               flow_id)
@@ -199,7 +203,7 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
         kept = rights - lefts
         bad = ((kept > 1) | (kept == 1) & (marks[lefts] != 46)
                | (widths[:, field : field + kept.shape[1]] <= kept))
-        fio.reject(fio.any_last(bad), lines, lambda row: (
+        fio.reject(bad.any(axis=-1), lines, lambda row: (
             f"non-numeric continuous field {field + bad[row].argmax()}:"
             f" {text(row, field + bad[row].argmax())!r}"))
     counts, bad = fio.digit_values(codes, starts[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1],
@@ -211,7 +215,7 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
         return (f"{_BYTE_FIELDS[field]} must be a non-negative count within int64,"
                 f" got {text(row, field)!r}")
 
-    fio.reject(fio.any_last(bad), lines, bad_count)
+    fio.reject(bad.any(axis=-1), lines, bad_count)
     labels = fio.intern_tokens(codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT], lines,
                                label_id)
     protocols = np.array([p for p, _, _ in flow_ids], dtype=np.int8)[flows]

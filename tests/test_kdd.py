@@ -227,7 +227,9 @@ def kdd_lines(draw):
     """Valid KDD lines in odd but accepted spellings, and the
     (protocol, service, flag, src_bytes, dst_bytes, label) each holds."""
     services = draw(st.lists(FIELD_TEXT, min_size=1, max_size=3))
-    labels = draw(st.lists(FIELD_TEXT | st.sampled_from(["normal.", "SMURF", "smurf.."]),
+    # A label neither starts nor ends with whitespace.
+    labels = draw(st.lists(FIELD_TEXT.map(str.strip)
+                           | st.sampled_from(["normal.", "SMURF", "smurf.."]),
                            min_size=1, max_size=3))
     lines, records = [], []
     for _ in range(draw(st.integers(1, 10))):
@@ -244,8 +246,9 @@ def kdd_lines(draw):
 
 
 # (field, token, start of the message) of one bad field; field None
-# replaces the whole line, field "pad" wraps it in the token.  A lone
-# surrogate is written as the byte it escapes.
+# replaces the whole line, field "pad" wraps it in the token and field
+# "end" appends the token.  A lone surrogate is written as the byte it
+# escapes.
 KDD_MUTATIONS = st.sampled_from([
     (1, "gre", "unknown protocol_type 'gre'"), (1, "TCP", "unknown protocol_type 'TCP'"),
     (1, "tcp ", "unknown protocol_type 'tcp '"),
@@ -259,6 +262,9 @@ KDD_MUTATIONS = st.sampled_from([
     (None, " ", "expected 42 fields, got 1"), (None, "0," * 42 + "x", "expected 42 fields, got 43"),
     (2, "ht\udcfftp", "not UTF-8: byte 0xff"), (41, "\udce9", "not UTF-8: byte 0xe9"),
     ("pad", " ", "non-numeric continuous field 0: ' "),
+    *(("end", token, "label padded with whitespace: '")
+      for token in (" ", "\t", "\x0b", "\x85", "\u2028")),
+    (41, " normal.", "label padded with whitespace: ' normal.'"),
 ])
 
 
@@ -308,6 +314,8 @@ class TestChunkedParse:
                 lines[index] = token
             elif field == "pad":
                 lines[index] = token + lines[index] + token
+            elif field == "end":
+                lines[index] += token
             else:
                 fields = lines[index].split(",")
                 fields[field] = token
