@@ -1,9 +1,10 @@
 """Command-line pipeline: profile, detect, characterize, simulate, kdd, sweep, score.
 
 All inputs and outputs are the plain-text interchange formats (UTF-8, LF,
-tab separators).  Every subcommand is deterministic given its flags; seeds
-are explicit.  Exit codes: 0 success (no attack), 2 attack detected (the
-`detect` subcommand only), 1 on any error.
+tab separators); an input path that ends in ".gz" is read as gzip.  Every
+subcommand is deterministic given its flags; seeds are explicit.  Exit
+codes: 0 success (no attack), 2 attack detected (the `detect` subcommand
+only), 1 on any error.
 
 An optional ``--config FILE`` supplies key=value defaults (keys are the
 long flag names without the leading dashes); explicit flags win.
@@ -57,18 +58,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file, with "\r\n" and "\r" read as "\n"."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bad byte's line: "\r\n", "\r" and "\n" each end one line.
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line=line) from None
-    del data
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    """The text of a small input file, read and checked as every input is:
+    gzip by name, UTF-8 by line, with "\r\n" and "\r" read as "\n"."""
+    return fio.decode_lines(bytes.decode, b"".join(fio.read_chunks(fio.read_source(path))), 0)
 
 
 _FACTOR_SERIES = ((None, ""), (ProtocolCategory.TCP, "tcp_"), (ProtocolCategory.UDP, "udp_"),
@@ -126,7 +118,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    events = fio.load_events(_read(args.events))
+    events = fio.load_events(args.events)
     if not events:
         raise InsufficientDataError("no events to profile")
     if args.aggregate:
@@ -145,7 +137,7 @@ def cmd_profile(args) -> int:
 
 def _profiled_series(args):
     """The events windowed per profiled series, and the profiles; notes unprofiled protocols."""
-    events = fio.load_events(_read(args.events))
+    events = fio.load_events(args.events)
     profiles = load_profiles(_read(args.profile))
     unprofiled = set() if None in profiles else events.protocols() - set(profiles)
     if unprofiled:
@@ -241,7 +233,7 @@ def _load_grid(path: str, profile: NormalProfile) -> list[ToleranceFactors]:
 
 
 def cmd_sweep(args) -> int:
-    events = fio.load_events(_read(args.events))
+    events = fio.load_events(args.events)
     profiles = load_profiles(_read(args.profile))
     if len(profiles) != 1:
         raise ParameterError(

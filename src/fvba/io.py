@@ -12,7 +12,11 @@ UTF-8; "\n", "\r\n" and "\r" are the only line breaks.
 
 from __future__ import annotations
 
+import gzip
+import os
+import zlib
 from array import array
+from contextlib import closing
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -39,42 +43,33 @@ def dump_events(events: EventTable) -> str:
     ])
 
 
-def load_events(text: str) -> EventTable:
-    """Parse an event file into an EventTable, a chunk of lines at a time.
+def load_events(source) -> EventTable:
+    """Parse the events of a path or an iterable of lines (`read_source`),
+    a chunk of lines at a time; `_decode_events` defines the format.
 
-    `_decode_events` decodes each chunk and defines the format.  Each
-    distinct flow's key text is parsed and validated once, and flows are
-    numbered in order of first appearance.  Raises ParseError naming the
-    first malformed line (see `_decode_events`), or OrderingError naming
-    the line of the first event that is earlier than its predecessor.
+    Each distinct flow's key text is parsed and validated once, and flows
+    are numbered in order of first appearance.  Raises ParseError naming
+    the first malformed line (see `_decode_events`), or OrderingError
+    naming the line of the first event that is earlier than its
+    predecessor.
     """
     columns = (array("d"), array("i"), array("q"))
-    interned: dict[str, int] = {}
     flow_ids: dict[FlowKey, int] = {}
-    number, previous = 0, 0.0
-    blocks = (text[start : start + CHUNK_BYTES].encode("utf-8", "surrogatepass")
-              for start in range(0, len(text), CHUNK_BYTES))
-    for chunk in decoder_chunks(blocks):
-        decode = partial(_decode_events, previous=previous, interned=interned, flow_ids=flow_ids)
-        decoded = decode_lines(decode, chunk, number)
-        append_columns(columns, decoded)
-        number += chunk.count(b"\n")
-        if len(decoded[0]):
-            previous = float(decoded[0][-1])
+    decode = partial(_decode_events, earlier=columns[0], interned={}, flow_ids=flow_ids)
+    decode_source(source, decode, columns)
     return EventTable(*columns, list(flow_ids))
 
 
-def _flow_id(text: str, interned: dict[str, int], flow_ids: dict[FlowKey, int]) -> int:
+def _flow_id(text: str, flow_ids: dict[FlowKey, int]) -> int:
     """Parse, validate and intern the key columns `proto\tsrc\tsport\tdst\tdport`."""
     proto, src, sport, dst, dport = text.split("\t")
     key = FlowKey(protocol=ProtocolCategory.parse(proto), src_addr=src, dst_addr=dst,
                   src_port=int(sport), dst_port=int(dport)).validate()
     # Texts such as "tcp" and "TCP" name one flow.
-    flow = interned[text] = flow_ids.setdefault(key, len(flow_ids))
-    return flow
+    return flow_ids.setdefault(key, len(flow_ids))
 
 
-def _decode_events(chunk: bytes, previous: float, interned: dict[str, int],
+def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
                    flow_ids: dict[FlowKey, int]):
     """The (timestamp, flow, bytes) columns of the lines of a chunk.
 
@@ -83,19 +78,21 @@ def _decode_events(chunk: bytes, previous: float, interned: dict[str, int],
     accepts; a timestamp of bytes [0-9A-Za-z.+-] that numpy's float64
     cast reads; a byte count of decimal digits; a finite timestamp >= 0;
     a byte count in [1, 2**63 - 1]; a timestamp no earlier than the line
-    before (`previous` for the first).  Raises BadLine for the first line
-    that fails (see `decode_lines`).
+    before (for the first, the last of `earlier`, the timestamps of the
+    chunks before).  Raises BadLine for the first line that fails (see
+    `decode_lines`).
     """
+    previous = earlier[-1] if earlier else 0.0
     codes, starts, ends = split_fields(chunk, b"\t", 7, "columns")
     lines = starts[:, 0]
 
     def text(row: int, column: int) -> str:
-        return chunk[starts[row, column] : ends[row, column]].decode("utf-8", "surrogatepass")
+        return chunk[starts[row, column] : ends[row, column]].decode()
 
     def flow_id(token: bytes) -> int:
-        key_text = token.decode("utf-8", "surrogatepass")
-        flow = interned.get(key_text)
-        return _flow_id(key_text, interned, flow_ids) if flow is None else flow
+        if token not in interned:
+            interned[token] = _flow_id(token.decode(), flow_ids)
+        return interned[token]
 
     flows = intern_tokens(codes, starts[:, 1], ends[:, 5], lines, flow_id)
     timestamps, bad = float_values(codes, starts[:, 0], ends[:, 0])
@@ -126,11 +123,42 @@ _FLOAT_BYTES = np.zeros(256, dtype=bool)
 _FLOAT_BYTES[list(b"0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")] = True
 
 
+def read_source(source) -> Iterator[bytes]:
+    """The bytes of a path (gzip when it ends in ".gz") or of an iterable of
+    lines, each given a missing "\n".  Raises ParseError naming the file
+    for corrupt or truncated gzip data."""
+    if isinstance(source, (str, bytes, os.PathLike)):
+        path = os.fsdecode(source)
+        opener = gzip.open if path.endswith(".gz") else open
+        with opener(path, "rb") as handle:
+            try:
+                yield from iter(partial(handle.read, CHUNK_BYTES), b"")
+            except (EOFError, zlib.error) as exc:
+                raise ParseError(f"{path}: corrupt or truncated gzip data: {exc}") from None
+    else:
+        for line in source:
+            # A lone surrogate is kept, for the UTF-8 check to reject.
+            yield line.encode("utf-8", "surrogatepass") + (b"" if line.endswith("\n") else b"\n")
+
+
+def decode_source(source, decode: Callable[[bytes], tuple], columns) -> None:
+    """The one loop of the text parsers: for each chunk of `source`, append
+    each array of `decode_lines(decode, ...)` to the `array` column of the
+    same position."""
+    number = 0
+    # Closed here, so that a file is closed as soon as a bad line stops the loop.
+    with closing(read_source(source)) as blocks:
+        for chunk in decoder_chunks(blocks):
+            for column, values in zip(columns, decode_lines(decode, chunk, number)):
+                column.frombytes(np.asarray(values, dtype=column.typecode).tobytes())
+            number += chunk.count(b"\n")
+
+
 def read_chunks(blocks: Iterable[bytes]) -> Iterator[bytes]:
     """Regroup byte blocks into chunks of about CHUNK_BYTES that each end at "\n".
 
-    "\r\n" and a lone "\r" become "\n" first, because both text formats
-    count either as one line break; a last line without a break gets one.
+    "\r\n" and a lone "\r" become "\n" first, because every text format
+    counts either as one line break; a last line without a break gets one.
     """
     pending: list[bytes] = []
     size = 0
@@ -195,16 +223,23 @@ def reject(bad: np.ndarray, offsets: np.ndarray, message: Callable[[int], str],
         raise BadLine(int(offsets[line]), message(line), kind)
 
 
-def decode_lines(decode: Callable[[bytes], tuple], chunk: bytes, number: int) -> tuple:
+def decode_lines(decode: Callable[[bytes], object], chunk: bytes, number: int):
     """`decode(chunk)` for a chunk that follows line `number` of its file.
 
-    A decoder checks all its lines for one condition at a time, in the
-    order the conditions apply to one line, and raises BadLine for the
-    first line that fails.  A line before it may fail a later condition,
-    so the lines before it are decoded again first: the error raised
-    names the first bad line of the file.  A rejected chunk yields nothing.
+    Every line is checked to be UTF-8 first.  A decoder checks all its
+    lines for one condition at a time, in the order the conditions apply to
+    one line, and raises BadLine for the first line that fails.  A line
+    before it may fail a later condition, so the lines before it are
+    decoded again first: the error raised names the first bad line of the
+    file.  A rejected chunk yields nothing.
     """
     try:
+        if not chunk.isascii():
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise BadLine(chunk.rfind(b"\n", 0, exc.start) + 1,
+                              f"not UTF-8: byte {chunk[exc.start]:#04x}") from None
         return decode(chunk)
     except BadLine as bad:
         if bad.offset:
@@ -308,12 +343,6 @@ def intern_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines
     return found[inverse.reshape(-1)]
 
 
-def append_columns(columns, values) -> None:
-    """Append each array of `values` to the `array` column of the same position."""
-    for column, value in zip(columns, values):
-        column.frombytes(np.asarray(value, dtype=column.typecode).tobytes())
-
-
 # --- small formats -----------------------------------------------------------------
 
 
@@ -325,8 +354,8 @@ def dump_truth(truth: Mapping[FlowKey, GroundTruthLabel]) -> str:
 
 def load_truth(text: str) -> dict[FlowKey, GroundTruthLabel]:
     """Parse a truth sidecar; an empty line is skipped.  Each key is parsed
-    as the event format's key columns (`_flow_id`)."""
-    interned: dict[str, int] = {}
+    as the event format's key columns (`_flow_id`).  Raises ParseError
+    naming the line of a malformed row or of a flow given before."""
     flow_ids: dict[FlowKey, int] = {}
     labels: dict[int, GroundTruthLabel] = {}
     for number, line in enumerate(text.split("\n"), start=1):
@@ -337,7 +366,10 @@ def load_truth(text: str) -> dict[FlowKey, GroundTruthLabel]:
             if columns != 6:
                 raise ParseError(f"expected 6 columns, got {columns}")
             key_text, label = line.rsplit("\t", 1)
-            labels[_flow_id(key_text, interned, flow_ids)] = GroundTruthLabel.parse(label)
+            flow = _flow_id(key_text, flow_ids)
+            if flow in labels:
+                raise ParseError(f"flow {key_text!r} given twice")
+            labels[flow] = GroundTruthLabel.parse(label)
         except (ValueError, ParseError) as exc:
             raise ParseError(str(exc), line=number) from None
     keys = list(flow_ids)

@@ -15,9 +15,6 @@ on a few.
 
 from __future__ import annotations
 
-import gzip
-import os
-import zlib
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +24,7 @@ import numpy as np
 
 from . import io as fio
 from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
-from .errors import ParameterError, ParseError
+from .errors import ParameterError
 from .evaluation import (
     BreakdownRow,
     RecordWindowTruth,
@@ -109,39 +106,18 @@ class KddTable:
         return np.array([name in names for name in self.labels], dtype=bool)[self.label]
 
 
-def _blocks(source) -> Iterator[bytes]:
-    """The bytes of a path (gzip when it ends in ".gz") or of an iterable of
-    lines, each given a missing "\n"."""
-    if isinstance(source, (str, bytes, os.PathLike)):
-        path = os.fsdecode(source)
-        opener = gzip.open if path.endswith(".gz") else open
-        with opener(path, "rb") as handle:
-            try:
-                yield from iter(partial(handle.read, fio.CHUNK_BYTES), b"")
-            except (EOFError, zlib.error) as exc:
-                raise ParseError(f"{path}: corrupt or truncated gzip data: {exc}") from None
-    else:
-        for line in source:
-            yield line.encode("utf-8", "surrogatepass") + (b"" if line.endswith("\n") else b"\n")
-
-
 def parse(source) -> KddTable:
-    """Parse connection records from a path (gzip or plain) or an iterable of lines.
+    """Parse connection records from a path or an iterable of lines
+    (`io.read_source`), a chunk of lines at a time; `_decode_chunk` defines
+    the format.
 
-    The input is read a chunk of lines at a time (`io.decoder_chunks`), and
-    `_decode_chunk` decodes each chunk and defines the format.  Flows and
-    labels are numbered in order of first appearance.  Raises ParseError
-    naming the first malformed line (see `_decode_chunk`), and a
-    ParseError naming the file for corrupt gzip data.
+    Flows and labels are numbered in order of first appearance.  Raises
+    ParseError naming the first malformed line (see `_decode_chunk`).
     """
     columns = tuple(array(t) for t in ("b", "i", "q", "q", "i"))
     flow_ids: dict[tuple[int, str, str], int] = {}
     names: dict[str, int] = {}
-    decode = partial(_decode_chunk, flow_ids=flow_ids, names=names)
-    number = 0
-    for chunk in fio.decoder_chunks(_blocks(source)):
-        fio.append_columns(columns, fio.decode_lines(decode, chunk, number))
-        number += chunk.count(b"\n")
+    fio.decode_source(source, partial(_decode_chunk, flow_ids=flow_ids, names=names), columns)
     keys = tuple(FlowKey(PROTOCOLS[p], service, flag, 0, 0) for p, service, flag in flow_ids)
     return KddTable(*columns, keys, tuple(names))
 
@@ -150,22 +126,16 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
                   names: dict[str, int]):
     """The (protocol, flow, src_bytes, dst_bytes, label) columns of the lines of a chunk.
 
-    An empty line is skipped.  Any other line is checked in this order:
-    it is UTF-8; it holds 42 comma-separated fields; protocol_type is
-    exactly tcp, udp or icmp; continuous fields 0 and 6-40 are decimal
-    digits with at most one "." (and at least one digit); src_bytes and
-    dst_bytes are decimal digits within int64.  Service, flag and label
-    may hold any byte but a comma or a line break, except that a label
-    does not start or end with whitespace; it is lowercased and loses its
-    trailing dots.  Raises io.BadLine for the first line that fails (see
+    An empty line is skipped.  Any other line is checked in this order,
+    after the UTF-8 check of `io.decode_lines`: it holds 42 comma-separated
+    fields; protocol_type is exactly tcp, udp or icmp; continuous fields 0
+    and 6-40 are decimal digits with at most one "." (and at least one
+    digit); src_bytes and dst_bytes are decimal digits within int64.
+    Service, flag and label may hold any byte but a comma or a line break,
+    except that a label does not start or end with whitespace; it is
+    lowercased and loses its trailing dots.  Raises io.BadLine for the first line that fails (see
     `io.decode_lines`).
     """
-    if not chunk.isascii():
-        try:
-            chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise fio.BadLine(chunk.rfind(b"\n", 0, exc.start) + 1,
-                              f"not UTF-8: byte {chunk[exc.start]:#04x}") from None
     codes, starts, ends = fio.split_fields(chunk, b",", FEATURE_COUNT + 1, "fields")
     lines = starts[:, 0]
 

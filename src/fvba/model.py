@@ -39,7 +39,8 @@ class FlowKey(NamedTuple):
     """5-tuple flow identity.
 
     Addresses are opaque tokens (the toolkit never interprets them), but
-    hold no tab or line break, so that the event format can carry them.
+    hold no tab, line break or lone surrogate, so that the event format,
+    UTF-8 text, can carry them.
     ICMP flows carry port 0 on both sides.
     """
 
@@ -54,6 +55,8 @@ class FlowKey(NamedTuple):
             # splitlines drops exactly the characters it splits on.
             if "\t" in address or "".join(address.splitlines()) != address:
                 raise ParameterError(f"flow address holds a tab or line break: {address!r}")
+            if any("\ud800" <= char <= "\udfff" for char in address):
+                raise ParameterError(f"flow address holds a lone surrogate: {address!r}")
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
                 raise ParameterError(f"port out of range: {port}")

@@ -193,7 +193,8 @@ def build_profile(
         for sample in samples:
             for key, count in sample.per_flow_bytes.items():
                 totals[key] = totals.get(key, 0) + count
-        observations = np.array(list(totals.values()), dtype=np.float64)
+        # Sorted, so that the statistics do not depend on flow numbering.
+        observations = np.sort(np.array(list(totals.values()), dtype=np.float64))
     else:
         observations = np.array(
             [b for s in samples for b in s.per_flow_bytes.values()], dtype=np.float64

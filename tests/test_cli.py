@@ -141,6 +141,15 @@ class TestDetectCommand:
         assert err.startswith("fvba detect: error: tolerance factors must be positive and finite")
         assert not (tmp_path / "v.tsv").exists()
 
+    def test_gzip_events_give_the_same_verdicts(self, pipeline):
+        tmp_path, _, attack, profile = pipeline
+        packed = tmp_path / "attack.tsv.gz"
+        packed.write_bytes(gzip.compress(attack.read_bytes()))
+        for events, name in ((attack, "plain.tsv"), (packed, "packed.tsv")):
+            assert run(["detect", "--events", events, "--profile", profile,
+                        "--out", tmp_path / name], tmp_path) == 2
+        assert (tmp_path / "plain.tsv").read_bytes() == (tmp_path / "packed.tsv").read_bytes()
+
     def test_jobs_flag_does_not_change_output(self, pipeline):
         tmp_path, _, attack, profile = pipeline
         for jobs, name in ((1, "v1.tsv"), (4, "v4.tsv")):
@@ -352,11 +361,32 @@ class TestMalformedInput:
         events.write_bytes(b"0.0\tTCP\tc0\t1\tsrv\t80\t10\r\n0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
         self.fails(capsys, ["profile", "--events", events, "--out", tmp_path / "p.txt"],
                    "fvba profile: error: line 2: not UTF-8: byte 0xff")
-        # "\r" ends a line, "\x0b" and "\x85" do not.
+        # "\r" ends a line, "\x0b" and "\x85" do not: line 1 is one bad
+        # address, named before line 2.
         events.write_bytes(b"0.0\tTCP\tc\x0b\xc2\x85\t1\tsrv\t80\t10\r0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
         self.fails(capsys, ["detect", "--events", events, "--profile", tmp_path / "p.txt",
                             "--out", tmp_path / "v.tsv"],
+                   "fvba detect: error: line 1: flow address holds a tab or line break: 'c\\x0b\\x85'")
+        events.write_bytes(b"0.0\tTCP\tc0\t1\tsrv\t80\t10\r0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
+        self.fails(capsys, ["detect", "--events", events, "--profile", tmp_path / "p.txt",
+                            "--out", tmp_path / "v.tsv"],
                    "fvba detect: error: line 2: not UTF-8: byte 0xff")
+
+    def test_first_bad_line_named_before_a_later_non_utf8_line(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        events.write_bytes(b"0.0\tTCP\tc0\t1\tsrv\t80\n0.1\tTCP\tc\xff\t1\tsrv\t80\t10\n")
+        self.fails(capsys, ["profile", "--events", events, "--out", tmp_path / "p.txt"],
+                   "fvba profile: error: line 1: expected 7 columns, got 6")
+
+    def test_events_truncated_gzip(self, pipeline, capsys):
+        tmp_path, _, attack, profile = pipeline
+        path = tmp_path / "attack.tsv.gz"
+        data = gzip.compress(attack.read_bytes())
+        path.write_bytes(data[: len(data) // 2])
+        self.fails(capsys, ["detect", "--events", path, "--profile", profile,
+                            "--out", tmp_path / "v.tsv"],
+                   f"fvba detect: error: {path}: corrupt or truncated gzip data: Compressed file"
+                   " ended before the end-of-stream marker was reached")
 
     def kdd_fails(self, capsys, path, message):
         self.fails(capsys, ["kdd", "--train", path, "--out", path.parent / "scores.tsv"],
@@ -441,14 +471,33 @@ class TestFuzz:
         if code == 1:
             assert err.getvalue().startswith(f"fvba {argv[0]}: error: "), err.getvalue()
 
-    @given(data=st.data())
+    @given(data=st.data(), compress=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_event_commands(self, fuzz_inputs, data):
+    def test_event_commands(self, fuzz_inputs, data, compress):
         root, events, profile, _ = fuzz_inputs
-        mangled = root / "mangled.tsv"
+        if compress:
+            events = gzip.compress(events, mtime=0)
+        mangled = root / ("mangled.tsv.gz" if compress else "mangled.tsv")
         mangled.write_bytes(_mutate(events, data.draw(_mutations(events))))
         self.check(["profile", "--events", mangled, "--out", root / "p.txt"])
         self.check(["detect", "--events", mangled, "--profile", profile, "--out", root / "v.tsv"])
+        self.check(["characterize", "--events", mangled, "--profile", profile,
+                    "--out", root / "c.tsv", "--throttle-out", root / "t.tsv"])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_config_file(self, fuzz_inputs, data):
+        root, _, profile, _ = fuzz_inputs
+        config = b"# detect defaults\nr1 = 6\nr2=6\njobs=1\n"
+        mangled = root / "mangled.conf"
+        mangled.write_bytes(_mutate(config, data.draw(_mutations(config))))
+        try:
+            self.check(["detect", "--config", mangled, "--events", root / "events.tsv",
+                        "--profile", profile, "--out", root / "v.tsv"])
+        except SystemExit as exit:
+            # argparse ends a rejected entry with usage and code 2, and a key
+            # such as "h" abbreviates --help, which prints help and exits 0.
+            assert exit.code in (0, 2)
 
     @given(data=st.data(), compress=st.booleans())
     @settings(max_examples=40, deadline=None)

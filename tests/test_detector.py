@@ -276,7 +276,24 @@ class TestDetectProfiled:
         assert not any(r.is_attack for r in verdicts[TCP])
 
 
+@st.composite
+def verdict_lists(draw):
+    """Verdicts with any values `VerdictReport` accepts."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    reports = []
+    for _ in range(draw(st.integers(0, 5))):
+        triggered = frozenset(draw(st.sets(st.sampled_from(list(TriggerCondition)))))
+        reports.append(VerdictReport(draw(st.integers(-2**70, 2**70)),
+                                     draw(st.sampled_from([*ProtocolCategory, None])),
+                                     bool(triggered), triggered, draw(finite), draw(finite)))
+    return reports
+
+
 class TestVerdictSerialization:
+    @given(verdict_lists())
+    def test_every_verdict_round_trips(self, reports):
+        assert load_verdicts(dump_verdicts(reports)) == reports
+
     def test_round_trip(self):
         th = Thresholds(TCP, x_th=60, v_th=12)
         reports = detect_series(

@@ -1,3 +1,5 @@
+import gzip
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -23,7 +25,7 @@ def events_fixture():
 class TestEventFormat:
     def test_round_trip_exact(self):
         events = events_fixture()
-        assert fio.load_events(fio.dump_events(events)) == events
+        assert fio.load_events([fio.dump_events(events)]) == events
 
     def test_line_layout(self):
         line = fio.dump_events(events_fixture()).splitlines()[0]
@@ -31,76 +33,117 @@ class TestEventFormat:
 
     def test_malformed_column_count(self):
         with pytest.raises(ParseError, match="line 1"):
-            fio.load_events("0.0\tTCP\tc0\t1\tsrv\n")
+            fio.load_events(["0.0\tTCP\tc0\t1\tsrv\n"])
 
     def test_invalid_bytes_named_by_line(self):
         good = fio.dump_events(events_fixture()).splitlines()[0] + "\n"
         with pytest.raises(ParseError, match="line 2"):
-            fio.load_events(good + "1.0\tTCP\tc0\t1\tsrv\t80\t0\n")
+            fio.load_events([good + "1.0\tTCP\tc0\t1\tsrv\t80\t0\n"])
 
     @pytest.mark.parametrize("timestamp", ["nan", "inf", "-inf", "NaN", "infinity"])
     def test_non_finite_timestamp_named_by_line(self, timestamp):
         text = f"0.0\tTCP\tc0\t1\tsrv\t80\t10\n{timestamp}\tTCP\tc0\t1\tsrv\t80\t10\n"
         with pytest.raises(ParseError, match="line 2: non-finite timestamp"):
-            fio.load_events(text)
+            fio.load_events([text])
 
     def test_negative_timestamp_named_by_line(self):
         with pytest.raises(ParseError, match="line 1: negative timestamp: -0.5"):
-            fio.load_events("-0.5\tTCP\tc0\t1\tsrv\t80\t10\n")
+            fio.load_events(["-0.5\tTCP\tc0\t1\tsrv\t80\t10\n"])
 
     def test_bytes_beyond_int64_named_by_line(self):
         line = "0.0\tTCP\tc0\t1\tsrv\t80\t{}\n"
-        assert len(fio.load_events(line.format(2**63 - 1))) == 1
+        assert len(fio.load_events([line.format(2**63 - 1)])) == 1
         with pytest.raises(ParseError, match="line 2: .*does not fit int64"):
-            fio.load_events(line.format(1) + line.format(2**63))
+            fio.load_events([line.format(1) + line.format(2**63)])
         # 19 digits that fit uint64 but not int64, and 20 digits.
         for count in ("9999999999999999999", "18446744073709551616"):
             with pytest.raises(ParseError, match=f"^line 1: .*does not fit int64: {count}$"):
-                fio.load_events(line.format(count))
+                fio.load_events([line.format(count)])
 
     def test_unsorted_named_by_line(self):
         # A blank line still counts, so the late event is on line 4.
         text = ("0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n"
                 "0.6\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tUDP\tz0\t9\tsrv\t9\t10\n")
         with pytest.raises(OrderingError, match=r"line 4: .*\(0.1 after 0.6\)"):
-            fio.load_events(text)
+            fio.load_events([text])
 
     def test_key_errors_named_by_line_once_per_key(self):
         # The key of line 2 is known from line 1; line 3's is new and bad.
         text = ("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\t10\n"
                 "0.2\tTCP\tc0\t1\tsrv\t99999\t10\n")
         with pytest.raises(ParseError, match="line 3: port out of range"):
-            fio.load_events(text)
+            fio.load_events([text])
         with pytest.raises(ParseError, match="line 2: expected 7 columns, got 8"):
-            fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\t10\t1\n")
+            fio.load_events(["0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\t10\t1\n"])
 
     def test_first_bad_line_named_whatever_its_fault(self):
         # Keys are checked before byte counts, yet line 2's count is named.
         text = ("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\tTCP\tc0\t1\tsrv\t80\tx\n"
                 "0.2\tgre\tc0\t1\tsrv\t80\t10\n")
         with pytest.raises(ParseError, match="^line 2: malformed event byte count: 'x'$"):
-            fio.load_events(text)
+            fio.load_events([text])
 
     def test_key_spellings_intern_to_one_flow(self):
-        events = fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\ttcp\tc0\t01\tsrv\t80\t20\n")
+        events = fio.load_events(["0.0\tTCP\tc0\t1\tsrv\t80\t10\n0.1\ttcp\tc0\t01\tsrv\t80\t20\n"])
         assert len(events.keys) == 1
         assert rows(events) == [Row(0.0, events.keys[0], 10), Row(0.1, events.keys[0], 20)]
 
+    def test_paths_and_gzip_read_as_lines(self, tmp_path):
+        events = events_fixture()
+        text = fio.dump_events(events)
+        plain, packed = tmp_path / "events.tsv", tmp_path / "events.tsv.gz"
+        plain.write_text(text)
+        packed.write_bytes(gzip.compress(text.encode()))
+        assert fio.load_events(plain) == fio.load_events(str(packed)) == events
+        # An item of several lines reads as those lines.
+        assert fio.load_events(text.splitlines()) == fio.load_events([text]) == events
+
+    def test_truncated_gzip_names_the_file(self, tmp_path):
+        path = tmp_path / "events.tsv.gz"
+        data = gzip.compress(fio.dump_events(events_fixture()).encode() * 200)
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ParseError, match=f"^{path}: corrupt or truncated gzip data"):
+            fio.load_events(path)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        good = "0.0\tTCP\tc0\t1\tsrv\t80\t10\n".encode()
+        path.write_bytes(good + good.replace(b"c0", b"c\xff") + good)
+        with pytest.raises(ParseError, match="^line 2: not UTF-8: byte 0xff$"):
+            fio.load_events(path)
+        # A lone surrogate of a line is encoded as it is, and rejected.
+        with pytest.raises(ParseError, match="^line 1: not UTF-8: byte 0xed$"):
+            fio.load_events(["0.0\tTCP\tc\ud800\t1\tsrv\t80\t10"])
+
+    def test_file_closed_when_a_bad_line_stops_the_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.tsv"
+        path.write_text("0.0\tTCP\tc0\t1\tsrv\t80\t10\nx\n" * 100)
+        handles = []
+        monkeypatch.setattr(fio, "open", lambda *args: handles.append(open(*args)) or handles[-1],
+                            raising=False)
+        with chunk_bytes(64), pytest.raises(ParseError, match="^line 2: ") as error:
+            fio.load_events(path)
+        # `error` holds the traceback, and with it the reading frames; the
+        # file is closed all the same.
+        assert error.tb is not None
+        assert handles[0].closed
+
     def test_blank_lines_skipped(self):
-        events = fio.load_events("\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n\n")
+        events = fio.load_events(["\n0.0\tTCP\tc0\t1\tsrv\t80\t10\n\n"])
         assert len(events) == 1
-        assert len(fio.load_events("")) == 0
+        assert len(fio.load_events([""])) == 0
         # Only an empty line is blank.
         with pytest.raises(ParseError, match="^line 2: expected 7 columns, got 1$"):
-            fio.load_events("0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n")
+            fio.load_events(["0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n"])
         with pytest.raises(ParseError, match="^line 1: unknown protocol category: ''"):
-            fio.load_events("\t\t\t\t\t\t\n")
+            fio.load_events(["\t\t\t\t\t\t\n"])
 
 
 # Address characters: the tab, every character str.splitlines splits on,
-# and ordinary, control, space-like and astral characters that must survive.
+# a lone surrogate, and ordinary, control, space-like and astral characters
+# that must survive.
 ADDRESS_TEXT = st.text(st.sampled_from(
-    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ud800"
     "aZ0 :.-_\x00\x7f\xa0\xe9\u200b\u3000\U0001f600"
 ), max_size=6)
 
@@ -146,7 +189,8 @@ def event_lines(draw, min_size=1):
 
 
 # (column, token, start of the message) of one bad field; column None
-# replaces the whole line, column "pad" wraps it in the token.
+# replaces the whole line, column "pad" wraps it in the token.  A lone
+# surrogate reaches the decoder as the three bytes that encode it.
 EVENT_MUTATIONS = st.sampled_from([
     (0, "nan", "non-finite timestamp"), (0, "1e999", "non-finite timestamp"),
     (0, "-1", "negative timestamp"), (0, " 0.5", "malformed timestamp"),
@@ -161,26 +205,33 @@ EVENT_MUTATIONS = st.sampled_from([
     (6, "9223372036854775808", "event byte count does not fit int64"),
     (6, "99999999999999999999", "event byte count does not fit int64"),
     (None, " ", "expected 7 columns, got 1"), (None, "\t" * 7, "expected 7 columns, got 8"),
-    ("pad", " ", "malformed timestamp"),
+    ("pad", " ", "malformed timestamp"), (4, "s\udcffv", "not UTF-8: byte 0xed"),
+    (6, "\ud800", "not UTF-8: byte 0xed"),
 ])
 
 
 class TestChunkedLoad:
     """The chunk decoder on lines that cross chunk ends, against an oracle."""
 
-    @given(data=st.data(), size=CHUNK_SIZES)
-    @settings(max_examples=200, deadline=None)
-    def test_valid_lines_match_oracle(self, data, size):
-        lines, events = data.draw(event_lines())
-        text, _ = data.draw(file_layout(lines))
-        with chunk_bytes(size):
-            loaded = fio.load_events(text)
-        assert rows(loaded) == events
-        assert loaded.keys == tuple(dict.fromkeys(event.key for event in events))
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("events") / "events.tsv"
 
     @given(data=st.data(), size=CHUNK_SIZES)
     @settings(max_examples=200, deadline=None)
-    def test_first_bad_line_named(self, data, size):
+    def test_valid_lines_match_oracle(self, path, data, size):
+        lines, events = data.draw(event_lines())
+        text, _ = data.draw(file_layout(lines))
+        path.write_bytes(text.encode())
+        with chunk_bytes(size):
+            for source in ([text], path):
+                loaded = fio.load_events(source)
+                assert rows(loaded) == events
+                assert loaded.keys == tuple(dict.fromkeys(event.key for event in events))
+
+    @given(data=st.data(), size=CHUNK_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_line_named(self, path, data, size):
         lines, _ = data.draw(event_lines())
         bad = data.draw(st.integers(0, len(lines) - 1))
         # Maybe a second bad line after the first, of any fault.
@@ -197,24 +248,27 @@ class TestChunkedLoad:
                 fields[column] = token
                 lines[index] = "\t".join(fields)
         text, numbers = data.draw(file_layout(lines))
+        # From a file, so that `size`-byte reads split the lines across chunks.
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
         with chunk_bytes(size), pytest.raises(ParseError) as error:
-            fio.load_events(text)
+            fio.load_events(path)
         assert str(error.value).startswith(f"line {numbers[bad]}: {expected}")
 
     @given(data=st.data(), size=CHUNK_SIZES)
     @settings(max_examples=50, deadline=None)
-    def test_first_unsorted_line_named(self, data, size):
+    def test_first_unsorted_line_named(self, path, data, size):
         lines, events = data.draw(event_lines(min_size=2))
         late = data.draw(st.integers(1, len(lines) - 1))
         assume(events[late - 1].timestamp > 0)
         lines[late] = "0" + lines[late][lines[late].index("\t"):]
         text, numbers = data.draw(file_layout(lines))
+        path.write_bytes(text.encode())
         with chunk_bytes(size), pytest.raises(OrderingError, match=rf"^line {numbers[late]}: "):
-            fio.load_events(text)
+            fio.load_events(path)
 
     def test_regular_chunks_take_the_decoder(self):
-        events = fio.load_events("0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n0.75\tudp\tz0\t9\tsrv\t9\t20\n"
-                                 "0.75\ttcp\tc0\t01\tsrv\t80\t5")
+        events = fio.load_events(["0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n0.75\tudp\tz0\t9\tsrv\t9\t20\n"
+                                  "0.75\ttcp\tc0\t01\tsrv\t80\t5"])
         tcp = FlowKey(ProtocolCategory.TCP, "c0", "srv", 1, 80)
         udp = FlowKey(ProtocolCategory.UDP, "z0", "srv", 9, 9)
         assert events.keys == (tcp, udp)
@@ -228,9 +282,9 @@ class TestChunkedLoad:
         text = fio.dump_events(events)
         assert [len(chunk) for chunk in fio.decoder_chunks([text.encode()])] == [
             len(line) + 1 for line in text.splitlines()]
-        assert fio.load_events(text) == events
+        assert fio.load_events([text]) == events
         with pytest.raises(ParseError, match="^line 2: malformed event byte count"):
-            fio.load_events(text.replace("\t6\n", "\t6 \n"))
+            fio.load_events([text.replace("\t6\n", "\t6 \n")])
 
     def test_chunks_end_at_unified_breaks(self):
         # "\r\n" split between two blocks is one break.
@@ -240,10 +294,10 @@ class TestChunkedLoad:
         assert all(chunk.endswith(b"\n") for chunk in chunks)
         assert list(fio.read_chunks([b"", b""])) == []
 
-    def test_order_checked_across_chunks(self):
-        text = "0.5\tTCP\tc0\t1\tsrv\t80\t10\n0.25\tTCP\tc0\t1\tsrv\t80\t10\n"
+    def test_order_checked_across_chunks(self, path):
+        path.write_bytes(b"0.5\tTCP\tc0\t1\tsrv\t80\t10\n0.25\tTCP\tc0\t1\tsrv\t80\t10\n")
         with chunk_bytes(4), pytest.raises(OrderingError, match=r"^line 2: .*\(0.25 after 0.5\)"):
-            fio.load_events(text)
+            fio.load_events(path)
 
 
 class TestEventAddressRoundTrip:
@@ -261,7 +315,7 @@ class TestEventAddressRoundTrip:
                 keys.append(key)
         assume(keys)
         events = table(Row(0.5 * i, k, i + 1) for i, k in enumerate(keys))
-        assert fio.load_events(fio.dump_events(events)) == events
+        assert fio.load_events([fio.dump_events(events)]) == events
 
 
 class TestTruthFormat:
@@ -306,8 +360,16 @@ class TestTruthFormat:
         with pytest.raises(ParseError):
             fio.load_truth("TCP:a:1:b\tnormal\n")
 
+    def test_repeated_flow_named_by_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: flow 'tcp\\ta\\t1\\tb\\t2' given twice$"):
+            fio.load_truth("TCP\ta\t1\tb\t2\tnormal\ntcp\ta\t1\tb\t2\thighrate\n")
+
 
 class TestWindowTruthFormat:
+    @given(st.dictionaries(st.integers(-2**70, 2**70), st.booleans()))
+    def test_every_mapping_round_trips(self, truth):
+        assert fio.load_window_truth(fio.dump_window_truth(truth)) == truth
+
     def test_round_trip(self):
         truth = {0: False, 1: True, 2: False}
         assert fio.load_window_truth(fio.dump_window_truth(truth)) == truth

@@ -55,6 +55,15 @@ class TestFlowKey:
             key(dst=address).validate()
         key(src="", dst="a b:c").validate()
 
+    @pytest.mark.parametrize("address", ["a\ud800", "\udcff", "a\udfffb"])
+    def test_address_without_lone_surrogate(self, address):
+        # The event format is UTF-8 text, which cannot carry one.
+        with pytest.raises(ParameterError, match="lone surrogate"):
+            key(src=address).validate()
+        with pytest.raises(ParameterError, match="lone surrogate"):
+            key(dst=address).validate()
+        key(src="\U0001f600").validate()
+
 
 class TestEventTable:
     def test_validate(self):

@@ -302,8 +302,37 @@ class TestProfileProperties:
             windowize(table(permuted), 0.5, TCP)
         )
 
+    def test_equal_timestamp_order_does_not_move_capture_statistics(self):
+        # The events at 1.0, of flows h2 and h1, number those flows in
+        # either order; per_flow_std once differed in its last bit.
+        events = self._with_anchors([(0.0, 0, 1), (0.0, 0, 1), (0.0, 0, 8), (1.0, 2, 1),
+                                     (2.0, 0, 4)])
+        swapped = events[:4] + [events[5], events[4]] + events[6:]
+        assert [e.timestamp for e in swapped] == [e.timestamp for e in events]
+        assert build_profile(windowize(table(events), 0.5, TCP)) == build_profile(
+            windowize(table(swapped), 0.5, TCP)
+        )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(0, allow_infinity=False)
+
+
+@st.composite
+def profile_sets(draw):
+    """Profiles of distinct series, with any values `NormalProfile` accepts."""
+    series = draw(st.lists(st.sampled_from([*ProtocolCategory, None]), unique=True, min_size=1))
+    return [NormalProfile(protocol, draw(FINITE), draw(st.integers(-2**70, 2**70)),
+                          *(draw(NON_NEGATIVE) for _ in range(4)), draw(FINITE),
+                          draw(NON_NEGATIVE))
+            for protocol in series]
+
 
 class TestProfileSerialization:
+    @given(profile_sets())
+    def test_every_profile_round_trips(self, profiles):
+        assert load_profiles(dump_profiles(profiles)) == {p.protocol: p for p in profiles}
+
     def test_round_trip_is_exact(self):
         events = [event(t / 7, flow=t % 3, count=37 + t) for t in range(40)]
         profiles = [
