@@ -52,8 +52,13 @@ DEFAULT_WINDOW_SECONDS = 0.2
 _JOBS_HELP = "accepted for interface compatibility; output is identical for any value"
 
 
+def _create(path: str):
+    """A new text file for an output: UTF-8, lines ended by "\n"."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _create(path) as handle:
         handle.write(text)
 
 
@@ -107,12 +112,14 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     stream = generate(config)
-    _write(args.out, fio.dump_events(stream.events))
+    # Before any file is written, so that a rejected window length leaves none.
+    window_truth = stream.window_truth(args.window_seconds) if args.window_truth_out else None
+    with _create(args.out) as handle:
+        fio.dump_events(stream.events, handle)
     if args.truth_out:
         _write(args.truth_out, fio.dump_truth(stream.truth))
-    if args.window_truth_out:
-        _write(args.window_truth_out,
-               fio.dump_window_truth(stream.window_truth(args.window_seconds)))
+    if window_truth is not None:
+        _write(args.window_truth_out, fio.dump_window_truth(window_truth))
     print(f"simulate: {len(stream.events)} events, {len(stream.truth)} flows -> {args.out}")
     return 0
 
@@ -264,8 +271,16 @@ def cmd_score(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a rejected argument as a ParameterError,
+    for `main` to print and exit 1 on, as on any other error."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvba",
         description="Flow-volume based flooding-DDoS detection pipeline",
     )
@@ -390,8 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except (Error, OSError) as exc:
-        stage = argv[0] if argv and not argv[0].startswith("-") else "fvba"
-        print(f"fvba {stage}: error: {exc}", file=sys.stderr)
+        stage = f" {argv[0]}" if argv and not argv[0].startswith("-") else ""
+        print(f"fvba{stage}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ import zlib
 from array import array
 from contextlib import closing
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -32,15 +32,19 @@ def _key_columns(key: FlowKey) -> str:
     return f"{key.protocol}\t{key.src_addr}\t{key.src_port}\t{key.dst_addr}\t{key.dst_port}"
 
 
-def dump_events(events: EventTable) -> str:
+def dump_events(events: EventTable, handle: TextIO) -> None:
+    """Write the events to the text handle `handle`, one line each, DUMP_ROWS
+    lines at a time, so that only one slice's text is held at once."""
     # The key columns of each flow are formatted once.
     middles = [f"\t{_key_columns(k)}\t" for k in events.keys]
-    return "".join([
-        f"{timestamp!r}{middles[flow]}{count}\n"
-        for timestamp, flow, count in zip(
-            events.timestamp.tolist(), events.flow.tolist(), events.bytes.tolist()
-        )
-    ])
+    for lo in range(0, len(events), DUMP_ROWS):
+        hi = lo + DUMP_ROWS
+        handle.write("".join([
+            f"{timestamp!r}{middles[flow]}{count}\n"
+            for timestamp, flow, count in zip(events.timestamp[lo:hi].tolist(),
+                                              events.flow[lo:hi].tolist(),
+                                              events.bytes[lo:hi].tolist())
+        ]))
 
 
 def load_events(source) -> EventTable:
@@ -116,6 +120,9 @@ def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
 # About how many bytes the text parsers decode at a time; a chunk ends at
 # a line break.
 CHUNK_BYTES = 256 * 1024
+# Lines `dump_events` formats at a time: about CHUNK_BYTES of text, as an
+# event line takes some 45 bytes.
+DUMP_ROWS = CHUNK_BYTES // 48
 # Longest line `decoder_chunks` leaves among others in a chunk.
 _MAX_LINE = 255
 _POWERS = np.array([10**k for k in range(18, -1, -1)], dtype=np.uint64)

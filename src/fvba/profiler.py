@@ -33,6 +33,33 @@ def window_indices(timestamps: np.ndarray, window_length: float) -> np.ndarray:
     return ((timestamps + _BIN_EPSILON) / window_length).astype(np.int64)
 
 
+def window_span(timestamps: np.ndarray, window_length: float) -> tuple[int, int]:
+    """Indices of the windows of the first and the last of the ascending
+    `timestamps`; (0, -1) when there are none.
+
+    Raises ParameterError for a window length that is not positive and
+    finite, a span of more than MAX_WINDOWS windows or a window index
+    beyond int64.
+    """
+    if not 0 < window_length < math.inf:
+        raise ParameterError(f"window length must be positive and finite, got {window_length}")
+    if not timestamps.size:
+        return 0, -1
+    # The same IEEE operations as window_indices, on Python floats, so the
+    # span is known before anything is allocated for it.
+    start, end = float(timestamps[0]), float(timestamps[-1])
+    first, last = (int((t + _BIN_EPSILON) / window_length) for t in (start, end))
+    if last - first >= MAX_WINDOWS:
+        raise ParameterError(
+            f"timestamps span {start!r} to {end!r} s, {last - first + 1} windows of"
+            f" {window_length} s; at most {MAX_WINDOWS} windows are supported"
+        )
+    if last > np.iinfo(np.int64).max:
+        raise ParameterError(f"the window index of timestamp {end!r} s at {window_length} s"
+                             " windows does not fit int64")
+    return first, last
+
+
 def window_totals(
     windows: np.ndarray, flow: np.ndarray, counts: np.ndarray, window_count: int, key_count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -44,13 +71,24 @@ def window_totals(
     when the byte total of all rows does not fit int64.
     """
     bounds = np.searchsorted(windows, np.arange(window_count + 1))
-    running = np.concatenate(([0], np.cumsum(counts)))
+    running = np.empty(counts.size + 1, dtype=np.int64)
+    running[0] = 0
+    np.cumsum(counts, out=running[1:])
     # Counts are non-negative, so the running total only falls on overflow.
     if not (running[1:] >= running[:-1]).all():
         raise ParameterError("byte total of the series does not fit int64")
     volumes = running[bounds[1:]] - running[bounds[:-1]]
-    pairs = np.unique(windows * key_count + flow)
-    flow_counts = np.bincount(pairs // key_count, minlength=window_count)
+    del running
+    # Sorted in place: `windows` ascends, so each row keeps its window, and
+    # a pair is new where it differs from the row before.
+    pairs = windows * key_count
+    pairs += flow
+    pairs.sort()
+    new = np.empty(pairs.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    del pairs
+    flow_counts = np.bincount(windows[new], minlength=window_count)
     return bounds, volumes, flow_counts
 
 
@@ -71,14 +109,9 @@ def windowize(
 
     Raises OrderingError, naming the first event that is earlier than its
     predecessor, if the events are not sorted by timestamp, and
-    ParameterError for a window length that is not positive and finite,
-    a timestamp span of more than MAX_WINDOWS windows or a series byte
-    total beyond int64.
+    ParameterError for a window length or span that `window_span` rejects
+    or a series byte total beyond int64.
     """
-    if not 0 < window_length < math.inf:
-        raise ParameterError(f"window length must be positive and finite, got {window_length}")
-    if not len(events):
-        return []
     timestamps = events.timestamp
     unsorted = np.flatnonzero(np.diff(timestamps) < 0)
     if unsorted.size:
@@ -87,16 +120,7 @@ def windowize(
             f"event {index}: events are not sorted by timestamp"
             f" ({float(timestamps[index])} after {float(timestamps[index - 1])})"
         )
-
-    # The same IEEE operations as window_indices, on Python floats, so the
-    # span is known before anything is allocated for it.
-    start, end = float(timestamps[0]), float(timestamps[-1])
-    first, last = (int((t + _BIN_EPSILON) / window_length) for t in (start, end))
-    if last - first >= MAX_WINDOWS:
-        raise ParameterError(
-            f"timestamps span {start!r} to {end!r} s, {last - first + 1} windows of"
-            f" {window_length} s; at most {MAX_WINDOWS} windows are supported"
-        )
+    first, last = window_span(timestamps, window_length)
     windows = window_indices(timestamps, window_length) - first
     flow, counts = events.flow, events.bytes
     if protocol is not None:

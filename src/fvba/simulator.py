@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
-from .profiler import window_indices
+from .profiler import window_indices, window_span
 
 
 class ScenarioKind(enum.Enum):
@@ -79,6 +79,8 @@ class ScenarioConfig:
         if self.kind is ScenarioKind.ATTACK_FREE:
             object.__setattr__(self, "attack_start", 0.0)
             object.__setattr__(self, "attack_end", self.duration)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if not self.duration > 0:
             raise ParameterError(f"duration must be positive and finite, got {self.duration}")
         if not 0 < self.legit_clients <= MAX_EXPECTED_EVENTS:
@@ -130,10 +132,12 @@ class LabeledEventStream:
         return set(window_indices(events.timestamp[hit], window_length).tolist())
 
     def window_truth(self, window_length: float) -> dict[int, bool]:
-        """Per-window ground truth over the stream's full window span."""
-        if not len(self.events):
-            return {}
-        first, last = window_indices(self.events.timestamp[[0, -1]], window_length).tolist()
+        """Per-window ground truth over the stream's full window span.
+
+        Raises ParameterError for a window length or span that
+        `profiler.window_span` rejects.
+        """
+        first, last = window_span(self.events.timestamp, window_length)
         attacked = self.attack_windows(window_length)
         return {w: w in attacked for w in range(first, last + 1)}
 
@@ -197,14 +201,17 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
         bytes_parts.append(np.full(times.size, config.zombie_packet_bytes, dtype=np.int64))
         flows_parts.append(np.full(times.size, len(keys) - 1, dtype=np.int32))
 
-    # At least one client is configured, so there is at least one part.
-    all_times = np.concatenate(times_parts)
-    order = np.argsort(all_times, kind="stable")
-    events = EventTable(
-        all_times[order], np.concatenate(flows_parts)[order], np.concatenate(bytes_parts)[order], keys
-    )
-
-    return LabeledEventStream(events=events, truth=truth)
+    # At least one client is configured, so there is at least one part.  The
+    # parts and the unsorted copy of each column go once its sorted copy exists.
+    timestamp = np.concatenate(times_parts)
+    del times_parts
+    order = np.argsort(timestamp, kind="stable")
+    timestamp = timestamp[order]
+    flow = np.concatenate(flows_parts)[order]
+    del flows_parts
+    counts = np.concatenate(bytes_parts)[order]
+    del bytes_parts, order
+    return LabeledEventStream(events=EventTable(timestamp, flow, counts, keys), truth=truth)
 
 
 def _zombie_counts(config: ScenarioConfig) -> tuple[int, int]:

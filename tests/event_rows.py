@@ -1,7 +1,9 @@
 """Row-wise building and reading of event tables, for the tests."""
 
+import io
 from typing import Mapping, NamedTuple
 
+from fvba import io as fio
 from fvba.model import EventTable, FlowKey, ProtocolCategory, WindowSample
 from fvba.profiler import windowize
 
@@ -29,6 +31,13 @@ def rows(events: EventTable) -> list[Row]:
         Row(t, keys[f], b)
         for t, f, b in zip(events.timestamp.tolist(), events.flow.tolist(), events.bytes.tolist())
     ]
+
+
+def event_text(events: EventTable) -> str:
+    """The event file text `fio.dump_events` writes for a table."""
+    handle = io.StringIO()
+    fio.dump_events(events, handle)
+    return handle.getvalue()
 
 
 def series(windows: list[Mapping[FlowKey, int]], protocol: ProtocolCategory | None,

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fvba.cli import _resolve_factors, build_parser, main
 from fvba import io as fio
 from fvba.detector import DEFAULT_FACTORS
+from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
 
 
@@ -291,11 +292,14 @@ class TestMalformedInput:
     """A malformed input ends in exit 1 and one `fvba <stage>: error:` line."""
 
     def fails(self, capsys, args, message):
+        """Assert that the command exits 1 with one error line that starts
+        with `message`; returns that line."""
         code = main([str(a) for a in args])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(message), err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        return err
 
     @pytest.mark.parametrize("row,message", [
         ("6\tsix", "line 2: could not convert string to float: 'six'"),
@@ -355,6 +359,52 @@ class TestMalformedInput:
         self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "2",
                             "--duration", duration, "--out", tmp_path / "x.tsv"],
                    f"fvba simulate: error: duration must be positive and finite, got {float(duration)}")
+
+    def test_negative_simulate_seed(self, tmp_path, capsys):
+        self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "2",
+                            "--duration", "3", "--seed", "-1", "--out", tmp_path / "x.tsv"],
+                   "fvba simulate: error: seed must be non-negative, got -1")
+        assert not (tmp_path / "x.tsv").exists()
+
+    @pytest.mark.parametrize("length,message", [
+        ("0", "window length must be positive and finite, got 0.0"),
+        ("nan", "window length must be positive and finite, got nan"),
+        ("-0.2", "window length must be positive and finite, got -0.2"),
+        # Far more windows than MAX_WINDOWS over 3 s.
+        ("1e-300", "timestamps span "),
+        ("1e-6", "timestamps span "),
+    ])
+    def test_bad_window_truth_length(self, tmp_path, capsys, length, message):
+        err = self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "2",
+                                  "--duration", "3", "--out", tmp_path / "x.tsv",
+                                  "--window-truth-out", tmp_path / "wt.tsv",
+                                  "--window-seconds", length],
+                         "fvba simulate: error: " + message)
+        if message.startswith("timestamps"):
+            assert err.endswith(f" windows of {float(length)} s; at most 1000000 windows are"
+                                " supported\n")
+        assert not (tmp_path / "x.tsv").exists() and not (tmp_path / "wt.tsv").exists()
+
+    def test_rejected_arguments_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "c.conf"
+        config.write_text("clients=many\n")
+        invalid = "fvba simulate: error: argument --clients: invalid int value: 'many'"
+        self.fails(capsys, ["simulate", "--config", config, "--kind", "attack-free",
+                            "--out", tmp_path / "x.tsv"], invalid)
+        self.fails(capsys, ["--config", config, "simulate", "--kind", "attack-free",
+                            "--out", tmp_path / "x.tsv"], invalid)
+        self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "many",
+                            "--out", tmp_path / "x.tsv"], invalid)
+        self.fails(capsys, ["simulate", "--kind", "attack-free"],
+                   "fvba simulate: error: the following arguments are required: --out")
+        self.fails(capsys, ["--config"], "fvba: error: --config requires a file path")
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["simulate", "--help"])
+        assert exit.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fvba simulate")
 
     def test_events_not_utf8(self, tmp_path, capsys):
         events = tmp_path / "events.tsv"
@@ -495,9 +545,8 @@ class TestFuzz:
             self.check(["detect", "--config", mangled, "--events", root / "events.tsv",
                         "--profile", profile, "--out", root / "v.tsv"])
         except SystemExit as exit:
-            # argparse ends a rejected entry with usage and code 2, and a key
-            # such as "h" abbreviates --help, which prints help and exits 0.
-            assert exit.code in (0, 2)
+            # A key such as "h" abbreviates --help, which prints help and exits 0.
+            assert exit.code == 0
 
     @given(data=st.data(), compress=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -552,7 +601,7 @@ class TestFactorFlags:
 
     @pytest.mark.parametrize("flag", ["--tcp-r3", "--icmp-r3"])
     def test_no_lower_factor_flag_for_tcp_or_icmp(self, flag):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ParameterError, match=f"^unrecognized arguments: {flag} 1$"):
             build_parser().parse_args(["detect", "--events", "e", "--profile", "p", "--out", "o",
                                        flag, "1"])
 

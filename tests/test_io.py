@@ -1,13 +1,15 @@
 import gzip
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chunked import CHUNK_SIZES, chunk_bytes, file_layout
-from event_rows import Row, rows, table
+from event_rows import Row, event_text, rows, table
 from fvba import io as fio
 from fvba.errors import OrderingError, ParameterError, ParseError
-from fvba.model import FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
+from fvba.model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
 
 
 def events_fixture():
@@ -25,10 +27,10 @@ def events_fixture():
 class TestEventFormat:
     def test_round_trip_exact(self):
         events = events_fixture()
-        assert fio.load_events([fio.dump_events(events)]) == events
+        assert fio.load_events([event_text(events)]) == events
 
     def test_line_layout(self):
-        line = fio.dump_events(events_fixture()).splitlines()[0]
+        line = event_text(events_fixture()).splitlines()[0]
         assert line.split("\t") == ["0.0", "TCP", "c000", "40000", "srv", "80", "1000"]
 
     def test_malformed_column_count(self):
@@ -36,7 +38,7 @@ class TestEventFormat:
             fio.load_events(["0.0\tTCP\tc0\t1\tsrv\n"])
 
     def test_invalid_bytes_named_by_line(self):
-        good = fio.dump_events(events_fixture()).splitlines()[0] + "\n"
+        good = event_text(events_fixture()).splitlines()[0] + "\n"
         with pytest.raises(ParseError, match="line 2"):
             fio.load_events([good + "1.0\tTCP\tc0\t1\tsrv\t80\t0\n"])
 
@@ -90,7 +92,7 @@ class TestEventFormat:
 
     def test_paths_and_gzip_read_as_lines(self, tmp_path):
         events = events_fixture()
-        text = fio.dump_events(events)
+        text = event_text(events)
         plain, packed = tmp_path / "events.tsv", tmp_path / "events.tsv.gz"
         plain.write_text(text)
         packed.write_bytes(gzip.compress(text.encode()))
@@ -100,7 +102,7 @@ class TestEventFormat:
 
     def test_truncated_gzip_names_the_file(self, tmp_path):
         path = tmp_path / "events.tsv.gz"
-        data = gzip.compress(fio.dump_events(events_fixture()).encode() * 200)
+        data = gzip.compress(event_text(events_fixture()).encode() * 200)
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ParseError, match=f"^{path}: corrupt or truncated gzip data"):
             fio.load_events(path)
@@ -137,6 +139,51 @@ class TestEventFormat:
             fio.load_events(["0.0\tTCP\tc0\t1\tsrv\t80\t10\n  \n"])
         with pytest.raises(ParseError, match="^line 1: unknown protocol category: ''"):
             fio.load_events(["\t\t\t\t\t\t\n"])
+
+
+class Writes:
+    """A text handle that keeps only the size of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return len(text)
+
+
+class TestEventWriter:
+    @pytest.mark.parametrize("size", [1, 3, 4, 9, 10, 11])
+    def test_slices_write_the_per_row_text(self, monkeypatch, size):
+        keys = [FlowKey(ProtocolCategory.TCP, "c0", "srv", 1, 80),
+                FlowKey(ProtocolCategory.UDP, "z\u00e9", "srv", 9, 9)]
+        events = table(Row(0.1 * i, keys[i % 3 == 0], 2**62 + i) for i in range(10))
+        # The text as it was formatted before slices, one row at a time.
+        expected = "".join(
+            f"{e.timestamp!r}\t{e.key.protocol}\t{e.key.src_addr}\t{e.key.src_port}"
+            f"\t{e.key.dst_addr}\t{e.key.dst_port}\t{e.bytes}\n" for e in rows(events))
+        monkeypatch.setattr(fio, "DUMP_ROWS", size)
+        assert event_text(events) == expected
+        handle = Writes()
+        fio.dump_events(events, handle)
+        assert len(handle.sizes) == -(-10 // size)
+        assert event_text(table([])) == ""
+
+    def test_memory_held_is_one_slice(self):
+        count = 200_000
+        keys = [FlowKey(ProtocolCategory.TCP, f"c{i:03d}", "srv", 40000 + i, 80) for i in range(40)]
+        events = EventTable(np.arange(count) * 0.000375 + 0.123456789, np.arange(count) % 40,
+                            np.full(count, 12_500), keys)
+        handle = Writes()
+        tracemalloc.start()
+        try:
+            fio.dump_events(events, handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8.6 MB of text; a slice's rows, lines and text take about 1 MB.
+        assert sum(handle.sizes) > 8_000_000
+        assert peak < 2_000_000
 
 
 # Address characters: the tab, every character str.splitlines splits on,
@@ -279,7 +326,7 @@ class TestChunkedLoad:
         wide = FlowKey(ProtocolCategory.TCP, "w" * 1000, "srv", 1, 80)
         short = FlowKey(ProtocolCategory.UDP, "z0", "srv", 9, 9)
         events = table([Row(0.0, short, 5), Row(0.1, wide, 6), Row(0.2, short, 7)])
-        text = fio.dump_events(events)
+        text = event_text(events)
         assert [len(chunk) for chunk in fio.decoder_chunks([text.encode()])] == [
             len(line) + 1 for line in text.splitlines()]
         assert fio.load_events([text]) == events
@@ -315,7 +362,7 @@ class TestEventAddressRoundTrip:
                 keys.append(key)
         assume(keys)
         events = table(Row(0.5 * i, k, i + 1) for i, k in enumerate(keys))
-        assert fio.load_events([fio.dump_events(events)]) == events
+        assert fio.load_events([event_text(events)]) == events
 
 
 class TestTruthFormat:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,12 @@ class TestWindowize:
             windowize(table([event(0.0), event(0.1), event(1e15)]), 0.2)
         with pytest.raises(ParameterError, match="windows"):
             windowize(table([event(0.0), event(1e300)]), 0.2)
+
+    @pytest.mark.parametrize("timestamp,length", [(1e300, 0.2), (0.0, 1e-300)])
+    def test_window_index_beyond_int64_rejected(self, timestamp, length):
+        message = f"the window index of timestamp {timestamp!r} s at {length!r} s windows"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)} does not fit int64$"):
+            windowize(table([event(timestamp)]), length)
 
     def test_day_long_capture_at_default_window_admitted(self):
         samples = windowize(table([event(0.0), event(86_400.0 - 0.1)]), 0.2)

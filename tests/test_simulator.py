@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
 
 from event_rows import rows
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
+from fvba.profiler import windowize
 from fvba.simulator import (
     HIGH_RATE_LABEL,
     LOW_RATE_LABEL,
@@ -150,6 +152,14 @@ class TestGenerate:
         # Attack windows sit inside the configured interval.
         assert min(attacked) >= int(5.0 / 0.2) - 1
         assert max(attacked) <= int(20.0 / 0.2)
+
+    @pytest.mark.parametrize("length", [0.0, math.nan, -0.2, 1e-300, 1e-6])
+    def test_window_truth_rejects_as_windowize_does(self, length):
+        stream = generate(small_attack())
+        with pytest.raises(ParameterError) as rejected:
+            windowize(stream.events, length)
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(rejected.value))}$"):
+            stream.window_truth(length)
 
     def test_attack_windows_match_per_event_oracle(self):
         stream = generate(small_attack(kind=ScenarioKind.VARIED_RATE, zombies=6))
