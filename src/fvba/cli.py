@@ -273,7 +273,10 @@ def cmd_score(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a rejected argument as a ParameterError,
-    for `main` to print and exit 1 on, as on any other error."""
+    for `main` to print and exit 1 on, as on any other error.  `stages` holds
+    the names of the top-level parser's subcommands."""
+
+    stages: frozenset[str] = frozenset()
 
     def error(self, message: str):
         raise ParameterError(message)
@@ -363,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_score)
 
+    parser.stages = frozenset(sub.choices)
     return parser
 
 
@@ -399,13 +403,15 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
         argv = _expand_config(argv)
-        parser = build_parser()
         args = parser.parse_args(argv)
         return args.handler(args)
     except (Error, OSError) as exc:
-        stage = f" {argv[0]}" if argv and not argv[0].startswith("-") else ""
+        # Only a subcommand names the stage; any other first token is an
+        # error before the subcommand.
+        stage = f" {argv[0]}" if argv and argv[0] in parser.stages else ""
         print(f"fvba{stage}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,8 +120,8 @@ def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
 # About how many bytes the text parsers decode at a time; a chunk ends at
 # a line break.
 CHUNK_BYTES = 256 * 1024
-# Lines `dump_events` formats at a time: about CHUNK_BYTES of text, as an
-# event line takes some 45 bytes.
+# Rows `dump_events` formats at a time: about CHUNK_BYTES of text, as an
+# event line takes some 45 bytes.  `attack_windows` scans as many at a time.
 DUMP_ROWS = CHUNK_BYTES // 48
 # Longest line `decoder_chunks` leaves among others in a chunk.
 _MAX_LINE = 255

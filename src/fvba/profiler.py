@@ -30,7 +30,9 @@ MAX_WINDOWS = 1_000_000
 
 def window_indices(timestamps: np.ndarray, window_length: float) -> np.ndarray:
     """Index w of the window [w*L, (w+1)*L) containing each timestamp."""
-    return ((timestamps + _BIN_EPSILON) / window_length).astype(np.int64)
+    scaled = timestamps + _BIN_EPSILON
+    scaled /= window_length
+    return scaled.astype(np.int64)
 
 
 def window_span(timestamps: np.ndarray, window_length: float) -> tuple[int, int]:
@@ -113,7 +115,7 @@ def windowize(
     or a series byte total beyond int64.
     """
     timestamps = events.timestamp
-    unsorted = np.flatnonzero(np.diff(timestamps) < 0)
+    unsorted = np.flatnonzero(timestamps[1:] < timestamps[:-1])
     if unsorted.size:
         index = int(unsorted[0]) + 1
         raise OrderingError(
@@ -121,7 +123,8 @@ def windowize(
             f" ({float(timestamps[index])} after {float(timestamps[index - 1])})"
         )
     first, last = window_span(timestamps, window_length)
-    windows = window_indices(timestamps, window_length) - first
+    windows = window_indices(timestamps, window_length)
+    windows -= first
     flow, counts = events.flow, events.bytes
     if protocol is not None:
         chosen = np.array([k.protocol is protocol for k in events.keys], dtype=bool)[flow]

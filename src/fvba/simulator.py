@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .io import DUMP_ROWS
 from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
 from .profiler import window_indices, window_span
 
@@ -128,8 +129,13 @@ class LabeledEventStream:
         """Indices of windows containing at least one attack-labelled event."""
         events = self.events
         attack_flow = np.array([k in self._attack_keys for k in events.keys], dtype=bool)
-        hit = attack_flow[events.flow]
-        return set(window_indices(events.timestamp[hit], window_length).tolist())
+        attacked: set[int] = set()
+        # A slice of rows at a time, each reduced to its distinct windows.
+        for lo in range(0, len(events), DUMP_ROWS):
+            hi = lo + DUMP_ROWS
+            hit = events.timestamp[lo:hi][attack_flow[events.flow[lo:hi]]]
+            attacked.update(np.unique(window_indices(hit, window_length)).tolist())
+        return attacked
 
     def window_truth(self, window_length: float) -> dict[int, bool]:
         """Per-window ground truth over the stream's full window span.
@@ -160,9 +166,11 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
     yield identical streams.
     """
     rng = np.random.default_rng(config.seed)
+    # Per flow: its timestamps, in one part, and its full event size; for
+    # clients also which events are the last chunk of a request.
     times_parts: list[np.ndarray] = []
-    flows_parts: list[np.ndarray] = []
-    bytes_parts: list[np.ndarray] = []
+    last_parts: list[np.ndarray] = []
+    sizes: list[int] = []
     keys: list[FlowKey] = []
     truth: dict[FlowKey, GroundTruthLabel] = {}
 
@@ -170,21 +178,20 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
     # each request delivered in chunks at the client link rate.
     chunk_count = -(-config.legit_bytes_per_request // config.chunk_bytes)
     chunk_interval = config.chunk_bytes / (config.client_link_rate_bps / 8.0)
-    chunk_sizes = np.full(chunk_count, config.chunk_bytes, dtype=np.int64)
-    chunk_sizes[-1] = config.legit_bytes_per_request - config.chunk_bytes * (chunk_count - 1)
+    remainder = config.legit_bytes_per_request - config.chunk_bytes * (chunk_count - 1)
     chunk_offsets = np.arange(chunk_count) * chunk_interval
+    last_chunk = np.arange(chunk_count) == chunk_count - 1
 
     for i in range(config.legit_clients):
         key = FlowKey(ProtocolCategory.TCP, f"c{i:03d}", "srv", 40000 + i, 80)
         keys.append(key)
         truth[key] = NORMAL
+        sizes.append(config.chunk_bytes)
         starts = _arrival_times(rng, config.legit_request_rate, config.duration)
         times = (starts[:, None] + chunk_offsets[None, :]).ravel()
-        sizes = np.tile(chunk_sizes, starts.size)
         inside = times < config.duration
         times_parts.append(times[inside])
-        bytes_parts.append(sizes[inside])
-        flows_parts.append(np.full(int(inside.sum()), len(keys) - 1, dtype=np.int32))
+        last_parts.append(np.tile(last_chunk, starts.size)[inside])
 
     # Zombies: one UDP flow each, fixed-size packets with exponential gaps
     # at the class mean rate, confined to the attack interval.
@@ -195,22 +202,26 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
         key = FlowKey(ProtocolCategory.UDP, f"z{i:03d}", "srv", 50000 + i, 9)
         keys.append(key)
         truth[key] = HIGH_RATE_LABEL if rate_bps == config.zombie_rate_bps else LOW_RATE_LABEL
+        sizes.append(config.zombie_packet_bytes)
         packet_rate = rate_bps / 8.0 / config.zombie_packet_bytes
-        times = config.attack_start + _arrival_times(rng, packet_rate, attack_span)
-        times_parts.append(times)
-        bytes_parts.append(np.full(times.size, config.zombie_packet_bytes, dtype=np.int64))
-        flows_parts.append(np.full(times.size, len(keys) - 1, dtype=np.int32))
+        times_parts.append(config.attack_start + _arrival_times(rng, packet_rate, attack_span))
 
-    # At least one client is configured, so there is at least one part.  The
-    # parts and the unsorted copy of each column go once its sorted copy exists.
+    # At least one client is configured, so there is at least one part.  Each
+    # full-length temporary goes as soon as its sorted copy exists.
+    lengths = [part.size for part in times_parts]
     timestamp = np.concatenate(times_parts)
     del times_parts
     order = np.argsort(timestamp, kind="stable")
     timestamp = timestamp[order]
-    flow = np.concatenate(flows_parts)[order]
-    del flows_parts
-    counts = np.concatenate(bytes_parts)[order]
-    del bytes_parts, order
+    flow = np.repeat(np.arange(len(keys), dtype=np.int32), lengths)[order]
+    # Client parts come first, so the mask of the zombie parts is all False.
+    last = np.zeros(order.size, dtype=bool)
+    np.concatenate(last_parts, out=last[:sum(lengths[:config.legit_clients])])
+    del last_parts
+    last = last[order]
+    del order
+    counts = np.array(sizes, dtype=np.int64)[flow]
+    counts[last] = remainder
     return LabeledEventStream(events=EventTable(timestamp, flow, counts, keys), truth=truth)
 
 

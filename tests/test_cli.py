@@ -400,6 +400,12 @@ class TestMalformedInput:
         self.fails(capsys, ["--config"], "fvba: error: --config requires a file path")
         assert not (tmp_path / "x.tsv").exists()
 
+    def test_unknown_subcommand_names_no_stage(self, tmp_path, capsys):
+        # A word that is not a subcommand fails before any stage, as does
+        # its config file.
+        self.fails(capsys, ["bogus"], "fvba: error: argument command: invalid choice: 'bogus'")
+        self.fails(capsys, ["bogus", "--config", tmp_path / "missing.conf"], "fvba: error: ")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit:
             main(["simulate", "--help"])

@@ -1,9 +1,13 @@
+import hashlib
+import io
 import math
 import re
+import tracemalloc
 
 import pytest
 
 from event_rows import rows
+from fvba import io as fio
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
 from fvba.profiler import windowize
@@ -178,3 +182,82 @@ class TestGenerate:
         )
         expected = 4 * 1e5 * 15.0 / 8.0
         assert attack_bytes == pytest.approx(expected, rel=0.2)
+
+
+def _short(kind, **kw):
+    return ScenarioConfig(kind=kind, legit_clients=5, attack_start=2.0, attack_end=6.0,
+                          duration=10.0, **kw)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGeneratePinned:
+    """SHA-256 of the event, truth and window-truth text of one scenario per
+    kind, and of one whose request size is not a multiple of the chunk size;
+    a rewrite of `generate` must leave every byte in place."""
+
+    @pytest.mark.parametrize("config,events,truth,window_truth", [
+        (_short(ScenarioKind.ATTACK_FREE, seed=1),
+         "161fee5939a90d1766af95aebd27490af2da5b9b59fa3aa7bc8a59738ef86733",
+         "90f0f04444e7cda2638d526b00b955c5e8f885a6c6087a73f2d732c75e6bad1d",
+         "fea2b6af241cf50863248d6716a41de8f0c9b97a29ca787f682f0786ec24ac16"),
+        (_short(ScenarioKind.HIGH_RATE_DISRUPTIVE, zombies=4, seed=2),
+         "932784db4317750a5b1405d21844ef473583d029ce4c7e082fadc198971c6e2f",
+         "9ddb685ee6280fd2641a02d33bddb5658918bb3dbe8ad2a2aa9eefea475262e1",
+         "6805950e2b8df5c80cf9cf3723f57bb5e586cc884d0f2d7e9e17d2f7a56853f3"),
+        (_short(ScenarioKind.DILUTED_LOW_RATE, zombies=20, seed=3),
+         "1b341c976aff964a0ec3eebd785593630fa0638ac4ce66d397b08080f736518c",
+         "ddce7a2a075292357e9e82776d45584b6ab870f002280a4daed05ea15030c115",
+         "6805950e2b8df5c80cf9cf3723f57bb5e586cc884d0f2d7e9e17d2f7a56853f3"),
+        (_short(ScenarioKind.VARIED_RATE, zombies=8, seed=4),
+         "349fdfc62f227a07fe8669193b18a1a11fb24a368f64cbadc22a1130bed0e10c",
+         "29e33c623ebca952442bad62badb9b07936024ede0c106cc5f21a9ab51e41e43",
+         "6805950e2b8df5c80cf9cf3723f57bb5e586cc884d0f2d7e9e17d2f7a56853f3"),
+        # Requests of 100 kB in 30 kB chunks end in a 10 kB chunk.
+        (_short(ScenarioKind.HIGH_RATE_DISRUPTIVE, zombies=4, seed=5,
+                legit_bytes_per_request=100_000, chunk_bytes=30_000),
+         "5f0f133bccf76a2739d4212a8a5e60d00a91c647ff65057ebb1ae9dd5fedfb2d",
+         "9ddb685ee6280fd2641a02d33bddb5658918bb3dbe8ad2a2aa9eefea475262e1",
+         "6805950e2b8df5c80cf9cf3723f57bb5e586cc884d0f2d7e9e17d2f7a56853f3"),
+    ], ids=["attack-free", "high-rate", "low-rate", "varied", "remainder-chunk"])
+    def test_output_digests(self, config, events, truth, window_truth):
+        stream = generate(config)
+        text = io.StringIO()
+        fio.dump_events(stream.events, text)
+        assert _sha256(text.getvalue()) == events
+        assert _sha256(fio.dump_truth(stream.truth)) == truth
+        assert _sha256(fio.dump_window_truth(stream.window_truth(0.2))) == window_truth
+
+
+def _traced_peak(call):
+    """The result of `call()` and the most bytes traced while it ran,
+    measured after one warm-up call, so that one-off set-up is not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Bounds on the temporaries of the simulator, as numpy reports its
+    buffers to tracemalloc, on a 205,162-event high-rate scenario."""
+
+    CONFIG = ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40,
+                            zombies=100, attack_start=5.0, attack_end=10.0, duration=15.0,
+                            seed=4)
+
+    def test_generate_peak_near_its_columns(self):
+        stream, peak = _traced_peak(lambda: generate(self.CONFIG))
+        events = stream.events
+        assert len(events) == 205_162
+        columns = events.timestamp.nbytes + events.flow.nbytes + events.bytes.nbytes
+        assert peak <= 1.5 * columns, peak / columns
+
+    def test_window_truth_holds_no_per_event_copy(self):
+        stream = generate(self.CONFIG)
+        _, peak = _traced_peak(lambda: stream.window_truth(0.2))
+        assert peak <= 4 * len(stream.events), peak / len(stream.events)
