@@ -27,7 +27,7 @@ from .detector import (
     detect_series,
 )
 from .errors import Error, InsufficientDataError, OrderingError, ParameterError, ParseError
-from .evaluation import RocPoint, ScoreReport, per_attack_breakdown, score, sweep
+from .evaluation import RocPoint, ScoreReport, score, sweep
 from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory, WindowSample
 from .profiler import NormalProfile, build_profile, windowize
 from .simulator import LabeledEventStream, ScenarioConfig, ScenarioKind, generate
@@ -67,7 +67,6 @@ __all__ = [
     "detect",
     "detect_series",
     "generate",
-    "per_attack_breakdown",
     "score",
     "sigma_limits",
     "sweep",

@@ -93,24 +93,22 @@ def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
                                 help=f"{_FACTOR_ROLES[name]} of the {series} series")
 
 
+# The scenario flags of `simulate`, in --help order, and the ScenarioConfig
+# field each sets and takes its default from.
+_SCENARIO_FLAGS = (
+    ("clients", "legit_clients"), ("zombies", "zombies"),
+    ("request-rate", "legit_request_rate"), ("request-bytes", "legit_bytes_per_request"),
+    ("link-rate-bps", "client_link_rate_bps"), ("chunk-bytes", "chunk_bytes"),
+    ("zombie-rate-bps", "zombie_rate_bps"), ("zombie-low-rate-bps", "zombie_low_rate_bps"),
+    ("high-rate-fraction", "high_rate_fraction"), ("zombie-packet-bytes", "zombie_packet_bytes"),
+    ("attack-start", "attack_start"), ("attack-end", "attack_end"), ("duration", "duration"),
+    ("seed", "seed"),
+)
+
+
 def cmd_simulate(args) -> int:
-    config = ScenarioConfig(
-        kind=ScenarioKind.parse(args.kind),
-        legit_clients=args.clients,
-        legit_request_rate=args.request_rate,
-        legit_bytes_per_request=args.request_bytes,
-        client_link_rate_bps=args.link_rate_bps,
-        chunk_bytes=args.chunk_bytes,
-        zombies=args.zombies,
-        zombie_rate_bps=args.zombie_rate_bps,
-        zombie_low_rate_bps=args.zombie_low_rate_bps,
-        high_rate_fraction=args.high_rate_fraction,
-        zombie_packet_bytes=args.zombie_packet_bytes,
-        attack_start=args.attack_start,
-        attack_end=args.attack_end,
-        duration=args.duration,
-        seed=args.seed,
-    )
+    config = ScenarioConfig(kind=ScenarioKind.parse(args.kind),
+                            **{name: getattr(args, name) for _, name in _SCENARIO_FLAGS})
     stream = generate(config)
     # Before any file is written, so that a rejected window length leaves none.
     window_truth = stream.window_truth(args.window_seconds) if args.window_truth_out else None
@@ -293,20 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic labelled event stream")
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in ScenarioKind])
-    p.add_argument("--clients", type=int, default=40)
-    p.add_argument("--zombies", type=int, default=0)
-    p.add_argument("--request-rate", type=float, default=3.0)
-    p.add_argument("--request-bytes", type=int, default=125_000)
-    p.add_argument("--link-rate-bps", type=float, default=8e6)
-    p.add_argument("--chunk-bytes", type=int, default=12_500)
-    p.add_argument("--zombie-rate-bps", type=float, default=3e6)
-    p.add_argument("--zombie-low-rate-bps", type=float, default=1e5)
-    p.add_argument("--high-rate-fraction", type=float, default=0.5)
-    p.add_argument("--zombie-packet-bytes", type=int, default=1000)
-    p.add_argument("--attack-start", type=float, default=25.0)
-    p.add_argument("--attack-end", type=float, default=50.0)
-    p.add_argument("--duration", type=float, default=75.0)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
+    defaults["legit_clients"] = 40  # the field has no default
+    for flag, name in _SCENARIO_FLAGS:
+        p.add_argument(f"--{flag}", dest=name, metavar=flag.upper().replace("-", "_"),
+                       type=type(defaults[name]), default=defaults[name])
     p.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS,
                    help="window length for --window-truth-out")
     p.add_argument("--out", required=True)

@@ -1,9 +1,9 @@
 """Scoring of detector output against ground truth, and threshold sweeps.
 
 Detection rate is the fraction of actual attacks detected; false-positive
-rate the fraction of normal traffic flagged.  Scoring runs either per
-window (simulation streams) or per record (dataset runs, where a window
-verdict propagates to every record inside the window).
+rate the fraction of normal traffic flagged.  Scoring here runs per
+window (simulation streams); `kdd.evaluate_split` scores dataset runs per
+record, where a window verdict propagates to every record inside the window.
 """
 
 from __future__ import annotations
@@ -75,22 +75,6 @@ class RocPoint:
                 raise ParameterError(f"rates must lie in [0, 1], got {rate}")
 
 
-@dataclass(frozen=True)
-class RecordWindowTruth:
-    """Record-level ground truth of one synthetic dataset window."""
-
-    attack_counts: dict[str, int]
-    normal_count: int
-
-    @property
-    def is_attack(self) -> bool:
-        return bool(self.attack_counts)
-
-    @property
-    def attack_total(self) -> int:
-        return sum(self.attack_counts.values())
-
-
 def _score_flags(flags: Mapping[int, bool], truth: Mapping[int, bool]) -> ScoreReport:
     if set(flags) != set(truth):
         raise ParameterError("verdicts and ground truth cover different window sets")
@@ -110,20 +94,6 @@ def score(verdicts: Sequence[VerdictReport], truth: Mapping[int, bool]) -> Score
     return _score_flags(flagged_windows(verdicts), truth)
 
 
-def score_records(
-    window_results: Iterable[tuple[RecordWindowTruth, bool]]
-) -> ScoreReport:
-    """Score per record: a window's verdict propagates to all its records."""
-    detected = attacks = false_alarms = normals = 0
-    for truth, flagged in window_results:
-        attacks += truth.attack_total
-        normals += truth.normal_count
-        if flagged:
-            detected += truth.attack_total
-            false_alarms += truth.normal_count
-    return ScoreReport.from_counts(detected, attacks, false_alarms, normals)
-
-
 @dataclass(frozen=True)
 class BreakdownRow:
     """Per-attack detection summary."""
@@ -136,28 +106,6 @@ class BreakdownRow:
     @property
     def rate(self) -> float:
         return self.detected / self.total
-
-
-def per_attack_breakdown(
-    windows: Iterable[tuple[ProtocolCategory, RecordWindowTruth, bool]]
-) -> list[BreakdownRow]:
-    """Per-attack-name detection counts from windowed record truth.
-
-    Returns one row per attack name present in the truth, sorted by name.
-    """
-    detected: dict[tuple[str, ProtocolCategory], int] = {}
-    totals: dict[tuple[str, ProtocolCategory], int] = {}
-    for protocol, truth, flagged in windows:
-        for name, count in truth.attack_counts.items():
-            entry = (name, protocol)
-            totals[entry] = totals.get(entry, 0) + count
-            if flagged:
-                detected[entry] = detected.get(entry, 0) + count
-    return [
-        BreakdownRow(attack=name, protocol=protocol,
-                     detected=detected.get((name, protocol), 0), total=total)
-        for (name, protocol), total in sorted(totals.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-    ]
 
 
 def sweep(

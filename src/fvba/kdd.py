@@ -25,15 +25,9 @@ import numpy as np
 from . import io as fio
 from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
 from .errors import ParameterError
-from .evaluation import (
-    BreakdownRow,
-    RecordWindowTruth,
-    ScoreReport,
-    per_attack_breakdown,
-    score_records,
-)
-from .model import FlowKey, ProtocolCategory, WindowFlows, WindowSample
-from .profiler import NormalProfile, build_profile, window_totals
+from .evaluation import BreakdownRow, ScoreReport
+from .model import FlowKey, ProtocolCategory, WindowSample
+from .profiler import NormalProfile, build_profile, window_samples
 
 FEATURE_COUNT = 41
 # Positions of the symbolic features in the standard 41-feature layout.
@@ -199,22 +193,20 @@ def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTab
 
 
 def to_flow_windows(
-    records: KddTable,
-    record_window: int = 100,
-    attack_names: frozenset[str] = frozenset(),
-) -> dict[ProtocolCategory, list[tuple[WindowSample, RecordWindowTruth]]]:
+    records: KddTable, record_window: int = 100
+) -> dict[ProtocolCategory, list[WindowSample]]:
     """Group records per protocol into windows of `record_window` records.
 
-    Each record contributes src_bytes + dst_bytes to its flow's window
-    total; a window's ground truth is attack when it contains at least
-    one record labelled with a name in `attack_names`.  A trailing group
-    shorter than `record_window` is dropped (its artificially low volume
-    and flow count would skew lower-bound detection).  Raises
-    ParameterError when a protocol's byte total does not fit int64.
+    Window w of a protocol holds its records w * record_window onwards, in
+    file order, and each record contributes src_bytes + dst_bytes to its
+    flow's window total.  A trailing group shorter than `record_window` is
+    dropped (its artificially low volume and flow count would skew
+    lower-bound detection).  Raises ParameterError when a protocol's byte
+    total does not fit int64.
     """
     if record_window <= 0:
         raise ParameterError(f"record window must be positive, got {record_window}")
-    windows: dict[ProtocolCategory, list[tuple[WindowSample, RecordWindowTruth]]] = {}
+    windows: dict[ProtocolCategory, list[WindowSample]] = {}
     for code, protocol in enumerate(PROTOCOLS):
         stream = records[records.protocol == code]
         count = len(stream) // record_window
@@ -222,26 +214,11 @@ def to_flow_windows(
             continue
         # Record i of the protocol stream lies in window i // record_window.
         stream = stream[: count * record_window]
-        window = np.arange(len(stream)) // record_window
-        sizes = stream.src_bytes + stream.dst_bytes
-        _, volumes, flow_counts = window_totals(window, stream.flow, sizes, count, len(stream.keys))
-        attack = stream.label_mask(attack_names)
-        normal = stream.label_mask({NORMAL_LABEL}) & ~attack
-        normals = np.bincount(window[normal], minlength=count)
-        tallies: list[dict[str, int]] = [{} for _ in range(count)]
-        label_ids = len(stream.labels)
-        pairs, hits = np.unique(window[attack] * label_ids + stream.label[attack], return_counts=True)
-        for pair, hit in zip(pairs.tolist(), hits.tolist()):
-            tallies[pair // label_ids][stream.labels[pair % label_ids]] = hit
-        series = windows[protocol] = []
-        for w, (volume, flow_count, normal) in enumerate(
-            zip(volumes.tolist(), flow_counts.tolist(), normals.tolist())
-        ):
-            lo, hi = w * record_window, (w + 1) * record_window
-            flows = WindowFlows(stream.keys, stream.flow[lo:hi], sizes[lo:hi])
-            sample = WindowSample(w, float(lo), float(record_window), protocol, volume, flow_count,
-                                  flows)
-            series.append((sample, RecordWindowTruth(tallies[w], normal)))
+        windows[protocol] = window_samples(
+            np.arange(len(stream)) // record_window, stream.flow,
+            stream.src_bytes + stream.dst_bytes, stream.keys, 0, count, float(record_window),
+            protocol,
+        )
     return windows
 
 
@@ -254,11 +231,8 @@ def build_profiles(
     skipped (no profile, no detection on that protocol).
     """
     windows = to_flow_windows(normal_records, record_window)
-    profiles = {}
-    for protocol, series in windows.items():
-        if len(series) >= 2:
-            profiles[protocol] = build_profile([sample for sample, _ in series])
-    return profiles
+    return {protocol: build_profile(series) for protocol, series in windows.items()
+            if len(series) >= 2}
 
 
 @dataclass(frozen=True)
@@ -268,6 +242,14 @@ class KddEvaluation:
     per_protocol: dict[ProtocolCategory, ScoreReport]
     overall: ScoreReport
     breakdown: list[BreakdownRow]
+
+
+def _score(counts: np.ndarray, attack: np.ndarray, normal: np.ndarray) -> ScoreReport:
+    """The report of per-label record counts: row 0 of `counts` over all
+    records, row 1 over the records of flagged windows."""
+    (actual, detected), (normals, false_alarms) = (counts[:, attack].sum(axis=1).tolist(),
+                                                    counts[:, normal].sum(axis=1).tolist())
+    return ScoreReport.from_counts(detected, actual, false_alarms, normals)
 
 
 def evaluate_split(
@@ -280,23 +262,36 @@ def evaluate_split(
     """Detect over a DoS+normal record stream and score per record.
 
     `records` must already be filtered to DoS plus normal (file order
-    preserved).  Protocols without a profile contribute undetected
-    windows.
+    preserved).  A window's verdict holds for every record in it: a record
+    labelled with a name in `attack_names` is detected, and a normal one a
+    false alarm, when its window is flagged.  Only the records of full
+    windows count, and protocols without a profile are never flagged.
     """
-    windows = to_flow_windows(records, record_window, attack_names=attack_names)
-    samples = {protocol: [sample for sample, _ in series] for protocol, series in windows.items()}
-    verdicts = detect_profiled(samples, profiles, factors)
-
+    windows = to_flow_windows(records, record_window)
+    verdicts = detect_profiled(windows, profiles, factors)
+    attack = np.array([name in attack_names for name in records.labels], dtype=bool)
+    normal = np.array([name == NORMAL_LABEL for name in records.labels], dtype=bool) & ~attack
     per_protocol: dict[ProtocolCategory, ScoreReport] = {}
-    results: list[tuple[ProtocolCategory, RecordWindowTruth, bool]] = []
-    for protocol, series in windows.items():
+    totals = np.zeros((2, len(records.labels)), dtype=np.int64)
+    breakdown = []
+    for code, protocol in enumerate(PROTOCOLS):
+        if protocol not in windows:
+            continue
+        count = len(windows[protocol])
+        labels = records.label[records.protocol == code][: count * record_window]
         reports = verdicts.get(protocol)
-        flags = [False] * len(series) if reports is None else [r.is_attack for r in reports]
-        truths = [truth for _, truth in series]
-        per_protocol[protocol] = score_records(zip(truths, flags))
-        results.extend((protocol, truth, flag) for truth, flag in zip(truths, flags))
-    return KddEvaluation(
-        per_protocol=per_protocol,
-        overall=score_records((truth, flag) for _, truth, flag in results),
-        breakdown=per_attack_breakdown(results),
-    )
+        flags = [False] * count if reports is None else [report.is_attack for report in reports]
+        flagged = np.repeat(np.array(flags, dtype=bool), record_window)
+        counts = np.stack([np.bincount(labels, minlength=totals.shape[1]),
+                           np.bincount(labels[flagged], minlength=totals.shape[1])])
+        per_protocol[protocol] = _score(counts, attack, normal)
+        totals += counts
+        breakdown.extend(
+            BreakdownRow(attack=name, protocol=protocol, detected=detected, total=total)
+            for name, is_attack, total, detected in zip(records.labels, attack.tolist(),
+                                                          *counts.tolist())
+            if is_attack and total
+        )
+    breakdown.sort(key=lambda row: (row.attack, row.protocol.value))
+    return KddEvaluation(per_protocol=per_protocol, overall=_score(totals, attack, normal),
+                         breakdown=breakdown)

@@ -7,14 +7,14 @@ plus the mean/std of per-flow byte totals used for flow characterization.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, OrderingError, ParameterError, ParseError
-from .model import EventTable, ProtocolCategory, WindowFlows, WindowSample
+from .model import EventTable, FlowKey, ProtocolCategory, WindowFlows, WindowSample
 
 PROFILE_FORMAT_VERSION = 1
 
@@ -62,15 +62,23 @@ def window_span(timestamps: np.ndarray, window_length: float) -> tuple[int, int]
     return first, last
 
 
-def window_totals(
-    windows: np.ndarray, flow: np.ndarray, counts: np.ndarray, window_count: int, key_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row bounds, byte volumes and distinct-flow counts of windows 0..window_count-1.
+def window_samples(
+    windows: np.ndarray,
+    flow: np.ndarray,
+    counts: np.ndarray,
+    keys: Sequence[FlowKey],
+    first: int,
+    window_count: int,
+    window_length: float,
+    protocol: ProtocolCategory | None,
+) -> list[WindowSample]:
+    """Samples of windows first..first+window_count-1, each `window_length` long.
 
-    `windows` holds each row's window index in ascending order, `flow` its
-    flow id (below `key_count`) and `counts` its non-negative byte count;
-    window w spans rows bounds[w]:bounds[w + 1].  Raises ParameterError
-    when the byte total of all rows does not fit int64.
+    `windows` holds each row's window index, less `first`, in ascending
+    order, `flow` its flow id into `keys` and `counts` its non-negative byte
+    count.  Each sample's `per_flow_bytes` is a `WindowFlows` view of its
+    rows that builds its map only when read.  Raises ParameterError when
+    the byte total of all rows does not fit int64.
     """
     bounds = np.searchsorted(windows, np.arange(window_count + 1))
     running = np.empty(counts.size + 1, dtype=np.int64)
@@ -83,7 +91,7 @@ def window_totals(
     del running
     # Sorted in place: `windows` ascends, so each row keeps its window, and
     # a pair is new where it differs from the row before.
-    pairs = windows * key_count
+    pairs = windows * len(keys)
     pairs += flow
     pairs.sort()
     new = np.empty(pairs.size, dtype=bool)
@@ -91,7 +99,22 @@ def window_totals(
     np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
     del pairs
     flow_counts = np.bincount(windows[new], minlength=window_count)
-    return bounds, volumes, flow_counts
+    bounds = bounds.tolist()
+    return [
+        WindowSample(
+            window_index=w,
+            window_start=w * window_length,
+            window_length=window_length,
+            protocol=protocol,
+            volume=volume,
+            flow_count=flow_count,
+            per_flow_bytes=WindowFlows(keys, flow[lo:hi], counts[lo:hi]),
+        )
+        for w, volume, flow_count, lo, hi in zip(
+            range(first, first + window_count), volumes.tolist(), flow_counts.tolist(),
+            bounds[:-1], bounds[1:],
+        )
+    ]
 
 
 def windowize(
@@ -106,8 +129,7 @@ def windowize(
     one window indexing.  Only events whose flow key matches `protocol` are
     aggregated; `protocol=None` aggregates every event into a single
     protocol-agnostic series.  Volumes and flow counts are computed on the
-    columns; each sample's `per_flow_bytes` is a `WindowFlows` view that
-    builds its map only when read.
+    columns (`window_samples`).
 
     Raises OrderingError, naming the first event that is earlier than its
     predecessor, if the events are not sorted by timestamp, and
@@ -129,29 +151,11 @@ def windowize(
     if protocol is not None:
         chosen = np.array([k.protocol is protocol for k in events.keys], dtype=bool)[flow]
         windows, flow, counts = windows[chosen], flow[chosen], counts[chosen]
-
-    bounds, volumes, flow_counts = window_totals(
-        windows, flow, counts, last - first + 1, len(events.keys)
-    )
-    bounds = bounds.tolist()
-    return [
-        WindowSample(
-            window_index=w,
-            window_start=w * window_length,
-            window_length=window_length,
-            protocol=protocol,
-            volume=volume,
-            flow_count=flow_count,
-            per_flow_bytes=WindowFlows(events.keys, flow[lo:hi], counts[lo:hi]),
-        )
-        for w, volume, flow_count, lo, hi in zip(
-            range(first, last + 1), volumes.tolist(), flow_counts.tolist(),
-            bounds[:-1], bounds[1:],
-        )
-    ]
+    return window_samples(windows, flow, counts, events.keys, first, last - first + 1,
+                          window_length, protocol)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class NormalProfile:
     """Statistical profile of attack-free traffic for one protocol series.
 
@@ -172,6 +176,9 @@ class NormalProfile:
     per_flow_std: float
 
     def __post_init__(self):
+        if self.training_windows < 2:
+            raise ParameterError(
+                f"training_windows must be at least 2, got {self.training_windows}")
         for name in ("window_length", "volume_mean", "volume_std", "flow_mean", "flow_std",
                      "per_flow_mean", "per_flow_std"):
             if not math.isfinite(getattr(self, name)):
@@ -251,6 +258,7 @@ def build_profile(
 # by a blank line; a version line leads the document.  Floats are written with
 # repr() and therefore round-trip exactly.
 
+_FIELDS = tuple(field.name for field in dataclasses.fields(NormalProfile))
 _PROTOCOL_ORDER = {ProtocolCategory.TCP: 0, ProtocolCategory.UDP: 1, ProtocolCategory.ICMP: 2, None: 3}
 _AGGREGATE_TOKEN = "ALL"
 
@@ -263,30 +271,19 @@ def dump_profiles(profiles: Iterable[NormalProfile]) -> str:
     """Serialize profiles to the plain-text profile document."""
     blocks = [f"version={PROFILE_FORMAT_VERSION}"]
     for profile in sorted(profiles, key=lambda p: _PROTOCOL_ORDER[p.protocol]):
-        blocks.append(
-            "\n".join(
-                [
-                    f"protocol={_protocol_token(profile.protocol)}",
-                    f"window_length={profile.window_length!r}",
-                    f"training_windows={profile.training_windows}",
-                    f"volume_mean={profile.volume_mean!r}",
-                    f"volume_std={profile.volume_std!r}",
-                    f"flow_mean={profile.flow_mean!r}",
-                    f"flow_std={profile.flow_std!r}",
-                    f"per_flow_mean={profile.per_flow_mean!r}",
-                    f"per_flow_std={profile.per_flow_std!r}",
-                ]
-            )
-        )
+        blocks.append("\n".join([f"protocol={_protocol_token(profile.protocol)}"]
+                                + [f"{name}={getattr(profile, name)!r}" for name in _FIELDS[1:]]))
     return "\n\n".join(blocks) + "\n"
 
 
 def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
     """Parse a profile document back into profiles keyed by protocol.
 
-    Raises ParseError, naming the first line of the block, for a block
-    with a missing, malformed or out-of-range field (such as a non-finite
-    statistic) and for a repeated protocol.
+    Raises ParseError naming the line of a repeated field, or of a field
+    that is not a profile field (`version` only opens the first block);
+    naming the first line of the block for a block with a missing,
+    malformed or out-of-range field (such as a non-finite statistic or
+    fewer than two training windows); and for a repeated protocol.
     """
     fields: dict[str, str] = {}
     blocks: list[tuple[int, dict[str, str]]] = []
@@ -301,8 +298,12 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
             raise ParseError(f"expected field=value, got {line!r}", line=number)
         if not fields:
             start = number
-        name, value = line.split("=", 1)
-        fields[name.strip()] = value.strip()
+        name, value = (part.strip() for part in line.split("=", 1))
+        if name in fields:
+            raise ParseError(f"repeated field {name!r}", line=number)
+        if name not in _FIELDS and not (name == "version" and not blocks):
+            raise ParseError(f"unknown profile field {name!r}", line=number)
+        fields[name] = value
     if fields:
         blocks.append((start, fields))
 
@@ -320,17 +321,9 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
         try:
             token = block["protocol"]
             protocol = None if token == _AGGREGATE_TOKEN else ProtocolCategory.parse(token)
-            profile = NormalProfile(
-                protocol=protocol,
-                window_length=float(block["window_length"]),
-                training_windows=int(block["training_windows"]),
-                volume_mean=float(block["volume_mean"]),
-                volume_std=float(block["volume_std"]),
-                flow_mean=float(block["flow_mean"]),
-                flow_std=float(block["flow_std"]),
-                per_flow_mean=float(block["per_flow_mean"]),
-                per_flow_std=float(block["per_flow_std"]),
-            )
+            profile = NormalProfile(protocol, *(
+                (int if name == "training_windows" else float)(block[name]) for name in _FIELDS[1:]
+            ))
         except KeyError as missing:
             raise ParseError(f"profile block missing field {missing}", line=start) from None
         except ValueError as bad:

@@ -13,6 +13,7 @@ from fvba import io as fio
 from fvba.detector import DEFAULT_FACTORS
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
+from fvba.simulator import ScenarioConfig
 
 
 def run(args, tmp_path):
@@ -59,6 +60,22 @@ class TestSimulate:
         simulate(tmp_path, "s", "--truth-out", tmp_path / "truth.tsv")
         truth = fio.load_truth((tmp_path / "truth.tsv").read_text())
         assert sum(label.is_attack for label in truth.values()) == 12
+
+
+class TestSimulateFlags:
+    def test_flag_defaults_are_scenario_config_defaults(self):
+        args = build_parser().parse_args(["simulate", "--kind", "attack-free", "--out", "o"])
+        for field in dataclasses.fields(ScenarioConfig):
+            if field.name != "kind":
+                # --clients has a default of its own; the field has none.
+                expected = 40 if field.name == "legit_clients" else field.default
+                value = getattr(args, field.name)
+                assert (value, type(value)) == (expected, type(expected)), field.name
+
+    def test_each_flag_sets_its_field(self):
+        args = build_parser().parse_args(["simulate", "--kind", "attack-free", "--out", "o",
+                                          "--request-bytes", "7", "--link-rate-bps", "9"])
+        assert (args.legit_bytes_per_request, args.client_link_rate_bps) == (7, 9.0)
 
 
 class TestProfileCommand:

@@ -13,13 +13,10 @@ from fvba.detector import (
 )
 from fvba.errors import ParameterError
 from fvba.evaluation import (
-    RecordWindowTruth,
     ScoreReport,
     dump_roc,
     dump_score,
-    per_attack_breakdown,
     score,
-    score_records,
     sweep,
 )
 from event_rows import series
@@ -87,39 +84,6 @@ class TestPrintedRatios:
     def test_neptune_ratio(self):
         rate = ScoreReport.from_counts(56973, 58001, 0, 1).detection_rate
         assert math.floor(rate * 100 * 100) / 100 == 98.22
-
-
-class TestScoreRecords:
-    def test_propagates_window_verdicts(self):
-        windows = [
-            (RecordWindowTruth({"smurf": 60}, 40), True),
-            (RecordWindowTruth({}, 100), False),
-            (RecordWindowTruth({"neptune": 90}, 10), False),
-            (RecordWindowTruth({}, 100), True),
-        ]
-        report = score_records(windows)
-        assert (report.detected, report.actual_attacks) == (60, 150)
-        assert (report.false_alarms, report.normal_events) == (140, 250)
-
-
-class TestPerAttackBreakdown:
-    def test_rows(self):
-        windows = [
-            (TCP, RecordWindowTruth({"neptune": 80, "back": 5}, 15), True),
-            (TCP, RecordWindowTruth({"neptune": 20}, 80), False),
-            (ProtocolCategory.ICMP, RecordWindowTruth({"smurf": 100}, 0), True),
-        ]
-        rows = per_attack_breakdown(windows)
-        assert [(r.attack, r.protocol, r.detected, r.total) for r in rows] == [
-            ("back", TCP, 5, 5),
-            ("neptune", TCP, 80, 100),
-            ("smurf", ProtocolCategory.ICMP, 100, 100),
-        ]
-        assert rows[1].rate == 0.8
-
-    def test_absent_attack_has_no_row(self):
-        rows = per_attack_breakdown([(TCP, RecordWindowTruth({}, 100), False)])
-        assert rows == []
 
 
 def series_fixture():

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 import random
 import re
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunked import CHUNK_SIZES, chunk_bytes, file_layout
-from fvba.detector import ToleranceFactors
+from fvba.cli import main
+from fvba.detector import ToleranceFactors, TriggerCondition, VerdictReport, detect_profiled
 from fvba.errors import ParameterError, ParseError
+from fvba.evaluation import BreakdownRow, ScoreReport, dump_breakdown, dump_score_table
 from fvba import kdd
 from fvba.kdd import (
     KddRecord,
@@ -64,34 +67,27 @@ def reference_parse(lines):
     return None, (srcs, dsts)
 
 
-def reference_to_flow_windows(rows, record_window, attack_names):
+def reference_to_flow_windows(rows, record_window):
     """to_flow_windows as the per-record dict loop it replaced, kept as the oracle.
 
     `rows` are (protocol token, service, flag, src_bytes, dst_bytes, label)
     tuples; returns, per protocol with a full window, (index, start,
-    length, volume, flow count, per-flow items in first-appearance order,
-    attack tallies, normal count) per window.
+    length, volume, flow count, per-flow items in first-appearance order)
+    per window.
     """
     grouped = {p: [] for p in ProtocolCategory}
-    for proto, service, flag, src, dst, label in rows:
+    for proto, service, flag, src, dst, _ in rows:
         protocol = ProtocolCategory[proto.upper()]
-        grouped[protocol].append(
-            (FlowKey(protocol, service, flag, 0, 0), src + dst, label.rstrip(".").lower())
-        )
+        grouped[protocol].append((FlowKey(protocol, service, flag, 0, 0), src + dst))
     windows = {}
     for protocol, stream in grouped.items():
         series = []
         for index in range(len(stream) // record_window):
-            flows, attack_counts, normal_count = {}, {}, 0
-            for key, size, label in stream[index * record_window : (index + 1) * record_window]:
+            flows = {}
+            for key, size in stream[index * record_window : (index + 1) * record_window]:
                 flows[key] = flows.get(key, 0) + size
-                if label in attack_names:
-                    attack_counts[label] = attack_counts.get(label, 0) + 1
-                elif label == "normal":
-                    normal_count += 1
             series.append((index, float(index * record_window), float(record_window),
-                           sum(flows.values()), len(flows), list(flows.items()),
-                           attack_counts, normal_count))
+                           sum(flows.values()), len(flows), list(flows.items())))
         if series:
             windows[protocol] = series
     return windows
@@ -102,11 +98,60 @@ def observed(windows):
     return {
         protocol: [
             (s.window_index, s.window_start, s.window_length, s.volume, s.flow_count,
-             list(s.per_flow_bytes.items()), truth.attack_counts, truth.normal_count)
-            for s, truth in series
+             list(s.per_flow_bytes.items()))
+            for s in series
         ]
         for protocol, series in windows.items()
     }
+
+
+def reference_evaluation(records, attack_names, verdicts, record_window):
+    """evaluate_split's scores as a loop over the records, the oracle.
+
+    A record of window w of its protocol (w counted from its position in
+    that protocol's stream) is flagged when verdicts[protocol][w] alarms;
+    records after the last full window are not counted.
+    """
+    full = {p: sum(r.protocol is p for r in records) // record_window * record_window
+            for p in ProtocolCategory}
+    seen = dict.fromkeys(ProtocolCategory, 0)
+    scores = {p: [0, 0, 0, 0] for p in kdd.PROTOCOLS if full[p]}
+    rows = {}
+    for record in records:
+        position = seen[record.protocol]
+        seen[record.protocol] += 1
+        if position >= full[record.protocol]:
+            continue
+        reports = verdicts.get(record.protocol)
+        flagged = reports is not None and reports[position // record_window].is_attack
+        counts = scores[record.protocol]
+        if record.label in attack_names:
+            counts[0] += flagged
+            counts[1] += 1
+            row = rows.setdefault((record.label, record.protocol.value), [record.protocol, 0, 0])
+            row[1] += flagged
+            row[2] += 1
+        elif record.label == "normal":
+            counts[2] += flagged
+            counts[3] += 1
+    per_protocol = {p: ScoreReport.from_counts(*counts) for p, counts in scores.items()}
+    overall = ScoreReport.from_counts(*(sum(c[i] for c in scores.values()) for i in range(4)))
+    breakdown = [BreakdownRow(name, protocol, detected, total)
+                 for (name, _), (protocol, detected, total) in sorted(rows.items())]
+    return per_protocol, overall, breakdown
+
+
+def flagging(monkeypatch, flags):
+    """Make evaluate_split flag window w of protocol p exactly when flags[p][w];
+    a protocol missing from `flags` counts as unprofiled."""
+
+    def detect(series, profiles, factors):
+        return {p: [VerdictReport(w, p, flag, frozenset({TriggerCondition.VOLUME_UPPER} if flag
+                                                        else ()), 0.0, 0.0)
+                    for w, flag in enumerate(flags[p])]
+                for p in series if p in flags}
+
+    monkeypatch.setattr(kdd, "detect_profiled", detect)
 
 
 NUMERIC_FIELDS = st.sampled_from([0, 4, 5, 6, 12, 22, 40])
@@ -423,24 +468,24 @@ class TestToFlowWindows:
 
     def test_normal_window_truth(self):
         records = make_records([record_line() for _ in range(100)])
-        ((sample, truth),) = to_flow_windows(records, 100, TRAINING_ATTACKS)[TCP]
-        assert not truth.is_attack
-        assert truth.normal_count == 100
+        evaluation = evaluate_split(records, TRAINING_ATTACKS, {}, record_window=100)
+        assert evaluation.overall == ScoreReport.from_counts(0, 0, 0, 100)
+        assert evaluation.breakdown == []
 
-    def test_attack_window_truth_counts_labels(self):
+    def test_attack_window_truth_counts_labels(self, monkeypatch):
         lines = [record_line() for _ in range(98)]
         lines += [record_line(label="neptune.", service="private", src=0, dst=0)] * 2
-        ((sample, truth),) = to_flow_windows(make_records(lines), 100, TRAINING_ATTACKS)[TCP]
-        assert truth.is_attack
-        assert truth.attack_counts == {"neptune": 2}
-        assert truth.normal_count == 98
+        flagging(monkeypatch, {TCP: [True]})
+        evaluation = evaluate_split(make_records(lines), TRAINING_ATTACKS, {}, record_window=100)
+        assert evaluation.overall == ScoreReport.from_counts(2, 2, 98, 98)
+        assert evaluation.breakdown == [BreakdownRow("neptune", TCP, 2, 2)]
 
     def test_flow_identity_is_service_flag(self):
         lines = [record_line(service="http", flag="SF", src=10, dst=0),
                  record_line(service="http", flag="SF", src=20, dst=5),
                  record_line(service="smtp", flag="SF", src=30, dst=0),
                  record_line(service="http", flag="REJ", src=40, dst=0)]
-        ((sample, _),) = to_flow_windows(make_records(lines), 4)[TCP]
+        (sample,) = to_flow_windows(make_records(lines), 4)[TCP]
         assert sample.flow_count == 3
         assert sample.volume == 105
 
@@ -463,7 +508,7 @@ class TestToFlowWindows:
         windows = to_flow_windows(records, 50)
         for protocol, series in windows.items():
             stream = [r for r in records if r.protocol is protocol]
-            for index, (sample, _) in enumerate(series):
+            for index, sample in enumerate(series):
                 chunk = stream[index * 50 : (index + 1) * 50]
                 assert sample.volume == sum(r.src_bytes + r.dst_bytes for r in chunk)
                 assert sample.flow_count == len({(r.service, r.flag) for r in chunk})
@@ -474,7 +519,7 @@ class TestToFlowWindows:
 
     def test_byte_total_beyond_int64_rejected(self):
         lines = [record_line(src=2**62, dst=0), record_line(src=2**62 - 1, dst=0)]
-        ((sample, _),) = to_flow_windows(make_records(lines), 2)[TCP]
+        (sample,) = to_flow_windows(make_records(lines), 2)[TCP]
         assert sample.volume == 2**63 - 1
         with pytest.raises(ParameterError, match="int64"):
             to_flow_windows(make_records([record_line(src=2**62, dst=2**62)]), 1)
@@ -493,16 +538,87 @@ class TestToFlowWindows:
     @settings(max_examples=300, deadline=None)
     def test_matches_dict_loop_oracle(self, rows, record_window):
         records = parse([record_line(*row[:5], label=row[5]) for row in rows])
-        attacks = frozenset({"neptune", "smurf", "back"})
-        windows = to_flow_windows(records, record_window, attacks)
-        assert observed(windows) == reference_to_flow_windows(rows, record_window, attacks)
-        assert list(windows) == list(reference_to_flow_windows(rows, record_window, attacks))
+        windows = to_flow_windows(records, record_window)
+        assert observed(windows) == reference_to_flow_windows(rows, record_window)
+        assert list(windows) == list(reference_to_flow_windows(rows, record_window))
 
     def test_zero_byte_records_still_counted_as_flows(self):
         lines = [record_line(service=f"s{i}", src=0, dst=0) for i in range(10)]
-        ((sample, _),) = to_flow_windows(make_records(lines), 10)[TCP]
+        (sample,) = to_flow_windows(make_records(lines), 10)[TCP]
         assert sample.volume == 0
         assert sample.flow_count == 10
+
+
+class TestEvaluateSplit:
+    def test_propagates_window_verdicts(self, monkeypatch):
+        lines = [record_line(label="smurf.")] * 60 + [record_line()] * 140
+        lines += [record_line(label="neptune.")] * 90 + [record_line()] * 110
+        flagging(monkeypatch, {TCP: [True, False, False, True]})
+        evaluation = evaluate_split(make_records(lines), TRAINING_ATTACKS, {}, record_window=100)
+        assert evaluation.overall == ScoreReport.from_counts(60, 150, 140, 250)
+        assert evaluation.per_protocol == {TCP: evaluation.overall}
+
+    def test_breakdown_rows(self, monkeypatch):
+        # Rows sorted by attack name, then protocol; one per pair present.
+        lines = ([record_line(label="neptune.")] * 80 + [record_line(label="back.")] * 5
+                 + [record_line()] * 15 + [record_line(label="neptune.")] * 20
+                 + [record_line()] * 80 + [record_line(proto="icmp", label="smurf.")] * 100
+                 + [record_line(proto="udp", label="neptune.")] * 100)
+        flagging(monkeypatch, {TCP: [True, False], ICMP: [True]})
+        records = make_records(lines)
+        rows = evaluate_split(records, TRAINING_ATTACKS, {}, record_window=100).breakdown
+        assert [(r.attack, r.protocol, r.detected, r.total) for r in rows] == [
+            ("back", TCP, 5, 5),
+            ("neptune", TCP, 80, 100),
+            ("neptune", ProtocolCategory.UDP, 0, 100),
+            ("smurf", ICMP, 100, 100),
+        ]
+        assert rows[1].rate == 0.8
+
+    def test_absent_attack_has_no_row(self, monkeypatch):
+        # Back is an attack name, but no record in a full window carries it.
+        lines = [record_line()] * 100 + [record_line(label="back.")] * 99
+        flagging(monkeypatch, {TCP: [False]})
+        evaluation = evaluate_split(make_records(lines), TRAINING_ATTACKS, {}, record_window=100)
+        assert evaluation.breakdown == []
+        assert evaluation.overall == ScoreReport.from_counts(0, 0, 0, 100)
+
+    @given(
+        st.lists(st.tuples(
+            st.sampled_from(["tcp", "udp", "icmp"]),
+            st.sampled_from(["http", "smtp", "private"]),
+            st.sampled_from(["SF", "S0"]),
+            st.integers(0, 3) | st.integers(0, 2**20),
+            st.integers(0, 3) | st.integers(0, 2**20),
+            st.sampled_from(["normal.", "neptune.", "smurf.", "back", "satan.", "apache2."]),
+        ), min_size=10, max_size=80),
+        st.integers(1, 5),
+        st.frozensets(st.sampled_from(["neptune", "smurf", "back", "apache2"])),
+        st.frozensets(st.sampled_from(list(ProtocolCategory))),
+        st.floats(0.25, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_record_loop(self, rows, record_window, attacks, profiled, factor):
+        # Profiles of the whole stream and factors below 2 flag some windows
+        # and pass others; protocols left out of `profiled` are unprofiled.
+        records = parse([record_line(*row[:5], label=row[5]) for row in rows])
+        profiles = {p: profile for p, profile in build_profiles(records, record_window).items()
+                    if p in profiled}
+        factors = {p: ToleranceFactors(factor, factor,
+                                       factor if p is ProtocolCategory.UDP else None)
+                   for p in ProtocolCategory}
+        verdicts = detect_profiled(to_flow_windows(records, record_window), profiles, factors)
+        evaluation = evaluate_split(records, attacks, profiles, factors, record_window)
+        per_protocol, overall, breakdown = reference_evaluation(records, attacks, verdicts,
+                                                                record_window)
+        assert evaluation.per_protocol == per_protocol
+        assert list(evaluation.per_protocol) == list(per_protocol)
+        assert evaluation.overall == overall
+        assert evaluation.breakdown == breakdown
+        # Rates print as the oracle's Python floats do.
+        assert dump_breakdown(evaluation.breakdown) == dump_breakdown(breakdown)
+        assert (dump_score_table([("all", evaluation.overall), *evaluation.per_protocol.items()])
+                == dump_score_table([("all", overall), *per_protocol.items()]))
 
 
 class TestPipeline:
@@ -592,3 +708,68 @@ class TestPipeline:
         )
         evaluation = evaluate_split(stream, TRAINING_ATTACKS, profiles, record_window=100)
         assert evaluation.per_protocol[ICMP].detection_rate == 0.0
+
+
+def _pinned_lines(seed, plan):
+    """The records of `plan` ({protocol token: [(count, label, service, flag, src range)]})
+    in a seeded random order that keeps each protocol's own order."""
+    rng = random.Random(seed)
+    streams = []
+    for proto, runs in plan.items():
+        stream = []
+        for count, label, service, flag, (low, high) in runs:
+            for i in range(count):
+                stream.append(record_line(proto=proto, service=service.format(i=i), flag=flag,
+                                          src=rng.randint(low, high), dst=rng.randint(0, low),
+                                          label=label))
+        streams.append(stream[::-1])
+    lines = []
+    while any(streams):
+        lines.append(rng.choice([s for s in streams if s]).pop())
+    return lines
+
+
+# Record windows of 10.  UDP has one full window of normal training records,
+# so it gets no profile; every protocol ends in a partial window.
+_PINNED_TRAIN = {
+    "tcp": [(60, "normal.", "http", "SF", (400, 600)), (10, "neptune.", "p{i}", "S0", (0, 0)),
+            (12, "normal.", "smtp", "SF", (400, 600)), (3, "satan.", "p{i}", "REJ", (0, 0)),
+            (3, "neptune.", "p{i}", "S0", (0, 0))],
+    "udp": [(14, "normal.", "domain_u", "SF", (40, 60)), (12, "teardrop.", "private", "SF", (28, 28))],
+    "icmp": [(40, "normal.", "eco_i", "SF", (30, 90)), (10, "smurf.", "ecr_i", "SF", (1032, 1032)),
+             (5, "normal.", "eco_i", "SF", (30, 90)), (5, "pod.", "ecr_i", "SF", (1480, 1480)),
+             (3, "normal.", "eco_i", "SF", (30, 90))],
+}
+_PINNED_TEST = {
+    "tcp": [(30, "normal.", "http", "SF", (400, 600)), (10, "neptune.", "p{i}", "S0", (0, 0)),
+            (9, "normal.", "http", "SF", (400, 600)), (1, "apache2.", "http", "SF", (400, 600)),
+            (10, "back.", "http", "SF", (54000, 55000)), (10, "normal.", "http", "SF", (400, 600)),
+            (5, "normal.", "http", "SF", (400, 600)), (2, "apache2.", "http", "SF", (400, 600))],
+    "udp": [(20, "normal.", "domain_u", "SF", (40, 60)), (10, "teardrop.", "private", "SF", (28, 28)),
+            (10, "udpstorm.", "echo", "SF", (1000, 1000)), (5, "normal.", "domain_u", "SF", (40, 60))],
+    "icmp": [(20, "normal.", "eco_i", "SF", (30, 90)), (10, "smurf.", "ecr_i", "SF", (1032, 1032)),
+             (9, "normal.", "eco_i", "SF", (30, 90)), (1, "pod.", "ecr_i", "SF", (90, 90)),
+             (8, "normal.", "eco_i", "SF", (30, 90)), (2, "pod.", "ecr_i", "SF", (1480, 1480)),
+             (4, "smurf.", "ecr_i", "SF", (1032, 1032))],
+}
+
+
+class TestKddPinned:
+    """SHA-256 of `fvba kdd`'s score table, breakdown and standard output on a
+    mixed TCP/UDP/ICMP pair of splits; a rewrite of the KDD-99 path must leave
+    every byte in place."""
+
+    def test_output_digests(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("\n".join(_pinned_lines(31, _PINNED_TRAIN)) + "\n")
+        test.write_text("\n".join(_pinned_lines(32, _PINNED_TEST)) + "\n")
+        scores, breakdown = tmp_path / "scores.tsv", tmp_path / "breakdown.tsv"
+        assert main(["kdd", "--train", str(train), "--test", str(test), "--record-window", "10",
+                     "--out", str(scores), "--breakdown-out", str(breakdown)]) == 0
+        digests = [hashlib.sha256(data).hexdigest() for data in (
+            scores.read_bytes(), breakdown.read_bytes(), capsys.readouterr().out.encode())]
+        assert digests == [
+            "d6b632c70e57f8b8f5213be7e958b7c195acbb30c8b19ecf4991f2fcd08a0d5a",
+            "a37ad08b6359249643f2ac446718a6343b68269813a2bef8a3c4991b54d349b1",
+            "a8d941d013328ce98174f7909b3521c0c3d8f5a4994944d9243d4165498d1236",
+        ]

@@ -329,7 +329,7 @@ NON_NEGATIVE = st.floats(0, allow_infinity=False)
 def profile_sets(draw):
     """Profiles of distinct series, with any values `NormalProfile` accepts."""
     series = draw(st.lists(st.sampled_from([*ProtocolCategory, None]), unique=True, min_size=1))
-    return [NormalProfile(protocol, draw(FINITE), draw(st.integers(-2**70, 2**70)),
+    return [NormalProfile(protocol, draw(FINITE), draw(st.integers(2, 2**70)),
                           *(draw(NON_NEGATIVE) for _ in range(4)), draw(FINITE),
                           draw(NON_NEGATIVE))
             for protocol in series]
@@ -380,6 +380,29 @@ class TestProfileSerialization:
     def test_non_finite_profile_rejected(self):
         with pytest.raises(ParameterError, match="volume_std must be finite"):
             NormalProfile(TCP, 0.2, 10, 1.0, math.nan, 3.0, 4.0, 5.0, 6.0)
+
+    def test_repeated_field_names_line(self):
+        text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        text = text.replace("volume_mean=1.0\n", "volume_mean=1.0\nvolume_mean=7.0\n")
+        with pytest.raises(ParseError, match="line 7: repeated field 'volume_mean'"):
+            load_profiles(text)
+
+    @pytest.mark.parametrize("line", ["bogus=3", "version=1"])
+    def test_unknown_field_names_line(self, line):
+        # A version line opens the first block only.
+        text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        text = text.replace("flow_std=4.0\n", f"flow_std=4.0\n{line}\n")
+        name = line.split("=")[0]
+        with pytest.raises(ParseError, match=f"line 10: unknown profile field '{name}'"):
+            load_profiles(text)
+
+    @pytest.mark.parametrize("windows", [-3, 0, 1])
+    def test_fewer_than_two_training_windows_rejected(self, windows):
+        with pytest.raises(ParameterError, match="training_windows must be at least 2"):
+            NormalProfile(TCP, 0.2, windows, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        with pytest.raises(ParseError, match="line 3: bad profile block: training_windows must"):
+            load_profiles(text.replace("training_windows=10", f"training_windows={windows}"))
 
     def test_duplicate_block_rejected(self):
         profile = NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
