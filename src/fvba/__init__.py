@@ -22,13 +22,13 @@ from .detector import (
     ToleranceFactors,
     TriggerCondition,
     VerdictReport,
+    Verdicts,
     compute_thresholds,
-    detect,
     detect_series,
 )
 from .errors import Error, InsufficientDataError, OrderingError, ParameterError, ParseError
 from .evaluation import RocPoint, ScoreReport, score, sweep
-from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory, WindowSample
+from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory, WindowSeries
 from .profiler import NormalProfile, build_profile, windowize
 from .simulator import LabeledEventStream, ScenarioConfig, ScenarioKind, generate
 
@@ -60,11 +60,11 @@ __all__ = [
     "ToleranceFactors",
     "TriggerCondition",
     "VerdictReport",
-    "WindowSample",
+    "Verdicts",
+    "WindowSeries",
     "build_profile",
     "classify_flows",
     "compute_thresholds",
-    "detect",
     "detect_series",
     "generate",
     "score",

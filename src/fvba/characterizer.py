@@ -14,9 +14,11 @@ import enum
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping
 
-from .detector import VerdictReport
+import numpy as np
+
+from .detector import Verdicts
 from .errors import ParameterError
-from .model import FlowKey, WindowSample
+from .model import FlowKey, WindowSeries
 from .profiler import NormalProfile
 
 _STRENGTH_EPSILON = 1e-9
@@ -139,28 +141,30 @@ def throttle_directives(
 
 
 def characterize(
-    samples: Iterable[WindowSample],
-    reports: Iterable[VerdictReport],
+    series: WindowSeries,
+    verdicts: Verdicts,
     profile: NormalProfile,
 ) -> Iterator[tuple[int, list[FlowClassification], list[ThrottleDirective]]]:
     """(window_index, classifications, directives) for each flagged window of one series.
 
-    `samples` and `reports` are the series' windows and verdicts in window
-    order.  Flows are banded by the profile's six-sigma limits with the
-    previous window as history; suspicious flows are throttled by the
-    window's volume excess over the profile mean.
+    `verdicts` are the series' verdicts (`detector.detect_series`).  Flows
+    are banded by the profile's six-sigma limits with the previous window
+    as history; suspicious flows are throttled by the window's volume
+    excess over the profile mean.
     """
     limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
-    # The previous window's flow map is built only if an attack-band flow
-    # of a flagged window is looked up in it.
-    previous: Container[FlowKey] = frozenset()
-    for sample, report in zip(samples, reports):
-        if report.is_attack:
-            classifications = classify_flows(sample.per_flow_bytes, limits, previous)
-            suspicious = [c.key for c in classifications if c.band is FlowBand.SUSPICIOUS]
-            strength = volume_excess_ratio(sample.volume, profile.volume_mean)
-            yield sample.window_index, classifications, throttle_directives(suspicious, strength)
-        previous = sample.per_flow_bytes
+    # The flow map of the last flagged window is the history of the next
+    # window, if that is flagged too; the first window's history is empty.
+    flows: Container[FlowKey] = frozenset()
+    last = -1
+    for i in np.flatnonzero(verdicts.is_attack).tolist():
+        previous = flows if last == i - 1 else series.flows(i - 1)
+        flows, last = series.flows(i), i
+        classifications = classify_flows(flows, limits, previous)
+        suspicious = [c.key for c in classifications if c.band is FlowBand.SUSPICIOUS]
+        strength = volume_excess_ratio(int(series.volume[i]), profile.volume_mean)
+        yield (int(verdicts.window_index[i]), classifications,
+               throttle_directives(suspicious, strength))
 
 
 def _flow_sort_key(key: FlowKey):

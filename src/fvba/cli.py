@@ -132,8 +132,8 @@ def cmd_profile(args) -> int:
         series = sorted(events.protocols(), key=lambda p: p.value)
     profiles = []
     for protocol in series:
-        samples = windowize(events, args.window_seconds, protocol)
-        profiles.append(build_profile(samples, per_flow_scope=args.per_flow_scope))
+        windows = windowize(events, args.window_seconds, protocol)
+        profiles.append(build_profile(windows, per_flow_scope=args.per_flow_scope))
     _write(args.out, dump_profiles(profiles))
     names = ", ".join("ALL" if p.protocol is None else p.protocol.value for p in profiles)
     print(f"profile: {len(profiles)} series ({names}) -> {args.out}")
@@ -158,11 +158,10 @@ def cmd_detect(args) -> int:
     factors = _resolve_factors(args)
     series, profiles = _profiled_series(args)
     verdicts = detect_profiled(series, profiles, factors)
-    reports = [report for reports in verdicts.values() for report in reports]
-    _write(args.out, dump_verdicts(reports))
-    flags = flagged_windows(reports)
-    attacked = sum(flags.values())
-    print(f"detect: {attacked}/{len(flags)} windows flagged -> {args.out}")
+    _write(args.out, dump_verdicts(verdicts.values()))
+    _, flags = flagged_windows(verdicts.values())
+    attacked = int(flags.sum())
+    print(f"detect: {attacked}/{flags.size} windows flagged -> {args.out}")
     return 2 if attacked else 0
 
 
@@ -173,8 +172,8 @@ def cmd_characterize(args) -> int:
     throttle_lines = [THROTTLE_HEADER]
     flagged = 0
     verdicts = detect_profiled(series, profiles, factors)
-    for protocol, reports in verdicts.items():
-        for window, classifications, directives in characterize(series[protocol], reports,
+    for protocol, outcomes in verdicts.items():
+        for window, classifications, directives in characterize(series[protocol], outcomes,
                                                                 profiles[protocol]):
             flagged += 1
             classification_lines.extend(classification_line(window, c) for c in classifications)
@@ -247,18 +246,18 @@ def cmd_sweep(args) -> int:
         )
     ((protocol, profile),) = profiles.items()
     truth = fio.load_window_truth(_read(args.window_truth))
-    samples = windowize(events, profile.window_length, protocol)
+    windows = windowize(events, profile.window_length, protocol)
     grid = _load_grid(args.grid, profile)
-    points = sweep(samples, profile, truth, grid, volume_only=args.volume_only)
+    points = sweep(windows, profile, truth, grid, volume_only=args.volume_only)
     _write(args.out, dump_roc(points))
     print(f"sweep: {len(points)} operating points -> {args.out}")
     return 0
 
 
 def cmd_score(args) -> int:
-    reports = load_verdicts(_read(args.verdicts))
+    verdicts = load_verdicts(_read(args.verdicts))
     truth = fio.load_window_truth(_read(args.window_truth))
-    report = score(reports, truth)
+    report = score(verdicts.values(), truth)
     _write(args.out, dump_score(report))
     rate = report.detection_rate
     fp = report.false_positive_rate

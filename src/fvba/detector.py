@@ -1,4 +1,4 @@
-"""Threshold computation and per-window attack verdicts.
+"""Threshold computation and the attack verdicts of window series.
 
 Detection compares a window's volume/flow deviation from the normal
 profile against thresholds derived from tolerance factors:
@@ -17,10 +17,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError, ParseError
-from .model import ProtocolCategory, WindowSample
+from .model import ProtocolCategory, WindowSeries
 from .profiler import NormalProfile
 
 
@@ -88,9 +90,8 @@ class TriggerCondition(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    """Per-window detection outcome."""
+class VerdictReport(NamedTuple):
+    """One window's detection outcome, as iterating `Verdicts` yields it."""
 
     window_index: int
     protocol: ProtocolCategory | None
@@ -99,12 +100,45 @@ class VerdictReport:
     volume_deviation: float
     flow_deviation: float
 
-    def __post_init__(self):
-        if self.is_attack != bool(self.triggered):
-            raise ParameterError("is_attack must mirror the triggered set")
-        if not (math.isfinite(self.volume_deviation) and math.isfinite(self.flow_deviation)):
-            raise ParameterError(f"deviations must be finite, got {self.volume_deviation}"
-                                 f" and {self.flow_deviation}")
+
+_TRIGGER_ORDER = (TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER,
+                  TriggerCondition.FLOW)
+
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Detection outcomes of the windows of one series, as columns.
+
+    Row i is window `window_index[i]` (int64); `triggered[i]` holds one bool
+    per condition in `_TRIGGER_ORDER`, and `volume_deviation[i]` and
+    `flow_deviation[i]` (float64) the window's distance from the profile
+    means.  A window is an attack when any condition fired.  Treat the
+    arrays as read-only.
+    """
+
+    protocol: ProtocolCategory | None
+    window_index: np.ndarray
+    triggered: np.ndarray
+    volume_deviation: np.ndarray
+    flow_deviation: np.ndarray
+
+    def __len__(self) -> int:
+        return self.window_index.size
+
+    @property
+    def is_attack(self) -> np.ndarray:
+        return self.triggered.any(axis=1)
+
+    def fired(self, triggers: Collection[TriggerCondition]) -> np.ndarray:
+        """Per window, whether any of `triggers` fired."""
+        return self.triggered[:, [t in triggers for t in _TRIGGER_ORDER]].any(axis=1)
+
+    def __iter__(self) -> Iterator[VerdictReport]:
+        for index, fired, volume, flow in zip(self.window_index.tolist(), self.triggered.tolist(),
+                                              self.volume_deviation.tolist(),
+                                              self.flow_deviation.tolist()):
+            triggered = frozenset(t for t, hit in zip(_TRIGGER_ORDER, fired) if hit)
+            yield VerdictReport(index, self.protocol, bool(triggered), triggered, volume, flow)
 
 
 def compute_thresholds(profile: NormalProfile, factors: ToleranceFactors) -> Thresholds:
@@ -131,105 +165,96 @@ def compute_thresholds(profile: NormalProfile, factors: ToleranceFactors) -> Thr
     )
 
 
-def detect(
-    sample: WindowSample, profile: NormalProfile, thresholds: Thresholds
-) -> VerdictReport:
-    """Render the attack/no-attack verdict for one window.
-
-    The UDP lower-bound condition fires when the volume falls below
-    normal by more than the lower threshold (a drop, not the literal
-    signed comparison, which would hold for all normal traffic).
-    """
-    if not (sample.protocol is profile.protocol is thresholds.protocol):
-        raise ParameterError(
-            "sample, profile and thresholds must describe the same protocol series"
-        )
-    if sample.window_length != profile.window_length:
-        raise ParameterError("sample and profile window lengths differ")
-
-    volume_deviation = sample.volume - profile.volume_mean
-    flow_deviation = sample.flow_count - profile.flow_mean
-
-    triggered = set()
-    if volume_deviation > thresholds.x_th:
-        triggered.add(TriggerCondition.VOLUME_UPPER)
-    if flow_deviation > thresholds.v_th:
-        triggered.add(TriggerCondition.FLOW)
-    if thresholds.x_th_lower is not None and -volume_deviation > thresholds.x_th_lower:
-        triggered.add(TriggerCondition.VOLUME_LOWER)
-
-    return VerdictReport(
-        window_index=sample.window_index,
-        protocol=sample.protocol,
-        is_attack=bool(triggered),
-        triggered=frozenset(triggered),
-        volume_deviation=volume_deviation,
-        flow_deviation=flow_deviation,
-    )
-
-
 def detect_series(
-    samples: Iterable[WindowSample],
-    profile: NormalProfile,
-    thresholds: Thresholds,
-) -> list[VerdictReport]:
-    """Detect over consecutive windows; no state is kept across windows."""
-    return [detect(sample, profile, thresholds) for sample in samples]
+    series: WindowSeries, profile: NormalProfile, thresholds: Thresholds
+) -> Verdicts:
+    """Render the attack/no-attack verdict of every window of a series.
+
+    No state is kept across windows.  The UDP lower-bound condition fires
+    when the volume falls below normal by more than the lower threshold
+    (a drop, not the literal signed comparison, which would hold for all
+    normal traffic).
+    """
+    if not (series.protocol is profile.protocol is thresholds.protocol):
+        raise ParameterError(
+            "series, profile and thresholds must describe the same protocol series"
+        )
+    if series.window_length != profile.window_length:
+        raise ParameterError("series and profile window lengths differ")
+
+    volume_deviation = series.volume - profile.volume_mean
+    flow_deviation = series.flow_count - profile.flow_mean
+    lower = thresholds.x_th_lower
+    triggered = np.column_stack([
+        volume_deviation > thresholds.x_th,
+        np.zeros(len(series), dtype=bool) if lower is None else -volume_deviation > lower,
+        flow_deviation > thresholds.v_th,
+    ])
+    return Verdicts(series.protocol, series.window_index, triggered, volume_deviation,
+                    flow_deviation)
 
 
 def detect_profiled(
-    series: Mapping[ProtocolCategory | None, Sequence[WindowSample]],
+    series: Mapping[ProtocolCategory | None, WindowSeries],
     profiles: Mapping[ProtocolCategory | None, NormalProfile],
     factors: Mapping[ProtocolCategory | None, ToleranceFactors] = DEFAULT_FACTORS,
-) -> dict[ProtocolCategory | None, list[VerdictReport]]:
+) -> dict[ProtocolCategory | None, Verdicts]:
     """Verdicts for every series that has a profile, in the order of `series`.
 
     Each series is thresholded with its own protocol's factors; a series
     without a profile gets no entry.
     """
     verdicts = {}
-    for protocol, samples in series.items():
+    for protocol, windows in series.items():
         if protocol in profiles:
             thresholds = compute_thresholds(profiles[protocol], factors[protocol])
-            verdicts[protocol] = detect_series(samples, profiles[protocol], thresholds)
+            verdicts[protocol] = detect_series(windows, profiles[protocol], thresholds)
     return verdicts
 
 
 def flagged_windows(
-    reports: Iterable[VerdictReport],
+    verdicts: Collection[Verdicts],
     triggers: Collection[TriggerCondition] = frozenset(TriggerCondition),
-) -> dict[int, bool]:
-    """Merge verdicts into per-window flags: a window is flagged when any of
-    its verdicts (any protocol) fired one of `triggers`, by default any."""
-    flags: dict[int, bool] = {}
-    for report in reports:
-        fired = not report.triggered.isdisjoint(triggers)
-        flags[report.window_index] = flags.get(report.window_index, False) or fired
-    return flags
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge verdicts into per-window flags: the ascending window indices of
+    all verdicts and, for each, whether any of its verdicts (any protocol)
+    fired one of `triggers`, by default any."""
+    indices = np.concatenate([np.empty(0, np.int64), *(v.window_index for v in verdicts)])
+    fired = np.concatenate([np.empty(0, bool), *(v.fired(triggers) for v in verdicts)])
+    windows, position = np.unique(indices, return_inverse=True)
+    flags = np.zeros(windows.size, dtype=bool)
+    flags[position[fired]] = True
+    return windows, flags
 
 
 # --- tab-separated serialization ----------------------------------------------
 
 _VERDICT_HEADER = "window_index\tprotocol\tis_attack\ttriggered\tvolume_deviation\tflow_deviation"
-_TRIGGER_ORDER = [TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER, TriggerCondition.FLOW]
 
 
-def dump_verdicts(reports: Iterable[VerdictReport]) -> str:
-    """Serialize verdict reports as tab-separated lines with a header row."""
+def dump_verdicts(verdicts: Iterable[Verdicts]) -> str:
+    """Serialize the verdicts of each series as tab-separated lines with a header row."""
     lines = [_VERDICT_HEADER]
-    for r in reports:
-        triggers = ",".join(t.value for t in _TRIGGER_ORDER if t in r.triggered) or "-"
-        protocol = "ALL" if r.protocol is None else r.protocol.value
-        lines.append(
-            f"{r.window_index}\t{protocol}\t{int(r.is_attack)}\t{triggers}"
-            f"\t{r.volume_deviation!r}\t{r.flow_deviation!r}"
-        )
+    for series in verdicts:
+        protocol = "ALL" if series.protocol is None else series.protocol.value
+        for r in series:
+            triggers = ",".join(t.value for t in _TRIGGER_ORDER if t in r.triggered) or "-"
+            lines.append(
+                f"{r.window_index}\t{protocol}\t{int(r.is_attack)}\t{triggers}"
+                f"\t{r.volume_deviation!r}\t{r.flow_deviation!r}"
+            )
     return "\n".join(lines) + "\n"
 
 
-def load_verdicts(text: str) -> list[VerdictReport]:
-    """Parse the tab-separated verdict format."""
-    reports = []
+def load_verdicts(text: str) -> dict[ProtocolCategory | None, Verdicts]:
+    """Parse the tab-separated verdict format into the verdicts of each
+    protocol series, keyed in order of first appearance.
+
+    Raises ParseError naming the line of a malformed row, a window index
+    outside int64, an is_attack flag that does not mirror the triggers and
+    a deviation that is not finite.
+    """
+    rows: dict[ProtocolCategory | None, list[tuple]] = {}
     lines = text.split("\n")
     if lines[0] != _VERDICT_HEADER:
         raise ParseError("missing verdict header row", line=1)
@@ -241,17 +266,24 @@ def load_verdicts(text: str) -> list[VerdictReport]:
             raise ParseError(f"expected 6 columns, got {len(parts)}", line=number)
         index, protocol, attack, triggers, volume_dev, flow_dev = parts
         try:
-            reports.append(
-                VerdictReport(
-                    window_index=int(index),
-                    protocol=None if protocol == "ALL" else ProtocolCategory.parse(protocol),
-                    is_attack=bool(int(attack)),
-                    triggered=frozenset(TriggerCondition(token)
-                                        for token in triggers.split(",") if token != "-"),
-                    volume_deviation=float(volume_dev),
-                    flow_deviation=float(flow_dev),
-                )
-            )
+            index = int(index)
+            if not -2**63 <= index < 2**63:
+                raise ValueError(f"window index {index} does not fit int64")
+            protocol = None if protocol == "ALL" else ProtocolCategory.parse(protocol)
+            is_attack = bool(int(attack))
+            triggered = {TriggerCondition(token) for token in triggers.split(",") if token != "-"}
+            volume, flow = float(volume_dev), float(flow_dev)
+            if is_attack != bool(triggered):
+                raise ValueError("is_attack must mirror the triggered set")
+            if not (math.isfinite(volume) and math.isfinite(flow)):
+                raise ValueError(f"deviations must be finite, got {volume} and {flow}")
         except ValueError as exc:
             raise ParseError(str(exc), line=number) from None
-    return reports
+        rows.setdefault(protocol, []).append(
+            (index, [t in triggered for t in _TRIGGER_ORDER], volume, flow))
+    verdicts = {}
+    for protocol, series in rows.items():
+        index, triggered, volume, flow = zip(*series)
+        verdicts[protocol] = Verdicts(protocol, np.array(index, dtype=np.int64),
+                                      np.array(triggered), np.array(volume), np.array(flow))
+    return verdicts

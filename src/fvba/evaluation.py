@@ -9,18 +9,20 @@ record, where a window verdict propagates to every record inside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .detector import (
     ToleranceFactors,
     TriggerCondition,
-    VerdictReport,
+    Verdicts,
     compute_thresholds,
     detect_series,
     flagged_windows,
 )
 from .errors import ParameterError
-from .model import ProtocolCategory, WindowSample
+from .model import ProtocolCategory, WindowSeries
 from .profiler import NormalProfile
 
 _VOLUME_TRIGGERS = frozenset({TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER})
@@ -75,23 +77,29 @@ class RocPoint:
                 raise ParameterError(f"rates must lie in [0, 1], got {rate}")
 
 
-def _score_flags(flags: Mapping[int, bool], truth: Mapping[int, bool]) -> ScoreReport:
-    if set(flags) != set(truth):
+def _aligned_truth(windows: np.ndarray, truth: Mapping[int, bool]) -> np.ndarray:
+    """The truth of each of the distinct `windows`, which must be exactly
+    the windows of `truth`."""
+    attacked = [truth.get(w) for w in windows.tolist()]
+    if len(truth) != len(attacked) or None in attacked:
         raise ParameterError("verdicts and ground truth cover different window sets")
-    detected = sum(1 for w, attacked in truth.items() if attacked and flags[w])
-    attacks = sum(1 for attacked in truth.values() if attacked)
-    false_alarms = sum(1 for w, attacked in truth.items() if not attacked and flags[w])
-    normals = len(truth) - attacks
-    return ScoreReport.from_counts(detected, attacks, false_alarms, normals)
+    return np.array(attacked, dtype=bool)
 
 
-def score(verdicts: Sequence[VerdictReport], truth: Mapping[int, bool]) -> ScoreReport:
-    """Score per-window verdicts against per-window ground truth.
+def _flag_report(flags: np.ndarray, attacked: np.ndarray) -> ScoreReport:
+    attacks = int(attacked.sum())
+    return ScoreReport.from_counts(int((flags & attacked).sum()), attacks,
+                                   int((flags & ~attacked).sum()), attacked.size - attacks)
+
+
+def score(verdicts: Collection[Verdicts], truth: Mapping[int, bool]) -> ScoreReport:
+    """Score the verdicts of one or more series against per-window ground truth.
 
     A window counts as flagged when any of its verdicts alarms.  The
     verdict window set must equal the truth window set.
     """
-    return _score_flags(flagged_windows(verdicts), truth)
+    windows, flags = flagged_windows(verdicts)
+    return _flag_report(flags, _aligned_truth(windows, truth))
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,13 @@ class BreakdownRow:
 
 
 def sweep(
-    samples: Sequence[WindowSample],
+    series: WindowSeries,
     profile: NormalProfile,
     truth: Mapping[int, bool],
     grid: Sequence[ToleranceFactors],
     volume_only: bool = False,
 ) -> list[RocPoint]:
-    """Re-threshold and re-score one sample series for every grid entry.
+    """Re-threshold and re-score one window series for every grid entry.
 
     The profile stays fixed; only thresholds are recomputed.  With
     `volume_only` the flow condition is ignored when flagging windows
@@ -124,18 +132,12 @@ def sweep(
     if not grid:
         raise ParameterError("sweep grid must be non-empty")
     triggers = _VOLUME_TRIGGERS if volume_only else frozenset(TriggerCondition)
+    attacked = _aligned_truth(series.window_index, truth)
     points = []
     for factors in grid:
-        thresholds = compute_thresholds(profile, factors)
-        reports = detect_series(samples, profile, thresholds)
-        report = _score_flags(flagged_windows(reports, triggers), truth)
-        points.append(
-            RocPoint(
-                factors=factors,
-                detection_rate=report.detection_rate,
-                false_positive_rate=report.false_positive_rate,
-            )
-        )
+        verdicts = detect_series(series, profile, compute_thresholds(profile, factors))
+        report = _flag_report(verdicts.fired(triggers), attacked)
+        points.append(RocPoint(factors, report.detection_rate, report.false_positive_rate))
     return points
 
 

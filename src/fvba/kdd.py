@@ -26,7 +26,7 @@ from . import io as fio
 from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
 from .errors import ParameterError
 from .evaluation import BreakdownRow, ScoreReport
-from .model import FlowKey, ProtocolCategory, WindowSample
+from .model import FlowKey, ProtocolCategory, WindowSeries
 from .profiler import NormalProfile, build_profile, window_samples
 
 FEATURE_COUNT = 41
@@ -194,7 +194,7 @@ def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTab
 
 def to_flow_windows(
     records: KddTable, record_window: int = 100
-) -> dict[ProtocolCategory, list[WindowSample]]:
+) -> dict[ProtocolCategory, WindowSeries]:
     """Group records per protocol into windows of `record_window` records.
 
     Window w of a protocol holds its records w * record_window onwards, in
@@ -206,18 +206,18 @@ def to_flow_windows(
     """
     if record_window <= 0:
         raise ParameterError(f"record window must be positive, got {record_window}")
-    windows: dict[ProtocolCategory, list[WindowSample]] = {}
+    windows: dict[ProtocolCategory, WindowSeries] = {}
     for code, protocol in enumerate(PROTOCOLS):
-        stream = records[records.protocol == code]
-        count = len(stream) // record_window
+        rows = np.flatnonzero(records.protocol == code)
+        count = rows.size // record_window
         if not count:
             continue
         # Record i of the protocol stream lies in window i // record_window.
-        stream = stream[: count * record_window]
+        rows = rows[: count * record_window]
         windows[protocol] = window_samples(
-            np.arange(len(stream)) // record_window, stream.flow,
-            stream.src_bytes + stream.dst_bytes, stream.keys, 0, count, float(record_window),
-            protocol,
+            np.arange(rows.size) // record_window, records.flow[rows],
+            records.src_bytes[rows] + records.dst_bytes[rows], records.keys, 0, count,
+            float(record_window), protocol,
         )
     return windows
 
@@ -279,9 +279,8 @@ def evaluate_split(
             continue
         count = len(windows[protocol])
         labels = records.label[records.protocol == code][: count * record_window]
-        reports = verdicts.get(protocol)
-        flags = [False] * count if reports is None else [report.is_attack for report in reports]
-        flagged = np.repeat(np.array(flags, dtype=bool), record_window)
+        flags = verdicts[protocol].is_attack if protocol in verdicts else np.zeros(count, bool)
+        flagged = np.repeat(flags, record_window)
         counts = np.stack([np.bincount(labels, minlength=totals.shape[1]),
                            np.bincount(labels[flagged], minlength=totals.shape[1])])
         per_protocol[protocol] = _score(counts, attack, normal)

@@ -1,4 +1,4 @@
-"""Core domain types: flow identities, event tables, windowed samples, ground truth.
+"""Core domain types: flow identities, event tables, window series, ground truth.
 
 All types are value types that are not changed after construction; they
 are safe to share between threads and to use as dictionary keys where
@@ -8,7 +8,7 @@ hashable.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,73 +131,58 @@ def _reject_first(invalid: np.ndarray, values: np.ndarray, message: str) -> None
         raise ParameterError(f"event {index}: " + message.format(values[index]))
 
 
-class WindowFlows(Mapping[FlowKey, int]):
-    """Per-flow byte totals of one window, read from event-table columns.
+class Window(NamedTuple):
+    """One window of a `WindowSeries`, as iterating the series yields it."""
 
-    The dict is built on first read, keyed in order of each flow's first
-    event in the window, so a window whose flows are never read costs only
-    two array views.
-    """
-
-    __slots__ = ("_keys", "_flow", "_bytes", "_totals")
-
-    def __init__(self, keys: Sequence[FlowKey], flow: np.ndarray, counts: np.ndarray):
-        self._keys, self._flow, self._bytes = keys, flow, counts
-        self._totals: dict[FlowKey, int] | None = None
-
-    def _built(self) -> dict[FlowKey, int]:
-        if self._totals is None:
-            totals: dict[FlowKey, int] = {}
-            keys = self._keys
-            for f, count in zip(self._flow.tolist(), self._bytes.tolist()):
-                key = keys[f]
-                totals[key] = totals.get(key, 0) + count
-            self._totals = totals
-        return self._totals
-
-    def __getitem__(self, key: FlowKey) -> int:
-        return self._built()[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._built()
-
-    def __iter__(self) -> Iterator[FlowKey]:
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __repr__(self) -> str:
-        return f"WindowFlows({self._built()!r})"
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """Per-protocol traffic aggregate for one monitoring window.
-
-    `volume` is the total byte count over the window, `flow_count` the
-    number of distinct flows seen, and `per_flow_bytes` the byte total of
-    each of those flows.  `protocol` is None for a sample aggregated over
-    all protocol categories (see `profiler.windowize`).  The volume and
-    flow count are checked against a plain flow map; a `WindowFlows` view
-    from `windowize` is derived from the same columns as they are.
-    """
-
-    window_index: int
-    window_start: float
-    window_length: float
-    protocol: ProtocolCategory | None
+    index: int
     volume: int
     flow_count: int
-    per_flow_bytes: Mapping[FlowKey, int]
 
-    def __post_init__(self):
-        if isinstance(self.per_flow_bytes, WindowFlows):
-            return
-        if self.volume != sum(self.per_flow_bytes.values()):
-            raise ParameterError("window volume must equal the sum of per-flow bytes")
-        if self.flow_count != len(self.per_flow_bytes):
-            raise ParameterError("flow_count must equal the number of per-flow entries")
+
+@dataclass(frozen=True, eq=False)
+class WindowSeries:
+    """Per-protocol traffic aggregates of consecutive monitoring windows, as columns.
+
+    Window i of the series is window `first + i` of the stream, `window_length`
+    long.  `volume[i]` is its total byte count and `flow_count[i]` the number
+    of distinct flows seen (int64 columns).  Its rows are
+    `bounds[i]:bounds[i + 1]` of `flow` (ids into `keys`) and `bytes`.
+    `protocol` is None for a series aggregated over all protocol categories
+    (see `profiler.windowize`).  Treat the arrays as read-only.
+    """
+
+    protocol: ProtocolCategory | None
+    window_length: float
+    first: int
+    volume: np.ndarray
+    flow_count: np.ndarray
+    bounds: np.ndarray
+    flow: np.ndarray
+    bytes: np.ndarray
+    keys: Sequence[FlowKey]
+
+    def __len__(self) -> int:
+        return self.volume.size
+
+    def __iter__(self) -> Iterator[Window]:
+        return map(Window, range(self.first, self.first + len(self)), self.volume.tolist(),
+                   self.flow_count.tolist())
+
+    @property
+    def window_index(self) -> np.ndarray:
+        """The stream's window index of each window, as int64."""
+        return np.arange(self.first, self.first + len(self), dtype=np.int64)
+
+    def flows(self, i: int) -> dict[FlowKey, int]:
+        """Per-flow byte totals of window i of the series, keyed in order of
+        each flow's first row in the window."""
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        totals: dict[FlowKey, int] = {}
+        keys = self.keys
+        for f, count in zip(self.flow[lo:hi].tolist(), self.bytes[lo:hi].tolist()):
+            key = keys[f]
+            totals[key] = totals.get(key, 0) + count
+        return totals
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, OrderingError, ParameterError, ParseError
-from .model import EventTable, FlowKey, ProtocolCategory, WindowFlows, WindowSample
+from .model import EventTable, FlowKey, ProtocolCategory, WindowSeries
 
 PROFILE_FORMAT_VERSION = 1
 
@@ -71,14 +71,13 @@ def window_samples(
     window_count: int,
     window_length: float,
     protocol: ProtocolCategory | None,
-) -> list[WindowSample]:
-    """Samples of windows first..first+window_count-1, each `window_length` long.
+) -> WindowSeries:
+    """The series of windows first..first+window_count-1, each `window_length` long.
 
     `windows` holds each row's window index, less `first`, in ascending
     order, `flow` its flow id into `keys` and `counts` its non-negative byte
-    count.  Each sample's `per_flow_bytes` is a `WindowFlows` view of its
-    rows that builds its map only when read.  Raises ParameterError when
-    the byte total of all rows does not fit int64.
+    count; the series keeps `flow` and `counts` as its rows.  Raises
+    ParameterError when the byte total of all rows does not fit int64.
     """
     bounds = np.searchsorted(windows, np.arange(window_count + 1))
     running = np.empty(counts.size + 1, dtype=np.int64)
@@ -98,33 +97,19 @@ def window_samples(
     new[:1] = True
     np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
     del pairs
-    flow_counts = np.bincount(windows[new], minlength=window_count)
-    bounds = bounds.tolist()
-    return [
-        WindowSample(
-            window_index=w,
-            window_start=w * window_length,
-            window_length=window_length,
-            protocol=protocol,
-            volume=volume,
-            flow_count=flow_count,
-            per_flow_bytes=WindowFlows(keys, flow[lo:hi], counts[lo:hi]),
-        )
-        for w, volume, flow_count, lo, hi in zip(
-            range(first, first + window_count), volumes.tolist(), flow_counts.tolist(),
-            bounds[:-1], bounds[1:],
-        )
-    ]
+    flow_counts = np.bincount(windows[new], minlength=window_count).astype(np.int64, copy=False)
+    return WindowSeries(protocol, window_length, first, volumes, flow_counts, bounds, flow,
+                        counts, keys)
 
 
 def windowize(
     events: EventTable,
     window_length: float,
     protocol: ProtocolCategory | None = None,
-) -> list[WindowSample]:
-    """Aggregate a time-sorted event stream into fixed-length window samples.
+) -> WindowSeries:
+    """Aggregate a time-sorted event stream into a series of fixed-length windows.
 
-    One sample is returned for every window covering the span of `events`,
+    The series holds every window covering the span of `events`,
     empty windows included, so that all protocols of the same stream share
     one window indexing.  Only events whose flow key matches `protocol` are
     aggregated; `protocol=None` aggregates every event into a single
@@ -190,11 +175,8 @@ class NormalProfile:
             raise ParameterError("means of non-negative quantities cannot be negative")
 
 
-def build_profile(
-    samples: Sequence[WindowSample],
-    per_flow_scope: str = "capture",
-) -> NormalProfile:
-    """Compute a NormalProfile from training-window samples.
+def build_profile(series: WindowSeries, per_flow_scope: str = "capture") -> NormalProfile:
+    """Compute a NormalProfile from a series of training windows.
 
     Standard deviations are population standard deviations (divide by N).
     With the default `per_flow_scope="capture"`, each flow's bytes are
@@ -202,36 +184,30 @@ def build_profile(
     mean/std; `"window"` instead treats every (flow, window) total as one
     observation.
 
-    Raises InsufficientDataError for fewer than two samples and
-    ParameterError for mixed protocols or window lengths.
+    Raises InsufficientDataError for fewer than two windows.
     """
-    if len(samples) < 2:
+    if len(series) < 2:
         raise InsufficientDataError(
-            f"profile needs at least 2 windows, got {len(samples)}"
+            f"profile needs at least 2 windows, got {len(series)}"
         )
     if per_flow_scope not in ("capture", "window"):
         raise ParameterError(f"unknown per-flow scope: {per_flow_scope!r}")
-    protocol = samples[0].protocol
-    window_length = samples[0].window_length
-    for sample in samples:
-        if sample.protocol is not protocol:
-            raise ParameterError("profile samples must share one protocol")
-        if sample.window_length != window_length:
-            raise ParameterError("profile samples must share one window length")
 
-    volumes = np.array([s.volume for s in samples], dtype=np.float64)
-    counts = np.array([s.flow_count for s in samples], dtype=np.float64)
+    volumes = series.volume.astype(np.float64)
+    counts = series.flow_count.astype(np.float64)
 
     if per_flow_scope == "capture":
-        totals: dict = {}
-        for sample in samples:
-            for key, count in sample.per_flow_bytes.items():
-                totals[key] = totals.get(key, 0) + count
+        # Exact in int64: window_samples checked that the series total fits.
+        totals = np.zeros(len(series.keys), dtype=np.int64)
+        np.add.at(totals, series.flow, series.bytes)
+        seen = np.bincount(series.flow, minlength=len(series.keys)) > 0
         # Sorted, so that the statistics do not depend on flow numbering.
-        observations = np.sort(np.array(list(totals.values()), dtype=np.float64))
+        observations = np.sort(totals[seen].astype(np.float64))
     else:
+        # In window order and, within a window, in order of first row: the
+        # pairwise sum of `mean` depends on the order.
         observations = np.array(
-            [b for s in samples for b in s.per_flow_bytes.values()], dtype=np.float64
+            [b for i in range(len(series)) for b in series.flows(i).values()], dtype=np.float64
         )
     if observations.size:
         per_flow_mean = float(observations.mean())
@@ -240,9 +216,9 @@ def build_profile(
         per_flow_mean = per_flow_std = 0.0
 
     return NormalProfile(
-        protocol=protocol,
-        window_length=window_length,
-        training_windows=len(samples),
+        protocol=series.protocol,
+        window_length=series.window_length,
+        training_windows=len(series),
         volume_mean=float(volumes.mean()),
         volume_std=float(volumes.std()),
         flow_mean=float(counts.mean()),

@@ -1,10 +1,14 @@
-"""Row-wise building and reading of event tables, for the tests."""
+"""Row-wise building and reading of event tables and verdicts, for the tests."""
 
 import io
+from collections.abc import Sequence
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from fvba import io as fio
-from fvba.model import EventTable, FlowKey, ProtocolCategory, WindowSample
+from fvba.detector import Verdicts
+from fvba.model import EventTable, FlowKey, ProtocolCategory, WindowSeries
 from fvba.profiler import windowize
 
 
@@ -41,7 +45,7 @@ def event_text(events: EventTable) -> str:
 
 
 def series(windows: list[Mapping[FlowKey, int]], protocol: ProtocolCategory | None,
-           length: float = 0.2, first: int = 0) -> list[WindowSample]:
+           length: float = 0.2, first: int = 0) -> WindowSeries:
     """`windowize(table, length, protocol)` of a table whose window first + i
     holds one event per entry (flow key: bytes) of windows[i], at its middle.
 
@@ -57,3 +61,13 @@ def series(windows: list[Mapping[FlowKey, int]], protocol: ProtocolCategory | No
         if filler is not None:
             events.append(Row(middle, filler, 1))
     return windowize(table(events), length, protocol)
+
+
+def attack_verdicts(protocol: ProtocolCategory | None, indices: Sequence[int],
+                    attacked: Sequence[bool]) -> Verdicts:
+    """Verdicts of windows `indices` in which an attacked window fired the
+    upper volume condition and nothing else fired."""
+    triggered = np.zeros((len(indices), 3), dtype=bool)
+    triggered[:, 0] = attacked
+    zeros = np.zeros(len(indices))
+    return Verdicts(protocol, np.array(indices, dtype=np.int64), triggered, zeros, zeros)

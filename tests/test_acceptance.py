@@ -21,7 +21,6 @@ from fvba.detector import (
     ToleranceFactors,
     TriggerCondition,
     compute_thresholds,
-    detect,
     detect_series,
 )
 from fvba.evaluation import ScoreReport, sweep
@@ -100,12 +99,13 @@ def test_criterion_1_threshold_arithmetic():
 # -------------------------------------------------------------------------
 
 def _sample_for(proto, volume, flows, index=0):
+    """A series of one window whose flows carry `volume` bytes in all."""
     per_flow = {}
     for i in range(flows):
         port = 0 if proto is ICMP else 1000 + i
         share = volume - (flows - 1) if i == 0 else 1
         per_flow[FlowKey(proto or TCP, f"h{i}", "srv", port, port)] = share
-    return series([per_flow], proto, first=index)[0]
+    return series([per_flow], proto, first=index)
 
 
 def test_criterion_2_detection_truth_table():
@@ -125,7 +125,7 @@ def test_criterion_2_detection_truth_table():
             for flow_dev in (-5, 0, 11, 12, 13):
                 cases += 1
                 sample = _sample_for(proto, 1000 + vol_dev, 20 + flow_dev)
-                verdict = detect(sample, profile, thresholds)
+                (verdict,) = detect_series(sample, profile, thresholds)
                 expected = set()
                 if vol_dev > x_th:
                     expected.add(VOLUME_UPPER)

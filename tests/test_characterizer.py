@@ -12,9 +12,8 @@ from fvba.characterizer import (
     throttle_directives,
     volume_excess_ratio,
 )
-from fvba.detector import TriggerCondition, VerdictReport
 from fvba.errors import ParameterError
-from event_rows import series
+from event_rows import attack_verdicts, series
 from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile
 
@@ -165,15 +164,13 @@ class TestCharacterize:
                             flow_mean=5.0, flow_std=1.0, per_flow_mean=100.0, per_flow_std=10.0)
 
     def run(self, windows):
-        """Characterize windows given as (flagged, {flow id: bytes}) pairs."""
-        reports = []
-        for index, (flagged, flows) in enumerate(windows):
-            triggered = frozenset({TriggerCondition.VOLUME_UPPER} if flagged else ())
-            reports.append(VerdictReport(index, ProtocolCategory.TCP, flagged, triggered,
-                                         0.0, 0.0))
+        """Characterize windows given as (flagged, {flow id: bytes}) pairs; a
+        flagged window fired the upper volume condition."""
+        verdicts = attack_verdicts(ProtocolCategory.TCP, range(len(windows)),
+                                   [attacked for attacked, _ in windows])
         samples = series([{key(i): count for i, count in flows.items()} for _, flows in windows],
                          ProtocolCategory.TCP)
-        return list(characterize(samples, reports, self.PROFILE))
+        return list(characterize(samples, verdicts, self.PROFILE))
 
     def test_yields_flagged_windows_only(self):
         results = self.run([(False, {0: 100}), (True, {0: 100}), (False, {0: 100})])
@@ -189,6 +186,29 @@ class TestCharacterize:
         bands = {c.key: (c.band, c.excluded_by_history) for c in classifications}
         assert window == 1
         assert bands == {key(0): (FlowBand.SUSPICIOUS, True), key(1): (FlowBand.ATTACK, False)}
+
+    def test_history_from_flagged_previous_window(self):
+        # Window 1's history is the flow map of flagged window 0; window 2's
+        # that of flagged window 1, not window 0's.
+        results = self.run([(True, {0: 500}), (True, {0: 500, 1: 500}),
+                            (True, {1: 500, 2: 500})])
+        bands = [{c.key: (c.band, c.excluded_by_history) for c in classifications}
+                 for _, classifications, _ in results]
+        assert [window for window, _, _ in results] == [0, 1, 2]
+        assert bands == [
+            {key(0): (FlowBand.ATTACK, False)},
+            {key(0): (FlowBand.SUSPICIOUS, True), key(1): (FlowBand.ATTACK, False)},
+            {key(1): (FlowBand.SUSPICIOUS, True), key(2): (FlowBand.ATTACK, False)},
+        ]
+
+    def test_history_skips_to_window_before_after_gap(self):
+        # Flagged window 2 follows unflagged window 1: its history is window
+        # 1's flows, not those of flagged window 0.
+        results = self.run([(True, {0: 500}), (False, {1: 100}), (True, {0: 500, 1: 500})])
+        ((window, classifications, _),) = results[1:]
+        bands = {c.key: (c.band, c.excluded_by_history) for c in classifications}
+        assert window == 2
+        assert bands == {key(0): (FlowBand.ATTACK, False), key(1): (FlowBand.SUSPICIOUS, True)}
 
     def test_exactly_suspicious_flows_throttled_sorted(self):
         # Flow 3 is history-demoted, flows 5 and 2 lie between the limits.

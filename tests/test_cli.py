@@ -342,6 +342,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("row,message", [
         ("1\tALL\t1\tbogus\t0.0\t0.0", "line 3: 'bogus' is not a valid TriggerCondition"),
         ("1\tALL\t1\t-\t0.0\t0.0", "line 3: is_attack must mirror the triggered set"),
+        ("9223372036854775808\tALL\t0\t-\t0.0\t0.0",
+         "line 3: window index 9223372036854775808 does not fit int64"),
+        ("-9223372036854775809\tALL\t0\t-\t0.0\t0.0",
+         "line 3: window index -9223372036854775809 does not fit int64"),
     ])
     def test_verdict_row(self, tmp_path, capsys, row, message):
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0", row],

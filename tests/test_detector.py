@@ -1,5 +1,7 @@
 import random
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +10,8 @@ from fvba.detector import (
     Thresholds,
     ToleranceFactors,
     TriggerCondition,
-    VerdictReport,
+    Verdicts,
     compute_thresholds,
-    detect,
     detect_profiled,
     detect_series,
     dump_verdicts,
@@ -45,14 +46,25 @@ def profile(proto=TCP, volume_mean=1000.0, volume_std=10.0, flow_mean=20.0, flow
     )
 
 
-def sample(proto=TCP, volume=1000, flows=20, index=0):
+def window(proto=TCP, volume=1000, flows=20):
     # First flow absorbs the remainder; needs volume >= flows.
     per_flow = {}
     for i in range(flows):
         port = 0 if proto is ICMP else 1000 + i
         share = volume - (flows - 1) if i == 0 else 1
         per_flow[FlowKey(proto or TCP, f"h{i}", "srv", port, port)] = share
-    return series([per_flow], proto, first=index)[0]
+    return per_flow
+
+
+def sample(proto=TCP, volume=1000, flows=20, index=0):
+    """A series of one window, window `index`."""
+    return series([window(proto, volume, flows)], proto, first=index)
+
+
+def detect(one_window, profile, thresholds):
+    """The verdict of a series of one window."""
+    (report,) = detect_series(one_window, profile, thresholds)
+    return report
 
 
 class TestToleranceFactors:
@@ -154,18 +166,17 @@ class TestDetect:
         assert not report.is_attack
 
     def test_protocol_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            detect(sample(UDP), profile(TCP), Thresholds(TCP, 60, 12))
+        with pytest.raises(ParameterError, match="same protocol series"):
+            detect_series(sample(UDP), profile(TCP), Thresholds(TCP, 60, 12))
 
     def test_window_length_mismatch_rejected(self):
-        (bad,) = series([{}], TCP, length=0.5)
-        with pytest.raises(ParameterError):
-            detect(bad, profile(), Thresholds(TCP, 60, 12))
+        with pytest.raises(ParameterError, match="window lengths differ"):
+            detect_series(series([{}], TCP, length=0.5), profile(), Thresholds(TCP, 60, 12))
 
     def test_pure_function(self):
         th = Thresholds(TCP, x_th=60, v_th=12)
         s = sample(volume=1100, flows=25)
-        assert detect(s, profile(), th) == detect(s, profile(), th)
+        assert list(detect_series(s, profile(), th)) == list(detect_series(s, profile(), th))
 
 
 class TestAlgorithmTruthTable:
@@ -224,45 +235,46 @@ class TestVerdictProperties:
     def test_flagged_windows_merge(self):
         th = Thresholds(TCP, x_th=60, v_th=12)
         udp_th = Thresholds(UDP, x_th=60, v_th=16, x_th_lower=15)
-        reports = detect_series([sample(volume=1000, index=0), sample(volume=1100, index=1)],
-                                profile(), th)
-        reports += detect_series(
-            [sample(UDP, volume=1000, index=0), sample(UDP, volume=1000, index=1)],
-            profile(UDP), udp_th)
-        assert flagged_windows(reports) == {0: False, 1: True}
+        tcp = detect_series(series([window(volume=1000), window(volume=1100)], TCP), profile(), th)
+        udp = detect_series(series([window(UDP), window(UDP)], UDP), profile(UDP), udp_th)
+        windows, flags = flagged_windows([tcp, udp])
+        assert windows.tolist() == [0, 1] and flags.tolist() == [False, True]
 
     def test_flagged_windows_trigger_filter(self):
-        def report(index, *triggered):
-            return VerdictReport(index, TCP, bool(triggered), frozenset(triggered), 0.0, 0.0)
+        def verdicts(protocol, rows):
+            """Verdicts of (window, triggers) rows; triggers in _TRIGGER_ORDER."""
+            indices, triggered = zip(*rows)
+            zeros = np.zeros(len(rows))
+            return Verdicts(protocol, np.array(indices), np.array(triggered), zeros, zeros)
 
-        reports = [report(0, FLOW), report(1, VOLUME_LOWER), report(2, FLOW, VOLUME_UPPER),
-                   report(3), report(3, FLOW)]
+        reports = [verdicts(TCP, [(3, (0, 0, 0)), (2, (1, 0, 1)), (1, (0, 1, 0))]),
+                   verdicts(UDP, [(0, (0, 0, 1)), (3, (0, 0, 1))])]
         volume = {VOLUME_UPPER, VOLUME_LOWER}
-        assert flagged_windows(reports, volume) == {0: False, 1: True, 2: True, 3: False}
-        assert flagged_windows(reports) == {0: True, 1: True, 2: True, 3: True}
+        windows, flags = flagged_windows(reports, volume)
+        assert windows.tolist() == [0, 1, 2, 3] and flags.tolist() == [False, True, True, False]
+        assert flagged_windows(reports)[1].tolist() == [True, True, True, True]
+        windows, flags = flagged_windows([])
+        assert windows.size == flags.size == 0
 
 
 class TestDetectProfiled:
     def test_series_without_profile_gets_no_entry(self):
-        verdicts = detect_profiled({TCP: [sample()], ICMP: [sample(ICMP)]}, {TCP: profile()})
+        verdicts = detect_profiled({TCP: sample(), ICMP: sample(ICMP)}, {TCP: profile()})
         assert list(verdicts) == [TCP]
 
     def test_keeps_series_order(self):
         profiles = {p: profile(p) for p in (TCP, UDP, ICMP)}
         for order in ([UDP, ICMP, TCP], [ICMP, TCP, UDP]):
-            verdicts = detect_profiled({p: [sample(p)] for p in order}, profiles)
+            verdicts = detect_profiled({p: sample(p) for p in order}, profiles)
             assert list(verdicts) == order
 
     def test_each_protocol_thresholded_with_its_factors(self):
         # A rise of 50 is beyond TCP's r1 = 1 (10 bytes) but not ICMP's
         # r1 = 5; a drop of 50 fires only UDP's lower factor r3 = 1.5.
-        series = {
-            TCP: [sample(TCP, volume=1050, index=0), sample(TCP, volume=950, index=1)],
-            UDP: [sample(UDP, volume=1050, index=0), sample(UDP, volume=950, index=1)],
-            ICMP: [sample(ICMP, volume=1050, index=0), sample(ICMP, volume=950, index=1)],
-        }
-        profiles = {p: profile(p) for p in series}
-        verdicts = detect_profiled(series, profiles)
+        windows = {p: series([window(p, volume=1050), window(p, volume=950)], p)
+                   for p in (TCP, UDP, ICMP)}
+        profiles = {p: profile(p) for p in windows}
+        verdicts = detect_profiled(windows, profiles)
         assert {p: [r.triggered for r in reports] for p, reports in verdicts.items()} == {
             TCP: [{VOLUME_UPPER}, set()],
             UDP: [set(), {VOLUME_LOWER}],
@@ -270,38 +282,49 @@ class TestDetectProfiled:
         }
         for p, reports in verdicts.items():
             thresholds = compute_thresholds(profiles[p], DEFAULT_FACTORS[p])
-            assert reports == detect_series(series[p], profiles[p], thresholds)
+            assert list(reports) == list(detect_series(windows[p], profiles[p], thresholds))
         wider = {TCP: ToleranceFactors(6, 6)}
-        verdicts = detect_profiled({TCP: series[TCP]}, profiles, wider)
+        verdicts = detect_profiled({TCP: windows[TCP]}, profiles, wider)
         assert not any(r.is_attack for r in verdicts[TCP])
 
 
+def rows(verdicts):
+    """The verdicts of each series as lists of rows."""
+    return {protocol: list(series) for protocol, series in verdicts.items()}
+
+
 @st.composite
-def verdict_lists(draw):
-    """Verdicts with any values `VerdictReport` accepts."""
+def verdict_series(draw):
+    """Verdicts of distinct series, each of one or more windows, with any
+    values the verdict format carries: int64 window indices, any triggers
+    and finite deviations."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    reports = []
-    for _ in range(draw(st.integers(0, 5))):
-        triggered = frozenset(draw(st.sets(st.sampled_from(list(TriggerCondition)))))
-        reports.append(VerdictReport(draw(st.integers(-2**70, 2**70)),
-                                     draw(st.sampled_from([*ProtocolCategory, None])),
-                                     bool(triggered), triggered, draw(finite), draw(finite)))
-    return reports
+    protocols = draw(st.lists(st.sampled_from([*ProtocolCategory, None]), unique=True))
+    verdicts = {}
+    for protocol in protocols:
+        size = draw(st.integers(1, 5))
+        column = partial(st.lists, min_size=size, max_size=size)
+        verdicts[protocol] = Verdicts(
+            protocol,
+            np.array(draw(column(st.integers(-2**63, 2**63 - 1))), dtype=np.int64),
+            np.array(draw(column(st.lists(st.booleans(), min_size=3, max_size=3)))),
+            np.array(draw(column(finite))), np.array(draw(column(finite))))
+    return verdicts
 
 
 class TestVerdictSerialization:
-    @given(verdict_lists())
-    def test_every_verdict_round_trips(self, reports):
-        assert load_verdicts(dump_verdicts(reports)) == reports
+    @given(verdict_series())
+    def test_every_verdict_round_trips(self, verdicts):
+        loaded = load_verdicts(dump_verdicts(verdicts.values()))
+        assert list(loaded) == list(verdicts)
+        assert rows(loaded) == rows(verdicts)
 
     def test_round_trip(self):
         th = Thresholds(TCP, x_th=60, v_th=12)
-        reports = detect_series(
-            [sample(volume=1000 + d, index=i) for i, d in enumerate((0, 100, -3))],
-            profile(),
-            th,
-        )
-        assert load_verdicts(dump_verdicts(reports)) == reports
+        verdicts = detect_series(series([window(volume=1000 + d) for d in (0, 100, -3)], TCP),
+                                 profile(), th)
+        assert [r.is_attack for r in verdicts] == [False, True, False]
+        assert rows(load_verdicts(dump_verdicts([verdicts]))) == {TCP: list(verdicts)}
 
     def test_header_required(self):
         with pytest.raises(Exception):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvba.detector import (
     ToleranceFactors,
@@ -19,31 +20,26 @@ from fvba.evaluation import (
     score,
     sweep,
 )
-from event_rows import series
+from event_rows import attack_verdicts, series
 from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile
 
 TCP = ProtocolCategory.TCP
+UDP = ProtocolCategory.UDP
+ICMP = ProtocolCategory.ICMP
+ALL_TRIGGERS = frozenset(TriggerCondition)
+VOLUME_TRIGGERS = frozenset({TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER})
 
 
-def verdict(index, attack, triggered=frozenset()):
-    if attack and not triggered:
-        triggered = frozenset({TriggerCondition.VOLUME_UPPER})
-    return VerdictReport(
-        window_index=index,
-        protocol=TCP,
-        is_attack=attack,
-        triggered=frozenset(triggered),
-        volume_deviation=0.0,
-        flow_deviation=0.0,
-    )
+def verdicts(rows):
+    """TCP verdicts of (window, attacked) rows."""
+    return attack_verdicts(TCP, *zip(*rows))
 
 
 class TestScore:
     def test_perfect_detector(self):
         truth = {w: w < 10 for w in range(100)}
-        verdicts = [verdict(w, w < 10) for w in range(100)]
-        report = score(verdicts, truth)
+        report = score([verdicts([(w, w < 10) for w in range(100)])], truth)
         assert report.detection_rate == 1.0
         assert report.false_positive_rate == 0.0
         assert (report.detected, report.actual_attacks) == (10, 10)
@@ -51,17 +47,19 @@ class TestScore:
 
     def test_window_ordering_invariance(self):
         truth = {w: w % 3 == 0 for w in range(30)}
-        verdicts = [verdict(w, w % 2 == 0) for w in range(30)]
-        shuffled = list(verdicts)
+        rows = [(w, w % 2 == 0) for w in range(30)]
+        shuffled = list(rows)
         random.Random(4).shuffle(shuffled)
-        assert score(verdicts, truth) == score(shuffled, truth)
+        assert score([verdicts(rows)], truth) == score([verdicts(shuffled)], truth)
 
     def test_window_set_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            score([verdict(0, False)], {0: False, 1: True})
+        with pytest.raises(ParameterError, match="different window sets"):
+            score([verdicts([(0, False)])], {0: False, 1: True})
+        with pytest.raises(ParameterError, match="different window sets"):
+            score([verdicts([(0, False), (1, False)])], {0: False, 2: True})
 
     def test_no_attacks_rate_undefined(self):
-        report = score([verdict(0, False)], {0: False})
+        report = score([verdicts([(0, False)])], {0: False})
         assert report.detection_rate is None
         assert report.false_positive_rate == 0.0
 
@@ -114,7 +112,7 @@ class TestSweep:
         factors = ToleranceFactors(3, 3)
         (point,) = sweep(samples, profile, truth, [factors])
         thresholds = compute_thresholds(profile, factors)
-        direct = score(detect_series(samples, profile, thresholds), truth)
+        direct = score([detect_series(samples, profile, thresholds)], truth)
         assert point.detection_rate == direct.detection_rate
         assert point.false_positive_rate == direct.false_positive_rate
 
@@ -124,7 +122,7 @@ class TestSweep:
         points = sweep(samples, profile, truth, grid)
         for factors, point in zip(grid, points):
             report = score(
-                detect_series(samples, profile, compute_thresholds(profile, factors)),
+                [detect_series(samples, profile, compute_thresholds(profile, factors))],
                 truth,
             )
             assert point.detection_rate == report.detection_rate
@@ -150,9 +148,104 @@ class TestSweep:
         reports = detect_series(samples, profile, compute_thresholds(profile, factors))
         assert any(r.is_attack for r in reports)
         volume = {TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER}
-        assert not any(flagged_windows(reports, volume).values())
+        assert not flagged_windows([reports], volume)[1].any()
         (point,) = sweep(samples, profile, truth, [factors], volume_only=True)
         assert point.detection_rate == 0.0 and point.false_positive_rate == 0.0
+
+
+def flow_key(protocol, i):
+    port = 0 if protocol is ICMP else 1000 + i
+    return FlowKey(protocol or TCP, f"h{i}", "srv", port, port)
+
+
+@st.composite
+def scored_series(draw):
+    """Per-window flow maps of one series from window `first` on, its
+    profile, a tolerance-factor grid and per-window truth."""
+    protocol = draw(st.sampled_from([*ProtocolCategory, None]))
+    first = draw(st.integers(0, 3))
+    # The aggregate series spans only its own events: no empty end windows.
+    windows = draw(st.lists(st.dictionaries(st.integers(0, 4), st.integers(1, 60),
+                                            min_size=protocol is None, max_size=5),
+                            min_size=1, max_size=10))
+    flows = [{flow_key(protocol, i): count for i, count in window.items()} for window in windows]
+    # Whole numbers make deviations hit thresholds exactly now and then.
+    def stat(high):
+        return draw(st.one_of(st.integers(0, high).map(float), st.floats(0, high)))
+
+    profile = NormalProfile(protocol, 0.2, 10, stat(150), stat(40), stat(5), stat(2), 1.0, 1.0)
+    factor = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.25, 4.0))
+    grid = draw(st.lists(st.builds(ToleranceFactors, factor, factor,
+                                   factor if protocol is UDP else st.none()),
+                         min_size=1, max_size=4))
+    truth = {first + i: draw(st.booleans()) for i in range(len(flows))}
+    return flows, first, protocol, profile, grid, truth
+
+
+def loop_verdicts(flows, first, protocol, profile, thresholds):
+    """detect_series as a loop over the windows' flow maps, the oracle."""
+    reports = []
+    for index, window in enumerate(flows, start=first):
+        volume_deviation = sum(window.values()) - profile.volume_mean
+        flow_deviation = len(window) - profile.flow_mean
+        triggered = set()
+        if volume_deviation > thresholds.x_th:
+            triggered.add(TriggerCondition.VOLUME_UPPER)
+        if flow_deviation > thresholds.v_th:
+            triggered.add(TriggerCondition.FLOW)
+        if thresholds.x_th_lower is not None and -volume_deviation > thresholds.x_th_lower:
+            triggered.add(TriggerCondition.VOLUME_LOWER)
+        reports.append(VerdictReport(index, protocol, bool(triggered), frozenset(triggered),
+                                     volume_deviation, flow_deviation))
+    return reports
+
+
+def loop_flags(reports, triggers):
+    """flagged_windows as a dict loop, the oracle."""
+    flags = {}
+    for report in reports:
+        fired = not report.triggered.isdisjoint(triggers)
+        flags[report.window_index] = flags.get(report.window_index, False) or fired
+    return flags
+
+
+def loop_score(flags, truth):
+    """score as a loop over the truth, the oracle."""
+    assert set(flags) == set(truth)
+    detected = sum(1 for w, attacked in truth.items() if attacked and flags[w])
+    false_alarms = sum(1 for w, attacked in truth.items() if not attacked and flags[w])
+    attacks = sum(truth.values())
+    return ScoreReport.from_counts(detected, attacks, false_alarms, len(truth) - attacks)
+
+
+class TestArrayPathOracle:
+    @given(scored_series(), st.sets(st.sampled_from(list(TriggerCondition))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_window_loop(self, case, triggers):
+        flows, first, protocol, profile, grid, truth = case
+        windows = series(flows, protocol, first=first)
+        outcomes, expected = [], []
+        for factors in grid:
+            thresholds = compute_thresholds(profile, factors)
+            outcome = detect_series(windows, profile, thresholds)
+            reports = loop_verdicts(flows, first, protocol, profile, thresholds)
+            assert list(outcome) == reports
+            outcomes.append(outcome)
+            expected.extend(reports)
+        # The grid rows' verdicts cover the same windows, so they merge.
+        indices, flags = flagged_windows(outcomes, triggers)
+        assert indices.tolist() == sorted(truth)
+        assert dict(zip(indices.tolist(), flags.tolist())) == loop_flags(expected, triggers)
+        assert score(outcomes, truth) == loop_score(loop_flags(expected, ALL_TRIGGERS), truth)
+        for volume_only, chosen in ((False, ALL_TRIGGERS), (True, VOLUME_TRIGGERS)):
+            points = sweep(windows, profile, truth, grid, volume_only=volume_only)
+            for factors, point in zip(grid, points):
+                reports = loop_verdicts(flows, first, protocol, profile,
+                                        compute_thresholds(profile, factors))
+                report = loop_score(loop_flags(reports, chosen), truth)
+                assert point.factors == factors
+                assert point.detection_rate == report.detection_rate
+                assert point.false_positive_rate == report.false_positive_rate
 
 
 class TestTables:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunked import CHUNK_SIZES, chunk_bytes, file_layout
+from event_rows import attack_verdicts
 from fvba.cli import main
-from fvba.detector import ToleranceFactors, TriggerCondition, VerdictReport, detect_profiled
+from fvba.detector import ToleranceFactors, detect_profiled
 from fvba.errors import ParameterError, ParseError
 from fvba.evaluation import BreakdownRow, ScoreReport, dump_breakdown, dump_score_table
 from fvba import kdd
@@ -97,9 +98,9 @@ def observed(windows):
     """The oracle's view of to_flow_windows output, per-flow order included."""
     return {
         protocol: [
-            (s.window_index, s.window_start, s.window_length, s.volume, s.flow_count,
-             list(s.per_flow_bytes.items()))
-            for s in series
+            (s.index, s.index * series.window_length, series.window_length, s.volume,
+             s.flow_count, list(series.flows(i).items()))
+            for i, s in enumerate(series)
         ]
         for protocol, series in windows.items()
     }
@@ -123,7 +124,7 @@ def reference_evaluation(records, attack_names, verdicts, record_window):
         if position >= full[record.protocol]:
             continue
         reports = verdicts.get(record.protocol)
-        flagged = reports is not None and reports[position // record_window].is_attack
+        flagged = reports is not None and bool(reports.is_attack[position // record_window])
         counts = scores[record.protocol]
         if record.label in attack_names:
             counts[0] += flagged
@@ -146,9 +147,7 @@ def flagging(monkeypatch, flags):
     a protocol missing from `flags` counts as unprofiled."""
 
     def detect(series, profiles, factors):
-        return {p: [VerdictReport(w, p, flag, frozenset({TriggerCondition.VOLUME_UPPER} if flag
-                                                        else ()), 0.0, 0.0)
-                    for w, flag in enumerate(flags[p])]
+        return {p: attack_verdicts(p, range(len(flags[p])), flags[p])
                 for p in series if p in flags}
 
     monkeypatch.setattr(kdd, "detect_profiled", detect)

@@ -11,7 +11,6 @@ from fvba.model import (
     FlowKey,
     GroundTruthLabel,
     ProtocolCategory,
-    WindowSample,
 )
 
 
@@ -106,19 +105,14 @@ class TestEventTable:
 
 
 class TestWindowSample:
+    """One window of a `WindowSeries`: its aggregates and its flow map."""
+
     def test_windowized_sample_derives_aggregates(self):
         flows = {key(): 100, key(sport=9): 50}
-        (sample,) = series([flows], ProtocolCategory.TCP)
-        assert sample.volume == 150
-        assert sample.flow_count == 2
-
-    def test_inconsistent_volume_rejected(self):
-        with pytest.raises(ParameterError):
-            WindowSample(0, 0.0, 0.2, ProtocolCategory.TCP, 1, 1, {key(): 100})
-
-    def test_inconsistent_flow_count_rejected(self):
-        with pytest.raises(ParameterError):
-            WindowSample(0, 0.0, 0.2, ProtocolCategory.TCP, 100, 2, {key(): 100})
+        windows = series([flows], ProtocolCategory.TCP, first=4)
+        (sample,) = windows
+        assert sample == (4, 150, 2)
+        assert windows.flows(0) == flows
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 10_000)), max_size=50))
     def test_aggregates_consistent_for_random_flow_sets(self, entries):
@@ -126,9 +120,11 @@ class TestWindowSample:
         for flow_id, count in entries:
             k = key(sport=1000 + flow_id)
             flows[k] = flows.get(k, 0) + count
-        (sample,) = series([flows], ProtocolCategory.TCP, first=3)
+        windows = series([flows], ProtocolCategory.TCP, first=3)
+        (sample,) = windows
         assert sample.volume == sum(flows.values())
         assert sample.flow_count == len(flows)
+        assert windows.flows(0) == flows
 
 
 class TestGroundTruthLabel:

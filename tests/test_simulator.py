@@ -10,7 +10,8 @@ from event_rows import rows
 from fvba import io as fio
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
-from fvba.profiler import windowize
+from fvba.detector import detect_profiled
+from fvba.profiler import build_profile, windowize
 from fvba.simulator import (
     HIGH_RATE_LABEL,
     LOW_RATE_LABEL,
@@ -261,3 +262,16 @@ class TestMemory:
         stream = generate(self.CONFIG)
         _, peak = _traced_peak(lambda: stream.window_truth(0.2))
         assert peak <= 4 * len(stream.events), peak / len(stream.events)
+
+
+    def test_many_windows_hold_no_per_window_objects(self):
+        # About 40,000 windows of 0.5 ms over 1,964 events: windowize and
+        # detection keep a few int64 and bool columns per window.  Per-window
+        # sample and verdict objects took 35 MB here.
+        stream = generate(ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=3,
+                                         duration=20.0, seed=5))
+        profile = build_profile(windowize(stream.events, 0.0005))
+        verdicts, peak = _traced_peak(lambda: detect_profiled(
+            {None: windowize(stream.events, 0.0005)}, {None: profile}))
+        assert (len(stream.events), len(verdicts[None])) == (1_964, 39_670)
+        assert peak <= 8e6, peak
