@@ -18,6 +18,7 @@ import numpy as np
 
 from .detector import Verdicts
 from .errors import ParameterError
+from .io import key_columns
 from .model import FlowKey, WindowSeries
 from .profiler import NormalProfile
 
@@ -180,16 +181,9 @@ THROTTLE_HEADER = "window_index\tprotocol\tsrc\tsport\tdst\tdport\trate_multipli
 
 
 def classification_line(window_index: int, c: FlowClassification) -> str:
-    k = c.key
-    return (
-        f"{window_index}\t{k.protocol}\t{k.src_addr}\t{k.src_port}\t{k.dst_addr}"
-        f"\t{k.dst_port}\t{c.bytes}\t{c.band}\t{int(c.excluded_by_history)}"
-    )
+    return (f"{window_index}\t{key_columns(c.key)}\t{c.bytes}\t{c.band}"
+            f"\t{int(c.excluded_by_history)}")
 
 
 def throttle_line(window_index: int, directive: ThrottleDirective) -> str:
-    k = directive.flow
-    return (
-        f"{window_index}\t{k.protocol}\t{k.src_addr}\t{k.src_port}\t{k.dst_addr}"
-        f"\t{k.dst_port}\t{directive.rate_multiplier!r}"
-    )
+    return f"{window_index}\t{key_columns(directive.flow)}\t{directive.rate_multiplier!r}"

@@ -44,7 +44,7 @@ from .kdd import (
     parse as parse_kdd,
     select_dos_and_normal,
 )
-from .model import ProtocolCategory
+from .model import ProtocolCategory, series_token
 from .profiler import NormalProfile, build_profile, dump_profiles, load_profiles, windowize
 from .simulator import ScenarioConfig, ScenarioKind, generate
 
@@ -135,7 +135,7 @@ def cmd_profile(args) -> int:
         windows = windowize(events, args.window_seconds, protocol)
         profiles.append(build_profile(windows, per_flow_scope=args.per_flow_scope))
     _write(args.out, dump_profiles(profiles))
-    names = ", ".join("ALL" if p.protocol is None else p.protocol.value for p in profiles)
+    names = ", ".join(series_token(p.protocol) for p in profiles)
     print(f"profile: {len(profiles)} series ({names}) -> {args.out}")
     return 0
 
@@ -219,21 +219,14 @@ def cmd_kdd(args) -> int:
 
 
 def _load_grid(path: str, profile: NormalProfile) -> list[ToleranceFactors]:
-    """Grid rows, each checked against `profile` (r3 exactly for UDP)."""
-    grid = []
-    for number, line in enumerate(_read(path).split("\n"), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise ParseError("grid rows carry r1, r2 and optionally r3", line=number)
-        try:
-            r3 = float(parts[2]) if len(parts) == 3 and parts[2] != "-" else None
-            grid.append(ToleranceFactors(r1=float(parts[0]), r2=float(parts[1]), r3=r3))
-            compute_thresholds(profile, grid[-1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=number) from None
-    return grid
+    """Grid rows (`read_rows`), each checked against `profile` (r3 exactly for UDP)."""
+    def row(r1: str, r2: str, r3: str = "-") -> ToleranceFactors:
+        factors = ToleranceFactors(fio.float_token(r1, "r1"), fio.float_token(r2, "r2"),
+                                   None if r3 == "-" else fio.float_token(r3, "r3"))
+        compute_thresholds(profile, factors)
+        return factors
+
+    return fio.read_rows(_read(path), (2, 3), row, comments=True)
 
 
 def cmd_sweep(args) -> int:

@@ -21,8 +21,9 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
-from .model import ProtocolCategory, WindowSeries
+from .errors import ParameterError
+from .io import float_token, int_token, read_rows
+from .model import ProtocolCategory, WindowSeries, parse_series, series_token
 from .profiler import NormalProfile
 
 
@@ -236,54 +237,45 @@ def dump_verdicts(verdicts: Iterable[Verdicts]) -> str:
     """Serialize the verdicts of each series as tab-separated lines with a header row."""
     lines = [_VERDICT_HEADER]
     for series in verdicts:
-        protocol = "ALL" if series.protocol is None else series.protocol.value
+        protocol = series_token(series.protocol)
         for r in series:
             triggers = ",".join(t.value for t in _TRIGGER_ORDER if t in r.triggered) or "-"
-            lines.append(
-                f"{r.window_index}\t{protocol}\t{int(r.is_attack)}\t{triggers}"
-                f"\t{r.volume_deviation!r}\t{r.flow_deviation!r}"
-            )
+            lines.append(f"{r.window_index}\t{protocol}\t{int(r.is_attack)}\t{triggers}"
+                         f"\t{r.volume_deviation!r}\t{r.flow_deviation!r}")
     return "\n".join(lines) + "\n"
 
 
 def load_verdicts(text: str) -> dict[ProtocolCategory | None, Verdicts]:
-    """Parse the tab-separated verdict format into the verdicts of each
-    protocol series, keyed in order of first appearance.
+    """Parse the verdict format (`read_rows`) into the verdicts of each
+    series, keyed in order of first appearance.  Raises ParseError naming
+    the line of a malformed row, a window index outside int64, an is_attack
+    other than 0 or 1 or not mirroring the triggers, a deviation that is
+    not finite and a window given before in its series."""
+    # Per series, each window's columns in file order; per triggered token, its flags.
+    rows: dict[ProtocolCategory | None, dict[int, tuple]] = {}
+    flags: dict[str, list[bool]] = {}
 
-    Raises ParseError naming the line of a malformed row, a window index
-    outside int64, an is_attack flag that does not mirror the triggers and
-    a deviation that is not finite.
-    """
-    rows: dict[ProtocolCategory | None, list[tuple]] = {}
-    lines = text.split("\n")
-    if lines[0] != _VERDICT_HEADER:
-        raise ParseError("missing verdict header row", line=1)
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 columns, got {len(parts)}", line=number)
-        index, protocol, attack, triggers, volume_dev, flow_dev = parts
-        try:
-            index = int(index)
-            if not -2**63 <= index < 2**63:
-                raise ValueError(f"window index {index} does not fit int64")
-            protocol = None if protocol == "ALL" else ProtocolCategory.parse(protocol)
-            is_attack = bool(int(attack))
+    def row(index, series, attack, triggers, volume, flow):
+        index = int_token(index, "window index")
+        if not -2**63 <= index < 2**63:
+            raise ValueError(f"window index {index} does not fit int64")
+        protocol = parse_series(series)
+        if attack not in ("0", "1"):
+            raise ValueError(f"is_attack must be 0 or 1, got {attack!r}")
+        if triggers not in flags:
             triggered = {TriggerCondition(token) for token in triggers.split(",") if token != "-"}
-            volume, flow = float(volume_dev), float(flow_dev)
-            if is_attack != bool(triggered):
-                raise ValueError("is_attack must mirror the triggered set")
-            if not (math.isfinite(volume) and math.isfinite(flow)):
-                raise ValueError(f"deviations must be finite, got {volume} and {flow}")
-        except ValueError as exc:
-            raise ParseError(str(exc), line=number) from None
-        rows.setdefault(protocol, []).append(
-            (index, [t in triggered for t in _TRIGGER_ORDER], volume, flow))
-    verdicts = {}
-    for protocol, series in rows.items():
-        index, triggered, volume, flow = zip(*series)
-        verdicts[protocol] = Verdicts(protocol, np.array(index, dtype=np.int64),
-                                      np.array(triggered), np.array(volume), np.array(flow))
-    return verdicts
+            flags[triggers] = [t in triggered for t in _TRIGGER_ORDER]
+        volume, flow = float_token(volume, "volume deviation"), float_token(flow, "flow deviation")
+        if (attack == "1") != any(flags[triggers]):
+            raise ValueError("is_attack must mirror the triggered set")
+        if not (math.isfinite(volume) and math.isfinite(flow)):
+            raise ValueError(f"deviations must be finite, got {volume} and {flow}")
+        windows = rows.setdefault(protocol, {})
+        if index in windows:
+            raise ValueError(f"window {index} of the {series_token(protocol)} series given twice")
+        windows[index] = (flags[triggers], volume, flow)
+
+    read_rows(text, (6,), row, header=_VERDICT_HEADER)
+    return {protocol: Verdicts(protocol, np.array(list(windows), dtype=np.int64),
+                               *map(np.array, zip(*windows.values())))
+            for protocol, windows in rows.items()}

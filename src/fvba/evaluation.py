@@ -53,14 +53,9 @@ class ScoreReport:
     def from_counts(cls, detected: int, actual_attacks: int,
                     false_alarms: int, normal_events: int) -> "ScoreReport":
         """Build a report; rates are None when their denominator is zero."""
-        return cls(
-            detected=detected,
-            actual_attacks=actual_attacks,
-            false_alarms=false_alarms,
-            normal_events=normal_events,
-            detection_rate=detected / actual_attacks if actual_attacks else None,
-            false_positive_rate=false_alarms / normal_events if normal_events else None,
-        )
+        return cls(detected, actual_attacks, false_alarms, normal_events,
+                   detected / actual_attacks if actual_attacks else None,
+                   false_alarms / normal_events if normal_events else None)
 
 
 @dataclass(frozen=True)
@@ -153,11 +148,9 @@ def _rate_token(rate: float | None) -> str:
 
 
 def _score_row(report: ScoreReport) -> str:
-    return (
-        f"{report.detected}\t{report.actual_attacks}\t{report.false_alarms}"
-        f"\t{report.normal_events}\t{_rate_token(report.detection_rate)}"
-        f"\t{_rate_token(report.false_positive_rate)}"
-    )
+    return (f"{report.detected}\t{report.actual_attacks}\t{report.false_alarms}"
+            f"\t{report.normal_events}\t{_rate_token(report.detection_rate)}"
+            f"\t{_rate_token(report.false_positive_rate)}")
 
 
 def dump_score(report: ScoreReport) -> str:
@@ -165,10 +158,8 @@ def dump_score(report: ScoreReport) -> str:
 
 
 def dump_score_table(labeled_reports: Iterable[tuple[str, ScoreReport]]) -> str:
-    lines = ["series\t" + SCORE_HEADER]
-    for label, report in labeled_reports:
-        lines.append(f"{label}\t{_score_row(report)}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{label}\t{_score_row(report)}" for label, report in labeled_reports]
+    return "\n".join(["series\t" + SCORE_HEADER, *rows]) + "\n"
 
 
 def dump_roc(points: Iterable[RocPoint]) -> str:
@@ -176,17 +167,11 @@ def dump_roc(points: Iterable[RocPoint]) -> str:
     for point in points:
         f = point.factors
         r3 = "-" if f.r3 is None else repr(f.r3)
-        lines.append(
-            f"{f.r1!r}\t{f.r2!r}\t{r3}\t{_rate_token(point.detection_rate)}"
-            f"\t{_rate_token(point.false_positive_rate)}"
-        )
+        lines.append(f"{f.r1!r}\t{f.r2!r}\t{r3}\t{_rate_token(point.detection_rate)}"
+                     f"\t{_rate_token(point.false_positive_rate)}")
     return "\n".join(lines) + "\n"
 
 
 def dump_breakdown(rows: Iterable[BreakdownRow]) -> str:
-    lines = [BREAKDOWN_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.attack}\t{row.protocol}\t{row.detected}\t{row.total}\t{row.rate!r}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [f"{r.attack}\t{r.protocol}\t{r.detected}\t{r.total}\t{r.rate!r}" for r in rows]
+    return "\n".join([BREAKDOWN_HEADER, *lines]) + "\n"

@@ -18,7 +18,7 @@ import zlib
 from array import array
 from contextlib import closing
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Collection, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .model import EventTable, FlowKey, GroundTruthLabel, ProtocolCategory
 _MAX_BYTES = np.uint64(2**63 - 1)
 
 
-def _key_columns(key: FlowKey) -> str:
+def key_columns(key: FlowKey) -> str:
+    """The five key columns of the event, truth and characterize formats."""
     return f"{key.protocol}\t{key.src_addr}\t{key.src_port}\t{key.dst_addr}\t{key.dst_port}"
 
 
@@ -36,7 +37,7 @@ def dump_events(events: EventTable, handle: TextIO) -> None:
     """Write the events to the text handle `handle`, one line each, DUMP_ROWS
     lines at a time, so that only one slice's text is held at once."""
     # The key columns of each flow are formatted once.
-    middles = [f"\t{_key_columns(k)}\t" for k in events.keys]
+    middles = [f"\t{key_columns(k)}\t" for k in events.keys]
     for lo in range(0, len(events), DUMP_ROWS):
         hi = lo + DUMP_ROWS
         handle.write("".join([
@@ -68,7 +69,7 @@ def _flow_id(text: str, flow_ids: dict[FlowKey, int]) -> int:
     """Parse, validate and intern the key columns `proto\tsrc\tsport\tdst\tdport`."""
     proto, src, sport, dst, dport = text.split("\t")
     key = FlowKey(protocol=ProtocolCategory.parse(proto), src_addr=src, dst_addr=dst,
-                  src_port=int(sport), dst_port=int(dport)).validate()
+                  src_port=int_token(sport, "port"), dst_port=int_token(dport, "port")).validate()
     # Texts such as "tcp" and "TCP" name one flow.
     return flow_ids.setdefault(key, len(flow_ids))
 
@@ -126,8 +127,9 @@ DUMP_ROWS = CHUNK_BYTES // 48
 # Longest line `decoder_chunks` leaves among others in a chunk.
 _MAX_LINE = 255
 _POWERS = np.array([10**k for k in range(18, -1, -1)], dtype=np.uint64)
+_FLOAT_TEXT = "0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FLOAT_BYTES = np.zeros(256, dtype=bool)
-_FLOAT_BYTES[list(b"0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")] = True
+_FLOAT_BYTES[list(_FLOAT_TEXT.encode())] = True
 
 
 def read_source(source) -> Iterator[bytes]:
@@ -327,6 +329,25 @@ def digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return values, bad
 
 
+def int_token(token: str, name: str) -> int:
+    """The value of an optional "-" and ASCII decimal digits (those that
+    `digit_values` reads).  Raises ValueError naming `name` for any other token."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"malformed {name}: {token!r}")
+    return int(token)
+
+
+def float_token(token: str, name: str) -> float:
+    """The value of a token of bytes [0-9A-Za-z.+-] that `float()` reads (the
+    tokens `float_values` accepts).  Raises ValueError naming `name` for any other."""
+    try:
+        if not token.strip(_FLOAT_TEXT):
+            return float(token)
+    except ValueError:
+        pass
+    raise ValueError(f"malformed {name}: {token!r}")
+
+
 def intern_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines: np.ndarray,
                   ids: Callable[[bytes], int]) -> np.ndarray:
     """The id of each token codes[starts[i]:ends[i]].
@@ -353,59 +374,71 @@ def intern_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines
 # --- small formats -----------------------------------------------------------------
 
 
+def read_rows(text: str, columns: Collection[int], row: Callable[..., object],
+              header: str | None = None, comments: bool = False) -> list:
+    """`row(*fields)` for each line of `text` split at tabs, in file order;
+    only an empty line is skipped, and with `comments` a line that starts
+    with "#".  With `header`, the first line must be exactly that text.
+    Raises ParseError naming the line of a row whose field count is not in
+    `columns` or for which `row` raises ValueError or ParseError."""
+    lines = text.split("\n")
+    if header is not None and lines[0] != header:
+        raise ParseError("missing header row", line=1)
+    skip = int(header is not None)
+    rows = []
+    for number, line in enumerate(lines[skip:], start=skip + 1):
+        if not line or comments and line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) not in columns:
+                counts = " or ".join(map(str, columns))
+                raise ParseError(f"expected {counts} columns, got {len(fields)}")
+            rows.append(row(*fields))
+        except (ValueError, ParseError) as exc:
+            raise ParseError(str(exc), line=number) from None
+    return rows
+
+
 def dump_truth(truth: Mapping[FlowKey, GroundTruthLabel]) -> str:
     # Lines sorted as text, for an output that does not depend on the
     # mapping's order.
-    return "".join(sorted(f"{_key_columns(key)}\t{label}\n" for key, label in truth.items()))
+    return "".join(sorted(f"{key_columns(key)}\t{label}\n" for key, label in truth.items()))
 
 
 def load_truth(text: str) -> dict[FlowKey, GroundTruthLabel]:
-    """Parse a truth sidecar; an empty line is skipped.  Each key is parsed
-    as the event format's key columns (`_flow_id`).  Raises ParseError
-    naming the line of a malformed row or of a flow given before."""
+    """Parse a truth sidecar (`read_rows`).  Each row's key, read as the
+    event format's key columns (`_flow_id`), is a flow not given before, so
+    flows and labels pair up in file order.  Raises ParseError naming the
+    line of a malformed row or of a repeated flow."""
     flow_ids: dict[FlowKey, int] = {}
-    labels: dict[int, GroundTruthLabel] = {}
-    for number, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        columns = line.count("\t") + 1
-        try:
-            if columns != 6:
-                raise ParseError(f"expected 6 columns, got {columns}")
-            key_text, label = line.rsplit("\t", 1)
-            flow = _flow_id(key_text, flow_ids)
-            if flow in labels:
-                raise ParseError(f"flow {key_text!r} given twice")
-            labels[flow] = GroundTruthLabel.parse(label)
-        except (ValueError, ParseError) as exc:
-            raise ParseError(str(exc), line=number) from None
-    keys = list(flow_ids)
-    return {keys[flow]: label for flow, label in labels.items()}
+
+    def row(*fields: str) -> GroundTruthLabel:
+        key_text, known = "\t".join(fields[:5]), len(flow_ids)
+        if _flow_id(key_text, flow_ids) < known:
+            raise ParseError(f"flow {key_text!r} given twice")
+        return GroundTruthLabel.parse(fields[5])
+
+    return dict(zip(flow_ids, read_rows(text, (6,), row)))
 
 
 def dump_window_truth(truth: Mapping[int, bool]) -> str:
-    lines = [
-        f"{index}\t{'attack' if is_attack else 'normal'}"
-        for index, is_attack in sorted(truth.items())
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{index}\t{'attack' if is_attack else 'normal'}\n"
+                   for index, is_attack in sorted(truth.items()))
 
 
 def load_window_truth(text: str) -> dict[int, bool]:
-    """Parse a window-truth file.  Raises ParseError naming the line of a
-    malformed row or of a window index given before."""
-    truth = {}
-    for number, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or parts[1] not in ("attack", "normal"):
-            raise ParseError(f"malformed window-truth line: {line!r}", line=number)
-        try:
-            index = int(parts[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=number) from None
+    """Parse a window-truth file (`read_rows`).  Raises ParseError naming the
+    line of a malformed row or of a window index given before."""
+    truth: dict[int, bool] = {}
+
+    def row(index: str, label: str) -> None:
+        if label not in ("attack", "normal"):
+            raise ParseError(f"window label must be attack or normal, got {label!r}")
+        index = int_token(index, "window index")
         if index in truth:
-            raise ParseError(f"window {index} given twice", line=number)
-        truth[index] = parts[1] == "attack"
+            raise ParseError(f"window {index} given twice")
+        truth[index] = label == "attack"
+
+    read_rows(text, (2,), row)
     return truth

@@ -35,6 +35,16 @@ class ProtocolCategory(enum.Enum):
             raise ParameterError(f"unknown protocol category: {token!r}") from None
 
 
+def series_token(protocol: ProtocolCategory | None) -> str:
+    """A series' name in the text formats: its protocol, or "ALL" if aggregate."""
+    return "ALL" if protocol is None else protocol.value
+
+
+def parse_series(token: str) -> ProtocolCategory | None:
+    """The series that `series_token` names ("ALL" exactly, or a protocol)."""
+    return None if token == "ALL" else ProtocolCategory.parse(token)
+
+
 class FlowKey(NamedTuple):
     """5-tuple flow identity.
 

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, OrderingError, ParameterError, ParseError
-from .model import EventTable, FlowKey, ProtocolCategory, WindowSeries
+from .io import float_token, int_token
+from .model import EventTable, FlowKey, ProtocolCategory, WindowSeries, parse_series, series_token
 
 PROFILE_FORMAT_VERSION = 1
 
@@ -236,18 +237,13 @@ def build_profile(series: WindowSeries, per_flow_scope: str = "capture") -> Norm
 
 _FIELDS = tuple(field.name for field in dataclasses.fields(NormalProfile))
 _PROTOCOL_ORDER = {ProtocolCategory.TCP: 0, ProtocolCategory.UDP: 1, ProtocolCategory.ICMP: 2, None: 3}
-_AGGREGATE_TOKEN = "ALL"
-
-
-def _protocol_token(protocol: ProtocolCategory | None) -> str:
-    return _AGGREGATE_TOKEN if protocol is None else protocol.value
 
 
 def dump_profiles(profiles: Iterable[NormalProfile]) -> str:
     """Serialize profiles to the plain-text profile document."""
     blocks = [f"version={PROFILE_FORMAT_VERSION}"]
     for profile in sorted(profiles, key=lambda p: _PROTOCOL_ORDER[p.protocol]):
-        blocks.append("\n".join([f"protocol={_protocol_token(profile.protocol)}"]
+        blocks.append("\n".join([f"protocol={series_token(profile.protocol)}"]
                                 + [f"{name}={getattr(profile, name)!r}" for name in _FIELDS[1:]]))
     return "\n\n".join(blocks) + "\n"
 
@@ -261,44 +257,41 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
     malformed or out-of-range field (such as a non-finite statistic or
     fewer than two training windows); and for a repeated protocol.
     """
-    fields: dict[str, str] = {}
+    # Each block is (its first line, its fields); a skipped line closes it.
     blocks: list[tuple[int, dict[str, str]]] = []
+    fields: dict[str, str] | None = None
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
-            if fields:
-                blocks.append((start, fields))
-                fields = {}
+            fields = None
             continue
         if "=" not in line:
             raise ParseError(f"expected field=value, got {line!r}", line=number)
-        if not fields:
-            start = number
+        if fields is None:
+            fields = {}
+            blocks.append((number, fields))
         name, value = (part.strip() for part in line.split("=", 1))
         if name in fields:
             raise ParseError(f"repeated field {name!r}", line=number)
-        if name not in _FIELDS and not (name == "version" and not blocks):
+        if name not in _FIELDS and not (name == "version" and len(blocks) == 1):
             raise ParseError(f"unknown profile field {name!r}", line=number)
         fields[name] = value
-    if fields:
-        blocks.append((start, fields))
 
     if not blocks or blocks[0][1].get("version") != str(PROFILE_FORMAT_VERSION):
-        raise ParseError(
-            f"missing or unsupported profile version (expected {PROFILE_FORMAT_VERSION})"
-        )
-    profile_blocks = blocks[1:]
+        raise ParseError("missing or unsupported profile version"
+                         f" (expected {PROFILE_FORMAT_VERSION})")
     # A single block may carry version plus the first profile.
-    if "protocol" in blocks[0][1]:
-        profile_blocks.insert(0, blocks[0])
+    profile_blocks = blocks[0 if "protocol" in blocks[0][1] else 1 :]
+    if not profile_blocks:
+        raise ParseError("the profile document holds no profile block")
 
     profiles: dict[ProtocolCategory | None, NormalProfile] = {}
     for start, block in profile_blocks:
         try:
             token = block["protocol"]
-            protocol = None if token == _AGGREGATE_TOKEN else ProtocolCategory.parse(token)
-            profile = NormalProfile(protocol, *(
-                (int if name == "training_windows" else float)(block[name]) for name in _FIELDS[1:]
+            profile = NormalProfile(parse_series(token), *(
+                (int_token if name == "training_windows" else float_token)(block[name], name)
+                for name in _FIELDS[1:]
             ))
         except KeyError as missing:
             raise ParseError(f"profile block missing field {missing}", line=start) from None

@@ -8,11 +8,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvba.cli import _resolve_factors, build_parser, main
+from fvba.cli import _load_grid, _resolve_factors, build_parser, main
 from fvba import io as fio
-from fvba.detector import DEFAULT_FACTORS
+from fvba.detector import DEFAULT_FACTORS, ToleranceFactors
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
+from fvba.profiler import NormalProfile
 from fvba.simulator import ScenarioConfig
 
 
@@ -200,6 +201,22 @@ class TestScoreAndSweep:
         assert code == 0
         assert len((tmp_path / "roc.tsv").read_text().splitlines()) == 4
 
+    @given(st.lists(st.tuples(*[st.floats(min_value=5e-324, allow_infinity=False)] * 3),
+                    min_size=1, max_size=5), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_grid_round_trips(self, tmp_path_factory, rows, udp, data):
+        # r3 for UDP, "-" or no third column for any other series.
+        protocol = ProtocolCategory.UDP if udp else None
+        profile = NormalProfile(protocol, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        grid = [ToleranceFactors(r1, r2, r3 if udp else None) for r1, r2, r3 in rows]
+        lines = ["# r1\tr2\tr3"]
+        for f in grid:
+            r3 = repr(f.r3) if udp else data.draw(st.sampled_from(["\t-", ""]))
+            lines.append(f"{f.r1!r}\t{f.r2!r}" + ("\t" + r3 if udp else r3))
+        path = tmp_path_factory.mktemp("grid") / "grid.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _load_grid(str(path), profile) == grid
+
     def test_sweep_needs_single_series_profile(self, pipeline):
         tmp_path, _, attack, _ = pipeline
         multi = tmp_path / "multi.txt"
@@ -319,7 +336,10 @@ class TestMalformedInput:
         return err
 
     @pytest.mark.parametrize("row,message", [
-        ("6\tsix", "line 2: could not convert string to float: 'six'"),
+        ("6\tsix", "line 2: malformed r2: 'six'"),
+        ("1_0\t6", "line 2: malformed r1: '1_0'"),
+        ("6\t6\t+1_0", "line 2: malformed r3: '+1_0'"),
+        (" ", "line 2: expected 2 or 3 columns, got 1"),
         ("6\t6\t-1", "line 2: lower volume factor must be positive and finite"),
         ("6\t6\t1.5", "line 2: lower volume factor r3 only applies to UDP, not the aggregate"
                       " series"),
@@ -346,6 +366,10 @@ class TestMalformedInput:
          "line 3: window index 9223372036854775808 does not fit int64"),
         ("-9223372036854775809\tALL\t0\t-\t0.0\t0.0",
          "line 3: window index -9223372036854775809 does not fit int64"),
+        # A second row for window 0 of the series; it was merged with the first.
+        ("0\tALL\t1\tflow\t0.0\t50.0", "line 3: window 0 of the ALL series given twice"),
+        ("1_0\tALL\t0\t-\t0.0\t0.0", "line 3: malformed window index: '1_0'"),
+        ("1\tALL\t0\t-\t+1_0\t0.0", "line 3: malformed volume deviation: '+1_0'"),
     ])
     def test_verdict_row(self, tmp_path, capsys, row, message):
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0", row],
@@ -353,7 +377,16 @@ class TestMalformedInput:
 
     def test_window_truth_row(self, tmp_path, capsys):
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "x\tattack"],
-                   "line 2: invalid literal for int()")
+                   "line 2: malformed window index: 'x'")
+
+    def test_profile_without_profile_block(self, tmp_path, capsys):
+        events, profile = tmp_path / "events.tsv", tmp_path / "profile.txt"
+        events.write_text("0.0\tTCP\tc0\t1\tsrv\t80\t10\n")
+        profile.write_text("version=1\n")
+        self.fails(capsys, ["detect", "--events", events, "--profile", profile,
+                            "--out", tmp_path / "v.tsv"],
+                   "fvba detect: error: the profile document holds no profile block")
+        assert not (tmp_path / "v.tsv").exists()
 
     def test_window_truth_repeated_index(self, tmp_path, capsys):
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "0\tattack"],

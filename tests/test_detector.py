@@ -1,4 +1,5 @@
 import random
+import re
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,7 @@ from fvba.detector import (
     flagged_windows,
     load_verdicts,
 )
-from fvba.errors import ParameterError
+from fvba.errors import ParameterError, ParseError
 from event_rows import series
 from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import NormalProfile
@@ -296,8 +297,8 @@ def rows(verdicts):
 @st.composite
 def verdict_series(draw):
     """Verdicts of distinct series, each of one or more windows, with any
-    values the verdict format carries: int64 window indices, any triggers
-    and finite deviations."""
+    values the verdict format carries: distinct int64 window indices, any
+    triggers and finite deviations."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     protocols = draw(st.lists(st.sampled_from([*ProtocolCategory, None]), unique=True))
     verdicts = {}
@@ -306,7 +307,7 @@ def verdict_series(draw):
         column = partial(st.lists, min_size=size, max_size=size)
         verdicts[protocol] = Verdicts(
             protocol,
-            np.array(draw(column(st.integers(-2**63, 2**63 - 1))), dtype=np.int64),
+            np.array(draw(column(st.integers(-2**63, 2**63 - 1), unique=True)), dtype=np.int64),
             np.array(draw(column(st.lists(st.booleans(), min_size=3, max_size=3)))),
             np.array(draw(column(finite))), np.array(draw(column(finite))))
     return verdicts
@@ -329,3 +330,23 @@ class TestVerdictSerialization:
     def test_header_required(self):
         with pytest.raises(Exception):
             load_verdicts("1\tTCP\t0\t-\t0.0\t0.0\n")
+
+    @pytest.mark.parametrize("row,message", [
+        ("1_0\tTCP\t0\t-\t0.0\t0.0", "malformed window index: '1_0'"),
+        ("1\tTCP\t0\t-\t+1_0\t0.0", "malformed volume deviation: '+1_0'"),
+        ("1\tTCP\t0\t-\t0.0\t1_0", "malformed flow deviation: '1_0'"),
+        ("1\tTCP\t2\tflow\t0.0\t0.0", "is_attack must be 0 or 1, got '2'"),
+        ("1\tTCP\t01\tflow\t0.0\t0.0", "is_attack must be 0 or 1, got '01'"),
+        ("0\ttcp\t1\tflow\t0.0\t0.0", "window 0 of the TCP series given twice"),
+        (" ", "expected 6 columns, got 1"),
+    ])
+    def test_malformed_row_named_by_line(self, row, message):
+        text = dump_verdicts([Verdicts(TCP, np.array([0]), np.zeros((1, 3), bool),
+                                       np.zeros(1), np.zeros(1))])
+        with pytest.raises(ParseError, match=f"^line 3: {re.escape(message)}$"):
+            load_verdicts(text + row + "\n")
+
+    def test_same_window_in_two_series(self):
+        rows = ["0\tTCP\t0\t-\t0.0\t0.0", "0\tALL\t0\t-\t0.0\t0.0"]
+        loaded = load_verdicts(dump_verdicts([]) + "".join(row + "\n" for row in rows))
+        assert [v.window_index.tolist() for v in loaded.values()] == [[0], [0]]

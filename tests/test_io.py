@@ -1,4 +1,6 @@
 import gzip
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,7 +246,9 @@ EVENT_MUTATIONS = st.sampled_from([
     (0, "1_0", "malformed timestamp"), (0, "0.5\x0b", "malformed timestamp"),
     (0, "0.5\x00", "malformed timestamp"), (0, "", "malformed timestamp"),
     (0, "1e", "malformed timestamp"), (0, "0x10", "malformed timestamp"),
-    (1, "gre", "unknown protocol category"), (3, "x", "invalid literal for int()"),
+    (1, "gre", "unknown protocol category"), (3, "x", "malformed port: 'x'"),
+    (3, "1_0", "malformed port: '1_0'"), (5, "+10", "malformed port: '+10'"),
+    (5, " 10", "malformed port: ' 10'"),
     (3, "65536", "port out of range"), (2, "a\x0bb", "flow address holds a tab or line break"),
     (6, "+100", "malformed event byte count"), (6, "1_00", "malformed event byte count"),
     (6, "100 ", "malformed event byte count"), (6, "1.5", "malformed event byte count"),
@@ -431,5 +435,120 @@ class TestWindowTruthFormat:
 
     def test_only_newline_breaks_lines(self):
         # A vertical tab is no line break: this is one malformed line.
-        with pytest.raises(ParseError, match="^line 1: malformed window-truth line"):
+        with pytest.raises(ParseError, match="^line 1: expected 2 columns, got 3$"):
             fio.load_window_truth("0\tnormal\x0b1\tattack\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("1_0\tattack", "malformed window index: '1_0'"),
+        ("+1\tattack", "malformed window index: '+1'"),
+        (" ", "expected 2 columns, got 1"),
+        ("1\tmaybe", "window label must be attack or normal, got 'maybe'"),
+    ])
+    def test_malformed_row_named_by_line(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            fio.load_window_truth(f"0\tnormal\n{line}\n")
+
+
+# Tokens around the two number rules: the float alphabet, characters that
+# `float()` or `int()` would skip or read as digits, and valid numbers.
+ODD_CHARACTERS = "_ +-\x0b\u0660\u00b2\u00e9"
+NEAR_NUMBERS = st.sampled_from(fio._FLOAT_TEXT + ODD_CHARACTERS)
+VALID_NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["inf", "-Infinity", "nan", "+nan", "1e5", "1E-05", ".5", "5.", "-0", "007"]))
+
+
+@st.composite
+def number_tokens(draw):
+    """Any short text of near-number characters, or a valid number, maybe
+    with an odd character put in at either end or inside."""
+    if draw(st.booleans()):
+        return draw(st.text(NEAR_NUMBERS, max_size=8))
+    token = draw(VALID_NUMBERS)
+    if draw(st.booleans()):
+        at = draw(st.sampled_from([0, len(token), draw(st.integers(0, len(token)))]))
+        token = token[:at] + draw(st.sampled_from(ODD_CHARACTERS)) + token[at:]
+    return token
+
+
+def column_values(values, token: str, start: int = 0):
+    """`values` (`fio.float_values` or `fio.digit_values`) of `token` from
+    character `start` on: its value, or None when rejected."""
+    data = token.encode()
+    codes = np.frombuffer(data + b"\n", dtype=np.uint8)
+    found, bad = values(codes, np.array([start]), np.array([len(data)]))
+    return None if bad[0] else found[0]
+
+
+class TestNumberRules:
+    """`int_token` and `float_token` accept the tokens the event and KDD-99
+    decoders' array rules accept, with the same values."""
+
+    @given(number_tokens())
+    @settings(max_examples=500, deadline=None)
+    def test_float_rule_matches_float_values(self, token):
+        expected = column_values(fio.float_values, token)
+        try:
+            value = fio.float_token(token, "x")
+        except ValueError:
+            assert expected is None
+        else:
+            assert expected is not None
+            assert value == expected or (math.isnan(value) and math.isnan(expected))
+
+    @given(number_tokens())
+    @settings(max_examples=500, deadline=None)
+    def test_int_rule_matches_digit_values(self, token):
+        negative = token.startswith("-")
+        expected = column_values(fio.digit_values, token, int(negative))
+        try:
+            value = fio.int_token(token, "x")
+        except ValueError:
+            assert expected is None
+        else:
+            assert expected is not None
+            # digit_values reads more than 19 digits as 2**64 - 1.
+            if len(token) - negative <= 19:
+                assert value == (-1 if negative else 1) * int(expected)
+
+    @pytest.mark.parametrize("token", ["1_0", "+10", " 10", "10 ", "\u0661", ""])
+    def test_rejected_with_the_name_and_token(self, token):
+        rules = [fio.int_token] + ([fio.float_token] if token != "+10" else [])
+        for rule in rules:
+            with pytest.raises(ValueError, match=f"^malformed port: {re.escape(repr(token))}$"):
+                rule(token, "port")
+
+    @pytest.mark.parametrize("port", ["1_0", "+10", " 10"])
+    def test_port_spellings_named_by_line(self, port):
+        good = "0.0\tTCP\tc0\t1\tsrv\t10\t10\n"
+        with pytest.raises(ParseError, match=f"^line 2: malformed port: {re.escape(repr(port))}$"):
+            fio.load_events([good + f"0.1\tTCP\tc0\t1\tsrv\t{port}\t10\n"])
+        good = "TCP\tc0\t1\tsrv\t10\tnormal\n"
+        with pytest.raises(ParseError, match=f"^line 2: malformed port: {re.escape(repr(port))}$"):
+            fio.load_truth(good + f"TCP\tc1\t{port}\tsrv\t10\tnormal\n")
+
+
+class TestReadRows:
+    def test_one_rule_for_every_format(self):
+        rows = fio.read_rows("h\n1\t2\n\n# c\n3\t4\t5\n", (2, 3), lambda *fields: fields,
+                             header="h", comments=True)
+        assert rows == [("1", "2"), ("3", "4", "5")]
+        with pytest.raises(ParseError, match="^line 1: missing header row$"):
+            fio.read_rows("1\t2\n", (2,), lambda *fields: fields, header="h")
+        with pytest.raises(ParseError, match="^line 2: expected 2 or 3 columns, got 1$"):
+            fio.read_rows("1\t2\n \n", (2, 3), lambda *fields: fields)
+        # Without `comments`, a "#" line is a row.
+        with pytest.raises(ParseError, match="^line 1: expected 2 columns, got 1$"):
+            fio.read_rows("# c\n", (2,), lambda *fields: fields)
+
+    def test_row_errors_named_by_line(self):
+        def row(a, b):
+            if a == "p":
+                raise ParseError("bad p")
+            return int(a)
+        assert fio.read_rows("1\tx\n", (2,), row) == [1]
+        for text, message in [("1\tx\np\tx\n", "^line 2: bad p$"),
+                              ("\nq\tx\n", "^line 2: invalid literal")]:
+            with pytest.raises(ParseError, match=message):
+                fio.read_rows(text, (2,), row)
+

@@ -397,6 +397,23 @@ class TestProfileSerialization:
         with pytest.raises(ParseError, match="line 3: bad profile block: training_windows must"):
             load_profiles(text.replace("training_windows=10", f"training_windows={windows}"))
 
+    @pytest.mark.parametrize("field,value", [
+        ("training_windows", "1_0"), ("training_windows", "+10"), ("training_windows", "10.0"),
+        ("volume_mean", "+1_0.5"), ("volume_mean", "1 0"), ("window_length", "0,2"),
+    ])
+    def test_number_spellings_name_block(self, field, value):
+        profiles = [NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        text = dump_profiles(profiles).replace(f"{field}={getattr(profiles[0], field)!r}\n",
+                                               f"{field}={value}\n")
+        with pytest.raises(ParseError, match=(f"^line 3: bad profile block: malformed {field}:"
+                                              f" {re.escape(repr(value))}$")):
+            load_profiles(text)
+
+    @pytest.mark.parametrize("text", ["version=1\n", "version=1\n\n \n"])
+    def test_no_profile_block_rejected(self, text):
+        with pytest.raises(ParseError, match="^the profile document holds no profile block$"):
+            load_profiles(text)
+
     def test_duplicate_block_rejected(self):
         profile = NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
         with pytest.raises(ParseError):
