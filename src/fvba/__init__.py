@@ -28,7 +28,7 @@ from .detector import (
 )
 from .errors import Error, InsufficientDataError, OrderingError, ParameterError, ParseError
 from .evaluation import RocPoint, ScoreReport, score, sweep
-from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory, WindowSeries
+from .model import EventTable, FlowKey, ProtocolCategory, WindowSeries
 from .profiler import NormalProfile, build_profile, windowize
 from .simulator import LabeledEventStream, ScenarioConfig, ScenarioKind, generate
 
@@ -41,10 +41,8 @@ __all__ = [
     "FlowBand",
     "FlowClassification",
     "FlowKey",
-    "GroundTruthLabel",
     "InsufficientDataError",
     "LabeledEventStream",
-    "NORMAL",
     "NormalProfile",
     "OrderingError",
     "ParameterError",

@@ -36,7 +36,6 @@ from .detector import (
 from .errors import Error, InsufficientDataError, ParameterError, ParseError
 from .evaluation import dump_breakdown, dump_roc, dump_score, dump_score_table, score, sweep
 from .kdd import (
-    NORMAL_LABEL,
     TESTING_ATTACKS,
     TRAINING_ATTACKS,
     build_profiles,
@@ -44,7 +43,7 @@ from .kdd import (
     parse as parse_kdd,
     select_dos_and_normal,
 )
-from .model import ProtocolCategory, series_token
+from .model import NORMAL_LABEL, ProtocolCategory, series_token
 from .profiler import NormalProfile, build_profile, dump_profiles, load_profiles, windowize
 from .simulator import ScenarioConfig, ScenarioKind, generate
 

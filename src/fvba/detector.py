@@ -15,6 +15,7 @@ volume drops more than the lower threshold below normal.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -66,9 +67,8 @@ DEFAULT_FACTORS: dict[ProtocolCategory | None, ToleranceFactors] = {
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Detection thresholds for one protocol series."""
+    """Detection thresholds for one protocol series, derived from its profile."""
 
-    protocol: ProtocolCategory | None
     x_th: float
     v_th: float
     x_th_lower: float | None = None
@@ -104,6 +104,12 @@ class VerdictReport(NamedTuple):
 
 _TRIGGER_ORDER = (TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER,
                   TriggerCondition.FLOW)
+# The verdict format's triggered token of each row of fired flags (one per
+# condition in _TRIGGER_ORDER), in the order of the rows read as binary numbers.
+_TRIGGER_TOKENS = {
+    ",".join(t.value for t, hit in zip(_TRIGGER_ORDER, fired) if hit) or "-": fired
+    for fired in itertools.product((False, True), repeat=len(_TRIGGER_ORDER))
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +164,7 @@ def compute_thresholds(profile: NormalProfile, factors: ToleranceFactors) -> Thr
             series = profile.protocol or "the aggregate series"
             raise ParameterError(f"lower volume factor r3 only applies to UDP, not {series}")
         lower = None
-    return Thresholds(
-        protocol=profile.protocol,
-        x_th=factors.r1 * profile.volume_std,
-        v_th=factors.r2 * profile.flow_std,
-        x_th_lower=lower,
-    )
+    return Thresholds(factors.r1 * profile.volume_std, factors.r2 * profile.flow_std, lower)
 
 
 def detect_series(
@@ -176,10 +177,8 @@ def detect_series(
     (a drop, not the literal signed comparison, which would hold for all
     normal traffic).
     """
-    if not (series.protocol is profile.protocol is thresholds.protocol):
-        raise ParameterError(
-            "series, profile and thresholds must describe the same protocol series"
-        )
+    if series.protocol is not profile.protocol:
+        raise ParameterError("series and profile must describe the same protocol series")
     if series.window_length != profile.window_length:
         raise ParameterError("series and profile window lengths differ")
 
@@ -236,12 +235,15 @@ _VERDICT_HEADER = "window_index\tprotocol\tis_attack\ttriggered\tvolume_deviatio
 def dump_verdicts(verdicts: Iterable[Verdicts]) -> str:
     """Serialize the verdicts of each series as tab-separated lines with a header row."""
     lines = [_VERDICT_HEADER]
+    weights = 1 << np.arange(len(_TRIGGER_ORDER) - 1, -1, -1)
     for series in verdicts:
-        protocol = series_token(series.protocol)
-        for r in series:
-            triggers = ",".join(t.value for t in _TRIGGER_ORDER if t in r.triggered) or "-"
-            lines.append(f"{r.window_index}\t{protocol}\t{int(r.is_attack)}\t{triggers}"
-                         f"\t{r.volume_deviation!r}\t{r.flow_deviation!r}")
+        # The columns between index and deviations, per pattern of fired flags.
+        middles = [f"\t{series_token(series.protocol)}\t{int(any(fired))}\t{token}\t"
+                   for token, fired in _TRIGGER_TOKENS.items()]
+        lines.extend(f"{index}{middles[pattern]}{volume!r}\t{flow!r}"
+                     for index, pattern, volume, flow in zip(
+                         series.window_index.tolist(), (series.triggered @ weights).tolist(),
+                         series.volume_deviation.tolist(), series.flow_deviation.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -251,9 +253,8 @@ def load_verdicts(text: str) -> dict[ProtocolCategory | None, Verdicts]:
     the line of a malformed row, a window index outside int64, an is_attack
     other than 0 or 1 or not mirroring the triggers, a deviation that is
     not finite and a window given before in its series."""
-    # Per series, each window's columns in file order; per triggered token, its flags.
+    # Per series, each window's columns in file order.
     rows: dict[ProtocolCategory | None, dict[int, tuple]] = {}
-    flags: dict[str, list[bool]] = {}
 
     def row(index, series, attack, triggers, volume, flow):
         index = int_token(index, "window index")
@@ -262,18 +263,18 @@ def load_verdicts(text: str) -> dict[ProtocolCategory | None, Verdicts]:
         protocol = parse_series(series)
         if attack not in ("0", "1"):
             raise ValueError(f"is_attack must be 0 or 1, got {attack!r}")
-        if triggers not in flags:
-            triggered = {TriggerCondition(token) for token in triggers.split(",") if token != "-"}
-            flags[triggers] = [t in triggered for t in _TRIGGER_ORDER]
+        fired = _TRIGGER_TOKENS.get(triggers)
+        if fired is None:
+            raise ValueError(f"{triggers!r} is not a valid triggered set")
         volume, flow = float_token(volume, "volume deviation"), float_token(flow, "flow deviation")
-        if (attack == "1") != any(flags[triggers]):
+        if (attack == "1") != any(fired):
             raise ValueError("is_attack must mirror the triggered set")
         if not (math.isfinite(volume) and math.isfinite(flow)):
             raise ValueError(f"deviations must be finite, got {volume} and {flow}")
         windows = rows.setdefault(protocol, {})
         if index in windows:
             raise ValueError(f"window {index} of the {series_token(protocol)} series given twice")
-        windows[index] = (flags[triggers], volume, flow)
+        windows[index] = (fired, volume, flow)
 
     read_rows(text, (6,), row, header=_VERDICT_HEADER)
     return {protocol: Verdicts(protocol, np.array(list(windows), dtype=np.int64),

@@ -30,46 +30,35 @@ _VOLUME_TRIGGERS = frozenset({TriggerCondition.VOLUME_UPPER, TriggerCondition.VO
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Detection/false-positive counts and rates for one run."""
+    """Detection/false-positive counts of one run, and the rates they give."""
 
     detected: int
     actual_attacks: int
     false_alarms: int
     normal_events: int
-    detection_rate: float | None
-    false_positive_rate: float | None
 
     def __post_init__(self):
         if not 0 <= self.detected <= self.actual_attacks:
             raise ParameterError("detected count must lie in [0, actual_attacks]")
         if not 0 <= self.false_alarms <= self.normal_events:
             raise ParameterError("false alarms must lie in [0, normal_events]")
-        expected_rd = self.detected / self.actual_attacks if self.actual_attacks else None
-        expected_fp = self.false_alarms / self.normal_events if self.normal_events else None
-        if self.detection_rate != expected_rd or self.false_positive_rate != expected_fp:
-            raise ParameterError("rates must equal their count ratios (None when undefined)")
 
-    @classmethod
-    def from_counts(cls, detected: int, actual_attacks: int,
-                    false_alarms: int, normal_events: int) -> "ScoreReport":
-        """Build a report; rates are None when their denominator is zero."""
-        return cls(detected, actual_attacks, false_alarms, normal_events,
-                   detected / actual_attacks if actual_attacks else None,
-                   false_alarms / normal_events if normal_events else None)
+    @property
+    def detection_rate(self) -> float | None:
+        """Detected over actual attacks; None when there are none."""
+        return self.detected / self.actual_attacks if self.actual_attacks else None
+
+    @property
+    def false_positive_rate(self) -> float | None:
+        """False alarms over normal events; None when there are none."""
+        return self.false_alarms / self.normal_events if self.normal_events else None
 
 
 @dataclass(frozen=True)
-class RocPoint:
-    """One operating point of a tolerance-factor sweep."""
+class RocPoint(ScoreReport):
+    """One operating point of a tolerance-factor sweep: the counts scored at `factors`."""
 
     factors: ToleranceFactors
-    detection_rate: float | None
-    false_positive_rate: float | None
-
-    def __post_init__(self):
-        for rate in (self.detection_rate, self.false_positive_rate):
-            if rate is not None and not 0.0 <= rate <= 1.0:
-                raise ParameterError(f"rates must lie in [0, 1], got {rate}")
 
 
 def _aligned_truth(windows: np.ndarray, truth: Mapping[int, bool]) -> np.ndarray:
@@ -81,10 +70,11 @@ def _aligned_truth(windows: np.ndarray, truth: Mapping[int, bool]) -> np.ndarray
     return np.array(attacked, dtype=bool)
 
 
-def _flag_report(flags: np.ndarray, attacked: np.ndarray) -> ScoreReport:
+def _flag_counts(flags: np.ndarray, attacked: np.ndarray) -> tuple[int, int, int, int]:
+    """The ScoreReport counts of per-window flags against per-window truth."""
     attacks = int(attacked.sum())
-    return ScoreReport.from_counts(int((flags & attacked).sum()), attacks,
-                                   int((flags & ~attacked).sum()), attacked.size - attacks)
+    return (int((flags & attacked).sum()), attacks, int((flags & ~attacked).sum()),
+            attacked.size - attacks)
 
 
 def score(verdicts: Collection[Verdicts], truth: Mapping[int, bool]) -> ScoreReport:
@@ -94,7 +84,7 @@ def score(verdicts: Collection[Verdicts], truth: Mapping[int, bool]) -> ScoreRep
     verdict window set must equal the truth window set.
     """
     windows, flags = flagged_windows(verdicts)
-    return _flag_report(flags, _aligned_truth(windows, truth))
+    return ScoreReport(*_flag_counts(flags, _aligned_truth(windows, truth)))
 
 
 @dataclass(frozen=True)
@@ -131,8 +121,7 @@ def sweep(
     points = []
     for factors in grid:
         verdicts = detect_series(series, profile, compute_thresholds(profile, factors))
-        report = _flag_report(verdicts.fired(triggers), attacked)
-        points.append(RocPoint(factors, report.detection_rate, report.false_positive_rate))
+        points.append(RocPoint(*_flag_counts(verdicts.fired(triggers), attacked), factors))
     return points
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, TextIO
 import numpy as np
 
 from .errors import Error, OrderingError, ParseError
-from .model import EventTable, FlowKey, GroundTruthLabel, ProtocolCategory
+from .model import NORMAL_LABEL, EventTable, FlowKey, ProtocolCategory
 
 _MAX_BYTES = np.uint64(2**63 - 1)
 
@@ -400,24 +400,30 @@ def read_rows(text: str, columns: Collection[int], row: Callable[..., object],
     return rows
 
 
-def dump_truth(truth: Mapping[FlowKey, GroundTruthLabel]) -> str:
+def dump_truth(truth: Mapping[FlowKey, str]) -> str:
     # Lines sorted as text, for an output that does not depend on the
     # mapping's order.
     return "".join(sorted(f"{key_columns(key)}\t{label}\n" for key, label in truth.items()))
 
 
-def load_truth(text: str) -> dict[FlowKey, GroundTruthLabel]:
+def load_truth(text: str) -> dict[FlowKey, str]:
     """Parse a truth sidecar (`read_rows`).  Each row's key, read as the
     event format's key columns (`_flow_id`), is a flow not given before, so
-    flows and labels pair up in file order.  Raises ParseError naming the
-    line of a malformed row or of a repeated flow."""
+    flows and labels pair up in file order; its label is `NORMAL_LABEL` or
+    an attack name, non-empty, lowercase and without surrounding
+    whitespace.  Raises ParseError naming the line of a malformed row or of
+    a repeated flow."""
     flow_ids: dict[FlowKey, int] = {}
 
-    def row(*fields: str) -> GroundTruthLabel:
+    def row(*fields: str) -> str:
         key_text, known = "\t".join(fields[:5]), len(flow_ids)
         if _flow_id(key_text, flow_ids) < known:
             raise ParseError(f"flow {key_text!r} given twice")
-        return GroundTruthLabel.parse(fields[5])
+        label = fields[5]
+        if not label or label != label.strip() or label != label.lower():
+            raise ParseError(f"label must be {NORMAL_LABEL!r} or a lowercase attack name"
+                             f" without padding, got {label!r}")
+        return label
 
     return dict(zip(flow_ids, read_rows(text, (6,), row)))
 

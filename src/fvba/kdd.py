@@ -26,7 +26,7 @@ from . import io as fio
 from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
 from .errors import ParameterError
 from .evaluation import BreakdownRow, ScoreReport
-from .model import FlowKey, ProtocolCategory, WindowSeries
+from .model import NORMAL_LABEL, FlowKey, ProtocolCategory, WindowSeries
 from .profiler import NormalProfile, build_profile, window_samples
 
 FEATURE_COUNT = 41
@@ -40,9 +40,7 @@ _MAX_BYTES = np.uint64(2**63 - 1)
 
 # A record's protocol code is its category's position in PROTOCOLS.
 PROTOCOLS = tuple(ProtocolCategory)
-_PROTOCOL_CODES = {p.value.lower(): code for code, p in enumerate(PROTOCOLS)}
-
-NORMAL_LABEL = "normal"
+_PROTOCOL_TYPES = {p.value.lower(): p for p in PROTOCOLS}
 
 TRAINING_ATTACKS = frozenset({"back", "land", "neptune", "pod", "smurf", "teardrop"})
 TESTING_ATTACKS = TRAINING_ATTACKS | {"apache2", "mailbomb", "processtable", "udpstorm"}
@@ -62,19 +60,18 @@ class KddRecord(NamedTuple):
 class KddTable:
     """Connection records in file order, stored as columns.
 
-    Record i has protocol `PROTOCOLS[protocol[i]]`, flow `keys[flow[i]]`
-    (a `FlowKey(protocol, service, flag, 0, 0)`), byte counts
-    `src_bytes[i]` and `dst_bytes[i]`, and label `labels[label[i]]`
-    (lowercase, trailing dot stripped).  The columns are int8, int32,
-    int64, int64 and int32 arrays of one length.  This is the toolkit's
-    only in-memory form of KDD records.  Treat the arrays as read-only.
+    Record i has flow `keys[flow[i]]` (a `FlowKey(protocol, service, flag,
+    0, 0)`), byte counts `src_bytes[i]` and `dst_bytes[i]`, and label
+    `labels[label[i]]` (lowercase, trailing dot stripped).  The columns are
+    int32, int64, int64 and int32 arrays of one length.  This is the
+    toolkit's only in-memory form of KDD records.  Treat the arrays as
+    read-only.
     """
 
-    __slots__ = ("protocol", "flow", "src_bytes", "dst_bytes", "label", "keys", "labels")
+    __slots__ = ("flow", "src_bytes", "dst_bytes", "label", "keys", "labels")
 
-    def __init__(self, protocol, flow, src_bytes, dst_bytes, label,
+    def __init__(self, flow, src_bytes, dst_bytes, label,
                  keys: tuple[FlowKey, ...], labels: tuple[str, ...]):
-        self.protocol = np.asarray(protocol, dtype=np.int8)
         self.flow = np.asarray(flow, dtype=np.int32)
         self.src_bytes = np.asarray(src_bytes, dtype=np.int64)
         self.dst_bytes = np.asarray(dst_bytes, dtype=np.int64)
@@ -86,8 +83,14 @@ class KddTable:
 
     def __getitem__(self, rows) -> "KddTable":
         """The records picked by a slice, boolean mask or index array."""
-        return KddTable(self.protocol[rows], self.flow[rows], self.src_bytes[rows],
-                        self.dst_bytes[rows], self.label[rows], self.keys, self.labels)
+        return KddTable(self.flow[rows], self.src_bytes[rows], self.dst_bytes[rows],
+                        self.label[rows], self.keys, self.labels)
+
+    @property
+    def protocol(self) -> np.ndarray:
+        """Each record's protocol, its flow key's, as an int8 index into PROTOCOLS."""
+        codes = np.array([PROTOCOLS.index(key.protocol) for key in self.keys], dtype=np.int8)
+        return codes[self.flow]
 
     def __iter__(self) -> Iterator[KddRecord]:
         for flow, src, dst, label in zip(self.flow.tolist(), self.src_bytes.tolist(),
@@ -108,17 +111,15 @@ def parse(source) -> KddTable:
     Flows and labels are numbered in order of first appearance.  Raises
     ParseError naming the first malformed line (see `_decode_chunk`).
     """
-    columns = tuple(array(t) for t in ("b", "i", "q", "q", "i"))
-    flow_ids: dict[tuple[int, str, str], int] = {}
+    columns = tuple(array(t) for t in ("i", "q", "q", "i"))
+    flow_ids: dict[FlowKey, int] = {}
     names: dict[str, int] = {}
     fio.decode_source(source, partial(_decode_chunk, flow_ids=flow_ids, names=names), columns)
-    keys = tuple(FlowKey(PROTOCOLS[p], service, flag, 0, 0) for p, service, flag in flow_ids)
-    return KddTable(*columns, keys, tuple(names))
+    return KddTable(*columns, tuple(flow_ids), tuple(names))
 
 
-def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
-                  names: dict[str, int]):
-    """The (protocol, flow, src_bytes, dst_bytes, label) columns of the lines of a chunk.
+def _decode_chunk(chunk: bytes, flow_ids: dict[FlowKey, int], names: dict[str, int]):
+    """The (flow, src_bytes, dst_bytes, label) columns of the lines of a chunk.
 
     An empty line is skipped.  Any other line is checked in this order,
     after the UTF-8 check of `io.decode_lines`: it holds 42 comma-separated
@@ -138,10 +139,10 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
 
     def flow_id(token: bytes) -> int:
         protocol, service, flag = token.decode().split(",")
-        code = _PROTOCOL_CODES.get(protocol)
-        if code is None:
+        category = _PROTOCOL_TYPES.get(protocol)
+        if category is None:
             raise ValueError(f"unknown protocol_type {protocol!r}")
-        return flow_ids.setdefault((code, service, flag), len(flow_ids))
+        return flow_ids.setdefault(FlowKey(category, service, flag, 0, 0), len(flow_ids))
 
     def label_id(token: bytes) -> int:
         label = token.decode()
@@ -182,8 +183,7 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[tuple[int, str, str], int],
     fio.reject(bad.any(axis=-1), lines, bad_count)
     labels = fio.intern_tokens(codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT], lines,
                                label_id)
-    protocols = np.array([p for p, _, _ in flow_ids], dtype=np.int8)[flows]
-    return protocols, flows, counts[:, 0].astype(np.int64), counts[:, 1].astype(np.int64), labels
+    return flows, counts[:, 0].astype(np.int64), counts[:, 1].astype(np.int64), labels
 
 
 def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTable:
@@ -207,8 +207,9 @@ def to_flow_windows(
     if record_window <= 0:
         raise ParameterError(f"record window must be positive, got {record_window}")
     windows: dict[ProtocolCategory, WindowSeries] = {}
+    protocols = records.protocol
     for code, protocol in enumerate(PROTOCOLS):
-        rows = np.flatnonzero(records.protocol == code)
+        rows = np.flatnonzero(protocols == code)
         count = rows.size // record_window
         if not count:
             continue
@@ -249,7 +250,7 @@ def _score(counts: np.ndarray, attack: np.ndarray, normal: np.ndarray) -> ScoreR
     records, row 1 over the records of flagged windows."""
     (actual, detected), (normals, false_alarms) = (counts[:, attack].sum(axis=1).tolist(),
                                                     counts[:, normal].sum(axis=1).tolist())
-    return ScoreReport.from_counts(detected, actual, false_alarms, normals)
+    return ScoreReport(detected, actual, false_alarms, normals)
 
 
 def evaluate_split(
@@ -274,11 +275,12 @@ def evaluate_split(
     per_protocol: dict[ProtocolCategory, ScoreReport] = {}
     totals = np.zeros((2, len(records.labels)), dtype=np.int64)
     breakdown = []
+    protocols = records.protocol
     for code, protocol in enumerate(PROTOCOLS):
         if protocol not in windows:
             continue
         count = len(windows[protocol])
-        labels = records.label[records.protocol == code][: count * record_window]
+        labels = records.label[protocols == code][: count * record_window]
         flags = verdicts[protocol].is_attack if protocol in verdicts else np.zeros(count, bool)
         flagged = np.repeat(flags, record_window)
         counts = np.stack([np.bincount(labels, minlength=totals.shape[1]),

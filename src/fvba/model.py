@@ -41,8 +41,18 @@ def series_token(protocol: ProtocolCategory | None) -> str:
 
 
 def parse_series(token: str) -> ProtocolCategory | None:
-    """The series that `series_token` names ("ALL" exactly, or a protocol)."""
-    return None if token == "ALL" else ProtocolCategory.parse(token)
+    """The series that `series_token` names: exactly "TCP", "UDP", "ICMP" or "ALL"."""
+    if token == "ALL":
+        return None
+    try:
+        return ProtocolCategory(token)
+    except ValueError:
+        raise ParameterError(f"unknown series: {token!r}") from None
+
+
+# Ground truth labels a flow or a KDD-99 record "normal" or with the
+# lowercase name of an attack ("smurf", "neptune", "highrate", ...).
+NORMAL_LABEL = "normal"
 
 
 class FlowKey(NamedTuple):
@@ -193,32 +203,3 @@ class WindowSeries:
             key = keys[f]
             totals[key] = totals.get(key, 0) + count
         return totals
-
-
-@dataclass(frozen=True)
-class GroundTruthLabel:
-    """Ground truth for a flow or window: normal traffic or a named attack.
-
-    Attack names are lowercase tokens ("smurf", "neptune", "highrate", ...).
-    """
-
-    attack: str | None = None
-
-    def __post_init__(self):
-        if self.attack is not None and self.attack != self.attack.lower():
-            raise ParameterError(f"attack names are lowercase tokens: {self.attack!r}")
-
-    @property
-    def is_attack(self) -> bool:
-        return self.attack is not None
-
-    def __str__(self) -> str:
-        return self.attack if self.attack is not None else "normal"
-
-    @classmethod
-    def parse(cls, token: str) -> "GroundTruthLabel":
-        token = token.strip()
-        return cls() if token == "normal" else cls(attack=token)
-
-
-NORMAL = GroundTruthLabel()

@@ -280,8 +280,8 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
     if not blocks or blocks[0][1].get("version") != str(PROFILE_FORMAT_VERSION):
         raise ParseError("missing or unsupported profile version"
                          f" (expected {PROFILE_FORMAT_VERSION})")
-    # A single block may carry version plus the first profile.
-    profile_blocks = blocks[0 if "protocol" in blocks[0][1] else 1 :]
+    # The first block is a profile block too unless it holds only the version.
+    profile_blocks = blocks[0 if len(blocks[0][1]) > 1 else 1 :]
     if not profile_blocks:
         raise ParseError("the profile document holds no profile block")
 

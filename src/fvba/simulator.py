@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .io import DUMP_ROWS
-from .model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
+from .model import NORMAL_LABEL, EventTable, FlowKey, ProtocolCategory
 from .profiler import window_indices, window_span
 
 
@@ -41,8 +41,8 @@ class ScenarioKind(enum.Enum):
 
 
 # Attack labels by zombie rate class.
-HIGH_RATE_LABEL = GroundTruthLabel("highrate")
-LOW_RATE_LABEL = GroundTruthLabel("lowrate")
+HIGH_RATE_LABEL = "highrate"
+LOW_RATE_LABEL = "lowrate"
 
 # Most events a scenario may expect, and most clients or zombies it may have.  The
 # default 75 s high-rate scenario expects about 1M; 20M events take ~0.4 GB as columns.
@@ -116,19 +116,18 @@ class ScenarioConfig:
 
 @dataclass
 class LabeledEventStream:
-    """A time-sorted event stream plus per-flow ground truth."""
+    """A time-sorted event stream plus per-flow ground truth: `NORMAL_LABEL`
+    or an attack name per flow key."""
 
     events: EventTable
-    truth: dict[FlowKey, GroundTruthLabel]
-    _attack_keys: frozenset[FlowKey] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._attack_keys = frozenset(k for k, label in self.truth.items() if label.is_attack)
+    truth: dict[FlowKey, str]
 
     def attack_windows(self, window_length: float) -> set[int]:
-        """Indices of windows containing at least one attack-labelled event."""
+        """Indices of windows containing at least one event of a flow labelled
+        with an attack."""
         events = self.events
-        attack_flow = np.array([k in self._attack_keys for k in events.keys], dtype=bool)
+        attack_flow = np.array([self.truth.get(k, NORMAL_LABEL) != NORMAL_LABEL
+                                for k in events.keys], dtype=bool)
         attacked: set[int] = set()
         # A slice of rows at a time, each reduced to its distinct windows.
         for lo in range(0, len(events), DUMP_ROWS):
@@ -172,7 +171,7 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
     last_parts: list[np.ndarray] = []
     sizes: list[int] = []
     keys: list[FlowKey] = []
-    truth: dict[FlowKey, GroundTruthLabel] = {}
+    truth: dict[FlowKey, str] = {}
 
     # Legitimate clients: one TCP flow per client, Poisson request times,
     # each request delivered in chunks at the client link rate.
@@ -185,7 +184,7 @@ def generate(config: ScenarioConfig) -> LabeledEventStream:
     for i in range(config.legit_clients):
         key = FlowKey(ProtocolCategory.TCP, f"c{i:03d}", "srv", 40000 + i, 80)
         keys.append(key)
-        truth[key] = NORMAL
+        truth[key] = NORMAL_LABEL
         sizes.append(config.chunk_bytes)
         starts = _arrival_times(rng, config.legit_request_rate, config.duration)
         times = (starts[:, None] + chunk_offsets[None, :]).ravel()

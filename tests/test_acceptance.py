@@ -409,8 +409,8 @@ def test_criterion_7_score_arithmetic():
     # The published tables truncate: 58675/65661 prints as 89.36 (two
     # decimals) and 222867/229853 as 96.9 (one decimal; it is 96.96 at
     # two decimals).
-    tcp = ScoreReport.from_counts(58675, 65661, 0, 1).detection_rate
-    overall = ScoreReport.from_counts(222867, 229853, 0, 1).detection_rate
+    tcp = ScoreReport(58675, 65661, 0, 1).detection_rate
+    overall = ScoreReport(222867, 229853, 0, 1).detection_rate
     ok = (
         math.floor(tcp * 10_000) / 100 == 89.36
         and round(tcp * 100, 2) == 89.36

@@ -13,7 +13,7 @@ from fvba import io as fio
 from fvba.detector import DEFAULT_FACTORS, ToleranceFactors
 from fvba.errors import ParameterError
 from fvba.model import ProtocolCategory
-from fvba.profiler import NormalProfile
+from fvba.profiler import NormalProfile, dump_profiles
 from fvba.simulator import ScenarioConfig
 
 
@@ -60,7 +60,7 @@ class TestSimulate:
     def test_truth_sidecar_loads(self, tmp_path):
         simulate(tmp_path, "s", "--truth-out", tmp_path / "truth.tsv")
         truth = fio.load_truth((tmp_path / "truth.tsv").read_text())
-        assert sum(label.is_attack for label in truth.values()) == 12
+        assert sum(label != "normal" for label in truth.values()) == 12
 
 
 class TestSimulateFlags:
@@ -360,8 +360,15 @@ class TestMalformedInput:
                             "--out", tmp_path / "s.tsv"], "fvba score: error: " + message)
 
     @pytest.mark.parametrize("row,message", [
-        ("1\tALL\t1\tbogus\t0.0\t0.0", "line 3: 'bogus' is not a valid TriggerCondition"),
+        ("1\tALL\t1\tbogus\t0.0\t0.0", "line 3: 'bogus' is not a valid triggered set"),
         ("1\tALL\t1\t-\t0.0\t0.0", "line 3: is_attack must mirror the triggered set"),
+        # One spelling per series and per set of fired conditions, as dump_verdicts writes.
+        ("0\t tcp \t1\tflow,flow,-\t0.0\t1.0", "line 3: unknown series: ' tcp '"),
+        ("1\ttcp\t0\t-\t0.0\t0.0", "line 3: unknown series: 'tcp'"),
+        ("1\tALL\t1\tflow,flow\t0.0\t0.0", "line 3: 'flow,flow' is not a valid triggered set"),
+        ("1\tALL\t1\tflow,-\t0.0\t0.0", "line 3: 'flow,-' is not a valid triggered set"),
+        ("1\tALL\t1\tflow,volume_upper\t0.0\t0.0",
+         "line 3: 'flow,volume_upper' is not a valid triggered set"),
         ("9223372036854775808\tALL\t0\t-\t0.0\t0.0",
          "line 3: window index 9223372036854775808 does not fit int64"),
         ("-9223372036854775809\tALL\t0\t-\t0.0\t0.0",
@@ -387,6 +394,20 @@ class TestMalformedInput:
                             "--out", tmp_path / "v.tsv"],
                    "fvba detect: error: the profile document holds no profile block")
         assert not (tmp_path / "v.tsv").exists()
+
+    def test_profile_first_block_without_protocol(self, tmp_path, capsys):
+        events, profile = tmp_path / "events.tsv", tmp_path / "profile.txt"
+        events.write_text("0.0\tTCP\tc0\t1\tsrv\t80\t10\n")
+        block = dump_profiles([NormalProfile(ProtocolCategory.TCP, 0.2, 10, *[1.0] * 6)])
+        block = block.removeprefix("version=1\n\n")
+        profile.write_text(f"version=1\nvolume_mean=99.0\ntraining_windows=1_0\n\n{block}")
+        self.fails(capsys, ["detect", "--events", events, "--profile", profile,
+                            "--out", tmp_path / "v.tsv"],
+                   "fvba detect: error: line 1: profile block missing field 'protocol'")
+        profile.write_text(f"version=1\n\n{block.replace('TCP', 'tcp')}")
+        self.fails(capsys, ["detect", "--events", events, "--profile", profile,
+                            "--out", tmp_path / "v.tsv"],
+                   "fvba detect: error: line 3: bad profile block: unknown series: 'tcp'")
 
     def test_window_truth_repeated_index(self, tmp_path, capsys):
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "0\tattack"],

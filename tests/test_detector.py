@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from functools import partial
@@ -131,51 +132,51 @@ class TestComputeThresholds:
 
 class TestDetect:
     def test_no_deviation_is_attack_free(self):
-        th = Thresholds(TCP, x_th=60, v_th=12)
+        th = Thresholds(x_th=60, v_th=12)
         report = detect(sample(volume=1000, flows=20), profile(), th)
         assert not report.is_attack and not report.triggered
 
     def test_volume_upper_triggers(self):
-        th = Thresholds(TCP, x_th=60, v_th=12)
+        th = Thresholds(x_th=60, v_th=12)
         report = detect(sample(volume=1100, flows=20), profile(), th)
         assert report.is_attack and report.triggered == {VOLUME_UPPER}
         assert report.volume_deviation == 100
 
     def test_flow_catches_diluted_attack(self):
         # Volume stays inside the bound; the flow count jump alone alarms.
-        th = Thresholds(TCP, x_th=60, v_th=12)
+        th = Thresholds(x_th=60, v_th=12)
         report = detect(sample(volume=1010, flows=70), profile(), th)
         assert report.is_attack and report.triggered == {FLOW}
         assert report.flow_deviation == 50
 
     def test_udp_lower_bound_drop(self):
-        th = Thresholds(UDP, x_th=60, v_th=16, x_th_lower=15)
+        th = Thresholds(x_th=60, v_th=16, x_th_lower=15)
         report = detect(sample(UDP, volume=980, flows=20), profile(UDP), th)
         assert report.is_attack and report.triggered == {VOLUME_LOWER}
         assert report.volume_deviation == -20
 
     def test_equality_is_attack_free(self):
-        th = Thresholds(TCP, x_th=60, v_th=12)
+        th = Thresholds(x_th=60, v_th=12)
         report = detect(sample(volume=1060, flows=32), profile(), th)
         assert report.volume_deviation == 60 and report.flow_deviation == 12
         assert not report.is_attack
 
     def test_udp_equality_at_lower_bound_attack_free(self):
-        th = Thresholds(UDP, x_th=60, v_th=16, x_th_lower=15)
+        th = Thresholds(x_th=60, v_th=16, x_th_lower=15)
         report = detect(sample(UDP, volume=985, flows=20), profile(UDP), th)
         assert report.volume_deviation == -15
         assert not report.is_attack
 
     def test_protocol_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="same protocol series"):
-            detect_series(sample(UDP), profile(TCP), Thresholds(TCP, 60, 12))
+            detect_series(sample(UDP), profile(TCP), Thresholds(60, 12))
 
     def test_window_length_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="window lengths differ"):
-            detect_series(series([{}], TCP, length=0.5), profile(), Thresholds(TCP, 60, 12))
+            detect_series(series([{}], TCP, length=0.5), profile(), Thresholds(60, 12))
 
     def test_pure_function(self):
-        th = Thresholds(TCP, x_th=60, v_th=12)
+        th = Thresholds(x_th=60, v_th=12)
         s = sample(volume=1100, flows=25)
         assert list(detect_series(s, profile(), th)) == list(detect_series(s, profile(), th))
 
@@ -198,9 +199,9 @@ class TestAlgorithmTruthTable:
         mismatches = 0
         for proto in (TCP, UDP, ICMP, None):
             if proto is UDP:
-                th = Thresholds(proto, x_th=60, v_th=12, x_th_lower=15)
+                th = Thresholds(x_th=60, v_th=12, x_th_lower=15)
             else:
-                th = Thresholds(proto, x_th=60, v_th=12)
+                th = Thresholds(x_th=60, v_th=12)
             base = profile(proto, volume_mean=1000.0, volume_std=10.0,
                            flow_mean=20.0, flow_std=2.0)
             vol_cases = [-16, -15, -14, 0, 59, 60, 61]
@@ -234,8 +235,8 @@ class TestVerdictProperties:
             assert not high.is_attack
 
     def test_flagged_windows_merge(self):
-        th = Thresholds(TCP, x_th=60, v_th=12)
-        udp_th = Thresholds(UDP, x_th=60, v_th=16, x_th_lower=15)
+        th = Thresholds(x_th=60, v_th=12)
+        udp_th = Thresholds(x_th=60, v_th=16, x_th_lower=15)
         tcp = detect_series(series([window(volume=1000), window(volume=1100)], TCP), profile(), th)
         udp = detect_series(series([window(UDP), window(UDP)], UDP), profile(UDP), udp_th)
         windows, flags = flagged_windows([tcp, udp])
@@ -321,7 +322,7 @@ class TestVerdictSerialization:
         assert rows(loaded) == rows(verdicts)
 
     def test_round_trip(self):
-        th = Thresholds(TCP, x_th=60, v_th=12)
+        th = Thresholds(x_th=60, v_th=12)
         verdicts = detect_series(series([window(volume=1000 + d) for d in (0, 100, -3)], TCP),
                                  profile(), th)
         assert [r.is_attack for r in verdicts] == [False, True, False]
@@ -331,13 +332,24 @@ class TestVerdictSerialization:
         with pytest.raises(Exception):
             load_verdicts("1\tTCP\t0\t-\t0.0\t0.0\n")
 
+    def test_triggered_token_of_every_condition_set(self):
+        fired = np.array(list(itertools.product((False, True), repeat=3)))
+        text = dump_verdicts([Verdicts(None, np.arange(8), fired, np.zeros(8), np.zeros(8))])
+        assert [line.split("\t")[2:4] for line in text.splitlines()[1:]] == [
+            ["0", "-"], ["1", "flow"], ["1", "volume_lower"], ["1", "volume_lower,flow"],
+            ["1", "volume_upper"], ["1", "volume_upper,flow"], ["1", "volume_upper,volume_lower"],
+            ["1", "volume_upper,volume_lower,flow"],
+        ]
+        assert np.array_equal(load_verdicts(text)[None].triggered, fired)
+
     @pytest.mark.parametrize("row,message", [
         ("1_0\tTCP\t0\t-\t0.0\t0.0", "malformed window index: '1_0'"),
         ("1\tTCP\t0\t-\t+1_0\t0.0", "malformed volume deviation: '+1_0'"),
         ("1\tTCP\t0\t-\t0.0\t1_0", "malformed flow deviation: '1_0'"),
         ("1\tTCP\t2\tflow\t0.0\t0.0", "is_attack must be 0 or 1, got '2'"),
         ("1\tTCP\t01\tflow\t0.0\t0.0", "is_attack must be 0 or 1, got '01'"),
-        ("0\ttcp\t1\tflow\t0.0\t0.0", "window 0 of the TCP series given twice"),
+        ("0\ttcp\t1\tflow\t0.0\t0.0", "unknown series: 'tcp'"),
+        ("0\tTCP\t1\tflow\t0.0\t0.0", "window 0 of the TCP series given twice"),
         (" ", "expected 6 columns, got 1"),
     ])
     def test_malformed_row_named_by_line(self, row, message):

@@ -65,22 +65,21 @@ class TestScore:
 
     def test_counts_bounded(self):
         with pytest.raises(ParameterError):
-            ScoreReport(detected=5, actual_attacks=3, false_alarms=0,
-                        normal_events=0, detection_rate=None, false_positive_rate=None)
+            ScoreReport(detected=5, actual_attacks=3, false_alarms=0, normal_events=0)
 
 
 class TestPrintedRatios:
     # The published per-protocol test summary truncates percentages.
     def test_tcp_ratio(self):
-        rate = ScoreReport.from_counts(58675, 65661, 0, 1).detection_rate
+        rate = ScoreReport(58675, 65661, 0, 1).detection_rate
         assert math.floor(rate * 100 * 100) / 100 == 89.36
 
     def test_overall_ratio(self):
-        rate = ScoreReport.from_counts(222867, 229853, 0, 1).detection_rate
+        rate = ScoreReport(222867, 229853, 0, 1).detection_rate
         assert math.floor(rate * 100 * 10) / 10 == 96.9
 
     def test_neptune_ratio(self):
-        rate = ScoreReport.from_counts(56973, 58001, 0, 1).detection_rate
+        rate = ScoreReport(56973, 58001, 0, 1).detection_rate
         assert math.floor(rate * 100 * 100) / 100 == 98.22
 
 
@@ -215,7 +214,7 @@ def loop_score(flags, truth):
     detected = sum(1 for w, attacked in truth.items() if attacked and flags[w])
     false_alarms = sum(1 for w, attacked in truth.items() if not attacked and flags[w])
     attacks = sum(truth.values())
-    return ScoreReport.from_counts(detected, attacks, false_alarms, len(truth) - attacks)
+    return ScoreReport(detected, attacks, false_alarms, len(truth) - attacks)
 
 
 class TestArrayPathOracle:
@@ -250,13 +249,13 @@ class TestArrayPathOracle:
 
 class TestTables:
     def test_score_table(self):
-        text = dump_score(ScoreReport.from_counts(5, 10, 0, 20))
+        text = dump_score(ScoreReport(5, 10, 0, 20))
         lines = text.splitlines()
         assert lines[0].startswith("detected\t")
         assert lines[1] == "5\t10\t0\t20\t0.5\t0.0"
 
     def test_undefined_rate_token(self):
-        text = dump_score(ScoreReport.from_counts(0, 0, 0, 20))
+        text = dump_score(ScoreReport(0, 0, 0, 20))
         assert "undefined" in text.splitlines()[1]
 
     def test_roc_table_rows_follow_grid(self):

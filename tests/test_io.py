@@ -11,7 +11,7 @@ from chunked import CHUNK_SIZES, chunk_bytes, file_layout
 from event_rows import Row, event_text, rows, table
 from fvba import io as fio
 from fvba.errors import OrderingError, ParameterError, ParseError
-from fvba.model import EventTable, FlowKey, GroundTruthLabel, NORMAL, ProtocolCategory
+from fvba.model import NORMAL_LABEL, EventTable, FlowKey, ProtocolCategory
 
 
 def events_fixture():
@@ -371,7 +371,7 @@ class TestEventAddressRoundTrip:
 
 class TestTruthFormat:
     @given(st.lists(st.tuples(ADDRESS_TEXT, ADDRESS_TEXT), min_size=1, max_size=6),
-           st.sampled_from([NORMAL, GroundTruthLabel("highrate"), GroundTruthLabel("low rate")]))
+           st.sampled_from([NORMAL_LABEL, "highrate", "low rate"]))
     @settings(max_examples=200, deadline=None)
     def test_every_accepted_address_round_trips(self, pairs, label):
         truth = {}
@@ -385,24 +385,24 @@ class TestTruthFormat:
 
     def test_key_columns_of_the_event_format(self):
         key = FlowKey(ProtocolCategory.TCP, "2001:db8::1", "srv", 1, 80)
-        text = fio.dump_truth({key: NORMAL})
+        text = fio.dump_truth({key: NORMAL_LABEL})
         assert text == "TCP\t2001:db8::1\t1\tsrv\t80\tnormal\n"
-        assert fio.load_truth(text) == {key: NORMAL}
-        assert fio.load_truth("tcp\t2001:db8::1\t01\tsrv\t80\tnormal\n") == {key: NORMAL}
+        assert fio.load_truth(text) == {key: NORMAL_LABEL}
+        assert fio.load_truth("tcp\t2001:db8::1\t01\tsrv\t80\tnormal\n") == {key: NORMAL_LABEL}
         with pytest.raises(ParseError, match="^line 2: port out of range"):
             fio.load_truth(text + "TCP\ta\t1\tb\t65536\tnormal\n")
 
     def test_round_trip(self):
         truth = {
-            FlowKey(ProtocolCategory.TCP, "c000", "srv", 40000, 80): NORMAL,
-            FlowKey(ProtocolCategory.UDP, "z000", "srv", 50000, 9): GroundTruthLabel("highrate"),
+            FlowKey(ProtocolCategory.TCP, "c000", "srv", 40000, 80): NORMAL_LABEL,
+            FlowKey(ProtocolCategory.UDP, "z000", "srv", 50000, 9): "highrate",
         }
         assert fio.load_truth(fio.dump_truth(truth)) == truth
 
     def test_sorted_output(self):
         truth = {
-            FlowKey(ProtocolCategory.UDP, "z9", "srv", 50000, 9): GroundTruthLabel("lowrate"),
-            FlowKey(ProtocolCategory.TCP, "a0", "srv", 40000, 80): NORMAL,
+            FlowKey(ProtocolCategory.UDP, "z9", "srv", 50000, 9): "lowrate",
+            FlowKey(ProtocolCategory.TCP, "a0", "srv", 40000, 80): NORMAL_LABEL,
         }
         lines = fio.dump_truth(truth).splitlines()
         assert lines == sorted(lines)
@@ -410,6 +410,21 @@ class TestTruthFormat:
     def test_bad_key_token(self):
         with pytest.raises(ParseError):
             fio.load_truth("TCP:a:1:b\tnormal\n")
+
+    def test_labels_are_strings(self):
+        normal = FlowKey(ProtocolCategory.TCP, "a", "b", 1, 2)
+        attack = FlowKey(ProtocolCategory.UDP, "z", "b", 1, 2)
+        text = "TCP\ta\t1\tb\t2\tnormal\nUDP\tz\t1\tb\t2\tsmurf\n"
+        assert fio.load_truth(text) == {normal: NORMAL_LABEL, attack: "smurf"}
+        assert fio.dump_truth(fio.load_truth(text)) == text
+
+    @pytest.mark.parametrize("label", ["Smurf", "Normal", "NORMAL", " normal", "smurf ", "smurf\x0b",
+                                       ""])
+    def test_label_spelling_named_by_line(self, label):
+        with pytest.raises(ParseError, match=(
+                "^line 2: label must be 'normal' or a lowercase attack name without padding,"
+                f" got {re.escape(repr(label))}$")):
+            fio.load_truth(f"TCP\ta\t1\tb\t2\tnormal\nUDP\tz\t1\tb\t2\t{label}\n")
 
     def test_repeated_flow_named_by_line(self):
         with pytest.raises(ParseError, match=r"^line 2: flow 'tcp\\ta\\t1\\tb\\t2' given twice$"):

@@ -135,8 +135,8 @@ def reference_evaluation(records, attack_names, verdicts, record_window):
         elif record.label == "normal":
             counts[2] += flagged
             counts[3] += 1
-    per_protocol = {p: ScoreReport.from_counts(*counts) for p, counts in scores.items()}
-    overall = ScoreReport.from_counts(*(sum(c[i] for c in scores.values()) for i in range(4)))
+    per_protocol = {p: ScoreReport(*counts) for p, counts in scores.items()}
+    overall = ScoreReport(*(sum(c[i] for c in scores.values()) for i in range(4)))
     breakdown = [BreakdownRow(name, protocol, detected, total)
                  for (name, _), (protocol, detected, total) in sorted(rows.items())]
     return per_protocol, overall, breakdown
@@ -468,7 +468,7 @@ class TestToFlowWindows:
     def test_normal_window_truth(self):
         records = make_records([record_line() for _ in range(100)])
         evaluation = evaluate_split(records, TRAINING_ATTACKS, {}, record_window=100)
-        assert evaluation.overall == ScoreReport.from_counts(0, 0, 0, 100)
+        assert evaluation.overall == ScoreReport(0, 0, 0, 100)
         assert evaluation.breakdown == []
 
     def test_attack_window_truth_counts_labels(self, monkeypatch):
@@ -476,7 +476,7 @@ class TestToFlowWindows:
         lines += [record_line(label="neptune.", service="private", src=0, dst=0)] * 2
         flagging(monkeypatch, {TCP: [True]})
         evaluation = evaluate_split(make_records(lines), TRAINING_ATTACKS, {}, record_window=100)
-        assert evaluation.overall == ScoreReport.from_counts(2, 2, 98, 98)
+        assert evaluation.overall == ScoreReport(2, 2, 98, 98)
         assert evaluation.breakdown == [BreakdownRow("neptune", TCP, 2, 2)]
 
     def test_flow_identity_is_service_flag(self):
@@ -554,7 +554,7 @@ class TestEvaluateSplit:
         lines += [record_line(label="neptune.")] * 90 + [record_line()] * 110
         flagging(monkeypatch, {TCP: [True, False, False, True]})
         evaluation = evaluate_split(make_records(lines), TRAINING_ATTACKS, {}, record_window=100)
-        assert evaluation.overall == ScoreReport.from_counts(60, 150, 140, 250)
+        assert evaluation.overall == ScoreReport(60, 150, 140, 250)
         assert evaluation.per_protocol == {TCP: evaluation.overall}
 
     def test_breakdown_rows(self, monkeypatch):
@@ -580,7 +580,7 @@ class TestEvaluateSplit:
         flagging(monkeypatch, {TCP: [False]})
         evaluation = evaluate_split(make_records(lines), TRAINING_ATTACKS, {}, record_window=100)
         assert evaluation.breakdown == []
-        assert evaluation.overall == ScoreReport.from_counts(0, 0, 0, 100)
+        assert evaluation.overall == ScoreReport(0, 0, 0, 100)
 
     @given(
         st.lists(st.tuples(

@@ -5,13 +5,7 @@ from hypothesis import given, strategies as st
 
 from event_rows import series
 from fvba.errors import ParameterError
-from fvba.model import (
-    NORMAL,
-    EventTable,
-    FlowKey,
-    GroundTruthLabel,
-    ProtocolCategory,
-)
+from fvba.model import EventTable, FlowKey, ProtocolCategory, parse_series
 
 
 def key(proto=ProtocolCategory.TCP, src="a", dst="b", sport=1234, dport=80):
@@ -26,6 +20,13 @@ class TestProtocolCategory:
     def test_parse_unknown(self):
         with pytest.raises(ParameterError):
             ProtocolCategory.parse("gre")
+
+
+class TestParseSeries:
+    @pytest.mark.parametrize("token", ["tcp", " TCP", "TCP ", " tcp ", "all", "Udp", "GRE", ""])
+    def test_other_spellings_rejected(self, token):
+        with pytest.raises(ParameterError, match="^unknown series: "):
+            parse_series(token)
 
 
 class TestFlowKey:
@@ -125,18 +126,3 @@ class TestWindowSample:
         assert sample.volume == sum(flows.values())
         assert sample.flow_count == len(flows)
         assert windows.flows(0) == flows
-
-
-class TestGroundTruthLabel:
-    def test_normal(self):
-        assert not NORMAL.is_attack
-        assert str(NORMAL) == "normal"
-
-    def test_attack_round_trip(self):
-        label = GroundTruthLabel.parse("smurf")
-        assert label.is_attack and label.attack == "smurf"
-        assert GroundTruthLabel.parse(str(label)) == label
-
-    def test_lowercase_enforced(self):
-        with pytest.raises(ParameterError):
-            GroundTruthLabel("Smurf")

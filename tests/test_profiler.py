@@ -414,6 +414,19 @@ class TestProfileSerialization:
         with pytest.raises(ParseError, match="^the profile document holds no profile block$"):
             load_profiles(text)
 
+    def test_first_block_with_fields_but_no_protocol_rejected(self):
+        full = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        text = ("version=1\nvolume_mean=99.0\ntraining_windows=1_0\n\n"
+                + full.removeprefix("version=1\n\n"))
+        with pytest.raises(ParseError, match="^line 1: profile block missing field 'protocol'$"):
+            load_profiles(text)
+
+    @pytest.mark.parametrize("token", ["tcp", "Tcp", "all", "GRE"])
+    def test_protocol_spelled_as_written(self, token):
+        text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        with pytest.raises(ParseError, match=f"^line 3: bad profile block: unknown series: '{token}'$"):
+            load_profiles(text.replace("protocol=TCP", f"protocol={token}"))
+
     def test_duplicate_block_rejected(self):
         profile = NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
         with pytest.raises(ParseError):

@@ -9,7 +9,7 @@ import pytest
 from event_rows import rows
 from fvba import io as fio
 from fvba.errors import ParameterError
-from fvba.model import ProtocolCategory
+from fvba.model import NORMAL_LABEL, ProtocolCategory
 from fvba.detector import detect_profiled
 from fvba.profiler import build_profile, windowize
 from fvba.simulator import (
@@ -111,24 +111,24 @@ class TestGenerate:
     def test_attack_events_confined_to_interval(self):
         stream = generate(small_attack())
         for e in rows(stream.events):
-            if stream.truth[e.key].is_attack:
+            if stream.truth[e.key] != NORMAL_LABEL:
                 assert 5.0 <= e.timestamp < 20.0
 
     def test_attack_free_has_no_udp_and_normal_truth(self):
         stream = generate(ScenarioConfig(kind=ScenarioKind.ATTACK_FREE, legit_clients=10,
                                          duration=20.0, seed=3))
         assert all(e.key.protocol is TCP for e in rows(stream.events))
-        assert all(not label.is_attack for label in stream.truth.values())
+        assert all(label == NORMAL_LABEL for label in stream.truth.values())
         assert stream.attack_windows(0.2) == set()
 
     def test_legit_flows_tcp_zombies_udp(self):
         stream = generate(small_attack())
         for k, label in stream.truth.items():
-            assert k.protocol is (UDP if label.is_attack else TCP)
+            assert k.protocol is (UDP if label != NORMAL_LABEL else TCP)
 
     def test_varied_rate_split_labels(self):
         stream = generate(small_attack(kind=ScenarioKind.VARIED_RATE, zombies=10))
-        labels = [label for label in stream.truth.values() if label.is_attack]
+        labels = [label for label in stream.truth.values() if label != NORMAL_LABEL]
         assert labels.count(HIGH_RATE_LABEL) == 5
         assert labels.count(LOW_RATE_LABEL) == 5
 
@@ -140,7 +140,7 @@ class TestGenerate:
         expected_per_zombie = config.zombie_rate_bps * 25.0 / 8.0
         per_zombie: dict = {}
         for e in rows(stream.events):
-            if stream.truth[e.key].is_attack:
+            if stream.truth[e.key] != NORMAL_LABEL:
                 per_zombie[e.key] = per_zombie.get(e.key, 0) + e.bytes
         assert len(per_zombie) == 5
         for total in per_zombie.values():
@@ -172,14 +172,14 @@ class TestGenerate:
             expected = {
                 int((e.timestamp + 1e-9) / length)
                 for e in rows(stream.events)
-                if stream.truth[e.key].is_attack
+                if stream.truth[e.key] != NORMAL_LABEL
             }
             assert stream.attack_windows(length) == expected
 
     def test_diluted_uses_low_rate(self):
         stream = generate(small_attack(kind=ScenarioKind.DILUTED_LOW_RATE))
         attack_bytes = sum(
-            e.bytes for e in rows(stream.events) if stream.truth[e.key].is_attack
+            e.bytes for e in rows(stream.events) if stream.truth[e.key] != NORMAL_LABEL
         )
         expected = 4 * 1e5 * 15.0 / 8.0
         assert attack_bytes == pytest.approx(expected, rel=0.2)
