@@ -73,9 +73,13 @@ class ThrottleDirective:
 def sigma_limits(per_flow_mean: float, per_flow_std: float) -> SigmaLimits:
     """Control limits m +/- 3s (suspicious state) and m +/- 6s (attack state).
 
-    Lower limits may be negative; byte counts never reach them, so the
-    lower branches simply never fire.  Raises ParameterError for a
-    negative standard deviation.
+    Lower limits may be negative, and then the lower branches never fire.
+    They fire when the mean is large against the deviation: the default
+    capture-scope profile's mean and deviation are those of whole-capture
+    flow totals, so its lower limits (18.2 and 23.2 MB for the README's
+    seed-11 training run) lie above every flow's bytes in one window, and
+    every flow falls below them.  Raises ParameterError for a negative
+    standard deviation.
     """
     if per_flow_std < 0:
         raise ParameterError("per-flow standard deviation must be non-negative")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import io as fio
@@ -165,21 +166,25 @@ def cmd_detect(args) -> int:
 
 
 def cmd_characterize(args) -> int:
+    # Both outputs are open at once, so one path for both would interleave them.
+    if args.throttle_out and os.path.abspath(args.throttle_out) == os.path.abspath(args.out):
+        raise ParameterError("--out and --throttle-out name the same file")
     factors = _resolve_factors(args)
     series, profiles = _profiled_series(args)
-    classification_lines = [CLASSIFICATION_HEADER]
-    throttle_lines = [THROTTLE_HEADER]
-    flagged = 0
     verdicts = detect_profiled(series, profiles, factors)
-    for protocol, outcomes in verdicts.items():
-        for window, classifications, directives in characterize(series[protocol], outcomes,
-                                                                profiles[protocol]):
-            flagged += 1
-            classification_lines.extend(classification_line(window, c) for c in classifications)
-            throttle_lines.extend(throttle_line(window, d) for d in directives)
-    _write(args.out, "\n".join(classification_lines) + "\n")
-    if args.throttle_out:
-        _write(args.throttle_out, "\n".join(throttle_lines) + "\n")
+    # Every input is read and checked before an output is opened; then each
+    # flagged window's lines are written as it is characterized.
+    flagged = 0
+    with _create(args.out) as out, _create(args.throttle_out or os.devnull) as throttles:
+        out.write(CLASSIFICATION_HEADER + "\n")
+        throttles.write(THROTTLE_HEADER + "\n")
+        for protocol, outcomes in verdicts.items():
+            for window, classifications, directives in characterize(
+                    series[protocol], outcomes, profiles[protocol]):
+                flagged += 1
+                out.write("".join(f"{classification_line(window, c)}\n"
+                                  for c in classifications))
+                throttles.write("".join(f"{throttle_line(window, d)}\n" for d in directives))
     print(f"characterize: {flagged} flagged windows -> {args.out}")
     return 0
 

@@ -121,9 +121,11 @@ def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
 # About how many bytes the text parsers decode at a time; a chunk ends at
 # a line break.
 CHUNK_BYTES = 256 * 1024
-# Rows `dump_events` formats at a time: about CHUNK_BYTES of text, as an
-# event line takes some 45 bytes.  `attack_windows` scans as many at a time.
-DUMP_ROWS = CHUNK_BYTES // 48
+# Rows `dump_events` formats at a time: about 45 KiB of text, as an event
+# line takes some 45 bytes.  A slice's Python objects take several times
+# its text, so slices are kept small.  `attack_windows` scans as many at a
+# time.
+DUMP_ROWS = 1024
 # Longest line `decoder_chunks` leaves among others in a chunk.
 _MAX_LINE = 255
 _POWERS = np.array([10**k for k in range(18, -1, -1)], dtype=np.uint64)

@@ -124,17 +124,22 @@ class LabeledEventStream:
 
     def attack_windows(self, window_length: float) -> set[int]:
         """Indices of windows containing at least one event of a flow labelled
-        with an attack."""
+        with an attack.
+
+        Raises ParameterError for a window length or span that
+        `profiler.window_span` rejects.
+        """
         events = self.events
+        first, last = window_span(events.timestamp, window_length)
         attack_flow = np.array([self.truth.get(k, NORMAL_LABEL) != NORMAL_LABEL
                                 for k in events.keys], dtype=bool)
-        attacked: set[int] = set()
-        # A slice of rows at a time, each reduced to its distinct windows.
+        # One flag per window of the span, set a slice of rows at a time.
+        hit = np.zeros(last - first + 1, dtype=bool)
         for lo in range(0, len(events), DUMP_ROWS):
             hi = lo + DUMP_ROWS
-            hit = events.timestamp[lo:hi][attack_flow[events.flow[lo:hi]]]
-            attacked.update(np.unique(window_indices(hit, window_length)).tolist())
-        return attacked
+            stamps = events.timestamp[lo:hi][attack_flow[events.flow[lo:hi]]]
+            hit[window_indices(stamps, window_length) - first] = True
+        return set((np.flatnonzero(hit) + first).tolist())
 
     def window_truth(self, window_length: float) -> dict[int, bool]:
         """Per-window ground truth over the stream's full window span.

@@ -2,12 +2,14 @@ import contextlib
 import dataclasses
 import gzip
 import io
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fvba
 from fvba.cli import _load_grid, _resolve_factors, build_parser, main
 from fvba import io as fio
 from fvba.detector import DEFAULT_FACTORS, ToleranceFactors
@@ -243,6 +245,62 @@ class TestCharacterizeCommand:
         assert thr_lines[0].startswith("window_index\t")
         for line in thr_lines[1:]:
             assert 0 < float(line.split("\t")[-1]) <= 1
+
+    def test_rejected_run_writes_no_output(self, pipeline, capsys):
+        # Outputs are opened only after every input and factor is checked.
+        tmp_path, _, attack, profile = pipeline
+        code = run(["characterize", "--events", attack, "--profile", profile, "--r1", "nan",
+                    "--out", tmp_path / "cls.tsv", "--throttle-out", tmp_path / "thr.tsv"],
+                   tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("fvba characterize: error: tolerance factors")
+        assert not (tmp_path / "cls.tsv").exists() and not (tmp_path / "thr.tsv").exists()
+
+    def test_one_path_for_both_outputs_rejected(self, pipeline, capsys):
+        tmp_path, _, attack, profile = pipeline
+        code = run(["characterize", "--events", attack, "--profile", profile,
+                    "--out", tmp_path / "both.tsv", "--throttle-out", tmp_path / "." / "both.tsv"],
+                   tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "fvba characterize: error: --out and --throttle-out name the same file\n")
+        assert not (tmp_path / "both.tsv").exists()
+
+
+# Every step of the simulated and KDD-99 chains, run in one interpreter,
+# which then prints whether numpy.ma was imported.
+_CHAIN_SCRIPT = """
+import sys
+from fvba.cli import main
+steps = [
+    "simulate --kind attack-free --clients 6 --duration 30 --seed 5 --out train.tsv",
+    "simulate --kind high-rate --clients 6 --zombies 12 --duration 30 --attack-start 10"
+    " --attack-end 20 --seed 7 --out attack.tsv --window-truth-out wt.tsv",
+    "profile --events train.tsv --aggregate --per-flow-scope window --out profile.txt",
+    "detect --events attack.tsv --profile profile.txt --out verdicts.tsv",
+    "score --verdicts verdicts.tsv --window-truth wt.tsv --out score.tsv",
+    "sweep --events attack.tsv --profile profile.txt --window-truth wt.tsv --grid grid.tsv"
+    " --out roc.tsv",
+    "characterize --events attack.tsv --profile profile.txt --out cls.tsv --throttle-out thr.tsv",
+    "kdd --train mini_kdd.csv --test mini_kdd.csv --out scores.tsv",
+]
+codes = [main(step.split()) for step in steps]
+print(codes, "numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestImports:
+    def test_no_step_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs a process about 1.25 MB and 10-20 ms to import; a
+        # plain np.unique imports it in numpy 2.x.
+        TestKddCommand().make_file(tmp_path)
+        (tmp_path / "grid.tsv").write_text("2\t2\n6\t6\n")
+        # The child runs in tmp_path and imports the fvba under test.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fvba.__file__)))
+        result = subprocess.run([sys.executable, "-c", _CHAIN_SCRIPT], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "[0, 0, 0, 2, 0, 0, 0, 0] False"
 
 
 class TestKddCommand:

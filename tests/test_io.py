@@ -183,9 +183,9 @@ class TestEventWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 8.6 MB of text; a slice's rows, lines and text take about 1 MB.
+        # 8.6 MB of text; a slice's rows, lines and text take about 0.2 MB.
         assert sum(handle.sizes) > 8_000_000
-        assert peak < 2_000_000
+        assert peak < 400_000
 
 
 # Address characters: the tab, every character str.splitlines splits on,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -8,10 +9,11 @@ import pytest
 
 from event_rows import rows
 from fvba import io as fio
+from fvba.cli import main
 from fvba.errors import ParameterError
 from fvba.model import NORMAL_LABEL, ProtocolCategory
 from fvba.detector import detect_profiled
-from fvba.profiler import build_profile, windowize
+from fvba.profiler import build_profile, dump_profiles, windowize
 from fvba.simulator import (
     HIGH_RATE_LABEL,
     LOW_RATE_LABEL,
@@ -244,8 +246,9 @@ def _traced_peak(call):
 
 
 class TestMemory:
-    """Bounds on the temporaries of the simulator, as numpy reports its
-    buffers to tracemalloc, on a 205,162-event high-rate scenario."""
+    """Bounds on the temporaries of the simulator and the stages after it,
+    as numpy reports its buffers to tracemalloc, on a 205,162-event
+    high-rate scenario."""
 
     CONFIG = ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40,
                             zombies=100, attack_start=5.0, attack_end=10.0, duration=15.0,
@@ -262,6 +265,28 @@ class TestMemory:
         stream = generate(self.CONFIG)
         _, peak = _traced_peak(lambda: stream.window_truth(0.2))
         assert peak <= 4 * len(stream.events), peak / len(stream.events)
+
+    def test_characterize_peaks_no_higher_than_detect(self, tmp_path):
+        # 14,996 windows of 1 ms, 5,000 of them flagged: characterize writes
+        # 162,020 classification lines.  Holding them until the end took 4.7
+        # times detect's peak.
+        events = tmp_path / "attack.tsv"
+        with events.open("w", encoding="utf-8", newline="\n") as handle:
+            fio.dump_events(generate(self.CONFIG).events, handle)
+        training = generate(dataclasses.replace(self.CONFIG, kind=ScenarioKind.ATTACK_FREE,
+                                                zombies=0, seed=3))
+        profile = tmp_path / "profile.txt"
+        profile.write_text(dump_profiles([build_profile(windowize(training.events, 0.001),
+                                                        per_flow_scope="window")]))
+        common = ["--events", str(events), "--profile", str(profile)]
+        detected, detect_peak = _traced_peak(
+            lambda: main(["detect", *common, "--out", str(tmp_path / "verdicts.tsv")]))
+        characterized, characterize_peak = _traced_peak(
+            lambda: main(["characterize", *common, "--out", str(tmp_path / "cls.tsv"),
+                          "--throttle-out", str(tmp_path / "thr.tsv")]))
+        assert (detected, characterized) == (2, 0)
+        assert len((tmp_path / "cls.tsv").read_text().splitlines()) == 162_021
+        assert characterize_peak <= 1.1 * detect_peak, characterize_peak / detect_peak
 
 
     def test_many_windows_hold_no_per_window_objects(self):
