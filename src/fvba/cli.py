@@ -35,7 +35,8 @@ from .detector import (
     load_verdicts,
 )
 from .errors import Error, InsufficientDataError, ParameterError, ParseError
-from .evaluation import dump_breakdown, dump_roc, dump_score, dump_score_table, score, sweep
+from .evaluation import (ScoreReport, dump_breakdown, dump_roc, dump_score, dump_score_table,
+                         score, sweep)
 from .kdd import (
     TESTING_ATTACKS,
     TRAINING_ATTACKS,
@@ -189,6 +190,13 @@ def cmd_characterize(args) -> int:
     return 0
 
 
+def _rates(report: ScoreReport, separator: str) -> str:
+    """The two rates of `report` as percentages, "undefined" where a rate has no units."""
+    detection, fp = (("undefined" if rate is None else f"{100 * rate:.{digits}f}%") for rate, digits
+                     in ((report.detection_rate, 2), (report.false_positive_rate, 3)))
+    return f"detection {detection}{separator}false positives {fp}"
+
+
 def cmd_kdd(args) -> int:
     factors = _resolve_factors(args)
     splits = [("training", args.train, TRAINING_ATTACKS)]
@@ -211,10 +219,7 @@ def cmd_kdd(args) -> int:
         rows.extend((f"{split}/{p.value}", report) for p, report in evaluation.per_protocol.items())
         rows.append((f"{split}/overall", evaluation.overall))
         breakdown_text.append(f"# {split}\n" + dump_breakdown(evaluation.breakdown))
-        rate = evaluation.overall.detection_rate
-        fp = evaluation.overall.false_positive_rate
-        rate_lines.append(f"kdd: {split} overall detection {100 * (rate or 0):.2f}%"
-                          f" false positives {100 * (fp or 0):.3f}%")
+        rate_lines.append(f"kdd: {split} overall {_rates(evaluation.overall, ' ')}")
     print("\n".join(rate_lines))
     _write(args.out, dump_score_table(rows))
     if args.breakdown_out:
@@ -256,12 +261,7 @@ def cmd_score(args) -> int:
     truth = fio.load_window_truth(_read(args.window_truth))
     report = score(verdicts.values(), truth)
     _write(args.out, dump_score(report))
-    rate = report.detection_rate
-    fp = report.false_positive_rate
-    print("score: detection "
-          + ("undefined" if rate is None else f"{100 * rate:.2f}%")
-          + ", false positives "
-          + ("undefined" if fp is None else f"{100 * fp:.3f}%"))
+    print(f"score: {_rates(report, ', ')}")
     return 0
 
 

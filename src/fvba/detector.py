@@ -212,15 +212,12 @@ def detect_profiled(
     return verdicts
 
 
-def flagged_windows(
-    verdicts: Collection[Verdicts],
-    triggers: Collection[TriggerCondition] = frozenset(TriggerCondition),
-) -> tuple[np.ndarray, np.ndarray]:
+def flagged_windows(verdicts: Collection[Verdicts]) -> tuple[np.ndarray, np.ndarray]:
     """Merge verdicts into per-window flags: the ascending window indices of
     all verdicts and, for each, whether any of its verdicts (any protocol)
-    fired one of `triggers`, by default any."""
+    is an attack."""
     indices = np.concatenate([np.empty(0, np.int64), *(v.window_index for v in verdicts)])
-    fired = np.concatenate([np.empty(0, bool), *(v.fired(triggers) for v in verdicts)])
+    fired = np.concatenate([np.empty(0, bool), *(v.is_attack for v in verdicts)])
     windows, position = np.unique(indices, return_inverse=True)
     flags = np.zeros(windows.size, dtype=bool)
     flags[position[fired]] = True

@@ -1,9 +1,9 @@
 """Scoring of detector output against ground truth, and threshold sweeps.
 
 Detection rate is the fraction of actual attacks detected; false-positive
-rate the fraction of normal traffic flagged.  Scoring here runs per
-window (simulation streams); `kdd.evaluate_split` scores dataset runs per
-record, where a window verdict propagates to every record inside the window.
+rate the fraction of normal traffic flagged.  Both pipelines count scored
+units by label id: a simulated window is 0 (normal) or 1 (attack), and a KDD-99
+record (`kdd.evaluate_split`) has its label's id and is flagged when its window is.
 """
 
 from __future__ import annotations
@@ -61,20 +61,32 @@ class RocPoint(ScoreReport):
     factors: ToleranceFactors
 
 
+# The masks of the attack and the normal label ids of window truth: 1 and 0.
+_WINDOW_LABELS = (np.array([False, True]), np.array([True, False]))
+
+
 def _aligned_truth(windows: np.ndarray, truth: Mapping[int, bool]) -> np.ndarray:
-    """The truth of each of the distinct `windows`, which must be exactly
-    the windows of `truth`."""
+    """The label (0 normal, 1 attack) of each of the distinct `windows`,
+    which must be exactly the windows of `truth`."""
     attacked = [truth.get(w) for w in windows.tolist()]
     if len(truth) != len(attacked) or None in attacked:
         raise ParameterError("verdicts and ground truth cover different window sets")
-    return np.array(attacked, dtype=bool)
+    return np.array(attacked, dtype=np.int8)
 
 
-def _flag_counts(flags: np.ndarray, attacked: np.ndarray) -> tuple[int, int, int, int]:
-    """The ScoreReport counts of per-window flags against per-window truth."""
-    attacks = int(attacked.sum())
-    return (int((flags & attacked).sum()), attacks, int((flags & ~attacked).sum()),
-            attacked.size - attacks)
+def label_counts(labels: np.ndarray, flags: np.ndarray, label_count: int) -> np.ndarray:
+    """Per label id below `label_count`, its units (row 0) and flagged units (row 1)."""
+    return np.stack([np.bincount(labels, minlength=label_count),
+                     np.bincount(labels[flags], minlength=label_count)])
+
+
+def report_counts(counts: np.ndarray, attack: np.ndarray,
+                  normal: np.ndarray) -> tuple[int, int, int, int]:
+    """The ScoreReport counts of `label_counts` rows: the flagged units of the
+    label ids in mask `attack` are detected, those in mask `normal` false alarms."""
+    (actual, detected), (normals, false_alarms) = (counts[:, attack].sum(axis=1).tolist(),
+                                                    counts[:, normal].sum(axis=1).tolist())
+    return detected, actual, false_alarms, normals
 
 
 def score(verdicts: Collection[Verdicts], truth: Mapping[int, bool]) -> ScoreReport:
@@ -84,7 +96,8 @@ def score(verdicts: Collection[Verdicts], truth: Mapping[int, bool]) -> ScoreRep
     verdict window set must equal the truth window set.
     """
     windows, flags = flagged_windows(verdicts)
-    return ScoreReport(*_flag_counts(flags, _aligned_truth(windows, truth)))
+    counts = label_counts(_aligned_truth(windows, truth), flags, 2)
+    return ScoreReport(*report_counts(counts, *_WINDOW_LABELS))
 
 
 @dataclass(frozen=True)
@@ -117,11 +130,12 @@ def sweep(
     if not grid:
         raise ParameterError("sweep grid must be non-empty")
     triggers = _VOLUME_TRIGGERS if volume_only else frozenset(TriggerCondition)
-    attacked = _aligned_truth(series.window_index, truth)
+    labels = _aligned_truth(series.window_index, truth)
     points = []
     for factors in grid:
         verdicts = detect_series(series, profile, compute_thresholds(profile, factors))
-        points.append(RocPoint(*_flag_counts(verdicts.fired(triggers), attacked), factors))
+        counts = label_counts(labels, verdicts.fired(triggers), 2)
+        points.append(RocPoint(*report_counts(counts, *_WINDOW_LABELS), factors))
     return points
 
 

@@ -123,8 +123,8 @@ def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
 CHUNK_BYTES = 256 * 1024
 # Rows `dump_events` formats at a time: about 45 KiB of text, as an event
 # line takes some 45 bytes.  A slice's Python objects take several times
-# its text, so slices are kept small.  `attack_windows` scans as many at a
-# time.
+# its text, so slices are kept small.  The simulator's `window_truth` scans
+# as many at a time.
 DUMP_ROWS = 1024
 # Longest line `decoder_chunks` leaves among others in a chunk.
 _MAX_LINE = 255

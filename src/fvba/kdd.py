@@ -25,7 +25,7 @@ import numpy as np
 from . import io as fio
 from .detector import DEFAULT_FACTORS, ToleranceFactors, detect_profiled
 from .errors import ParameterError
-from .evaluation import BreakdownRow, ScoreReport
+from .evaluation import BreakdownRow, ScoreReport, label_counts, report_counts
 from .model import NORMAL_LABEL, FlowKey, ProtocolCategory, WindowSeries
 from .profiler import NormalProfile, build_profile, window_samples
 
@@ -245,14 +245,6 @@ class KddEvaluation:
     breakdown: list[BreakdownRow]
 
 
-def _score(counts: np.ndarray, attack: np.ndarray, normal: np.ndarray) -> ScoreReport:
-    """The report of per-label record counts: row 0 of `counts` over all
-    records, row 1 over the records of flagged windows."""
-    (actual, detected), (normals, false_alarms) = (counts[:, attack].sum(axis=1).tolist(),
-                                                    counts[:, normal].sum(axis=1).tolist())
-    return ScoreReport(detected, actual, false_alarms, normals)
-
-
 def evaluate_split(
     records: KddTable,
     attack_names: frozenset[str],
@@ -282,10 +274,8 @@ def evaluate_split(
         count = len(windows[protocol])
         labels = records.label[protocols == code][: count * record_window]
         flags = verdicts[protocol].is_attack if protocol in verdicts else np.zeros(count, bool)
-        flagged = np.repeat(flags, record_window)
-        counts = np.stack([np.bincount(labels, minlength=totals.shape[1]),
-                           np.bincount(labels[flagged], minlength=totals.shape[1])])
-        per_protocol[protocol] = _score(counts, attack, normal)
+        counts = label_counts(labels, np.repeat(flags, record_window), totals.shape[1])
+        per_protocol[protocol] = ScoreReport(*report_counts(counts, attack, normal))
         totals += counts
         breakdown.extend(
             BreakdownRow(attack=name, protocol=protocol, detected=detected, total=total)
@@ -294,5 +284,6 @@ def evaluate_split(
             if is_attack and total
         )
     breakdown.sort(key=lambda row: (row.attack, row.protocol.value))
-    return KddEvaluation(per_protocol=per_protocol, overall=_score(totals, attack, normal),
+    return KddEvaluation(per_protocol=per_protocol,
+                         overall=ScoreReport(*report_counts(totals, attack, normal)),
                          breakdown=breakdown)

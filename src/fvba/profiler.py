@@ -169,10 +169,12 @@ class NormalProfile:
                      "per_flow_mean", "per_flow_std"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.window_length > 0:
+            raise ParameterError(f"window_length must be positive, got {self.window_length}")
         for name in ("volume_std", "flow_std", "per_flow_std"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
-        if self.volume_mean < 0 or self.flow_mean < 0:
+        if self.volume_mean < 0 or self.flow_mean < 0 or self.per_flow_mean < 0:
             raise ParameterError("means of non-negative quantities cannot be negative")
 
 
@@ -255,7 +257,8 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
     that is not a profile field (`version` only opens the first block);
     naming the first line of the block for a block with a missing,
     malformed or out-of-range field (such as a non-finite statistic or
-    fewer than two training windows); and for a repeated protocol.
+    fewer than two training windows), for a repeated protocol and for a
+    window length other than the first block's.
     """
     # Each block is (its first line, its fields); a skipped line closes it.
     blocks: list[tuple[int, dict[str, str]]] = []
@@ -299,5 +302,9 @@ def load_profiles(text: str) -> dict[ProtocolCategory | None, NormalProfile]:
             raise ParseError(f"bad profile block: {bad}", line=start) from None
         if profile.protocol in profiles:
             raise ParseError(f"duplicate profile block for {token}", line=start)
+        # Verdicts of all series merge by window index, so one length for all.
+        if profiles and profile.window_length != next(iter(profiles.values())).window_length:
+            raise ParseError(f"window_length {profile.window_length!r} differs from the"
+                             " first profile block's", line=start)
         profiles[profile.protocol] = profile
     return profiles

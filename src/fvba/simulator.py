@@ -122,9 +122,9 @@ class LabeledEventStream:
     events: EventTable
     truth: dict[FlowKey, str]
 
-    def attack_windows(self, window_length: float) -> set[int]:
-        """Indices of windows containing at least one event of a flow labelled
-        with an attack.
+    def window_truth(self, window_length: float) -> dict[int, bool]:
+        """Per-window ground truth over the stream's full window span: whether
+        a window holds an event of a flow labelled with an attack.
 
         Raises ParameterError for a window length or span that
         `profiler.window_span` rejects.
@@ -139,17 +139,7 @@ class LabeledEventStream:
             hi = lo + DUMP_ROWS
             stamps = events.timestamp[lo:hi][attack_flow[events.flow[lo:hi]]]
             hit[window_indices(stamps, window_length) - first] = True
-        return set((np.flatnonzero(hit) + first).tolist())
-
-    def window_truth(self, window_length: float) -> dict[int, bool]:
-        """Per-window ground truth over the stream's full window span.
-
-        Raises ParameterError for a window length or span that
-        `profiler.window_span` rejects.
-        """
-        first, last = window_span(self.events.timestamp, window_length)
-        attacked = self.attack_windows(window_length)
-        return {w: w in attacked for w in range(first, last + 1)}
+        return dict(zip(range(first, last + 1), hit.tolist()))
 
 
 def _arrival_times(rng: np.random.Generator, rate: float, duration: float) -> np.ndarray:

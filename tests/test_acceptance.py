@@ -197,11 +197,12 @@ def simulation():
         samples = windowize(stream.events, WINDOW_SECONDS)
         reports = detect_series(samples, profile, thresholds)
         elapsed = time.perf_counter() - started
+        truth = stream.window_truth(WINDOW_SECONDS)
         runs[name] = {
             "samples": samples,
             "reports": {r.window_index: r for r in reports},
-            "truth": stream.window_truth(WINDOW_SECONDS),
-            "attack_windows": stream.attack_windows(WINDOW_SECONDS),
+            "truth": truth,
+            "attack_windows": {w for w, attacked in truth.items() if attacked},
             "seconds": elapsed,
         }
     return {"profile": profile, "runs": runs}

@@ -334,6 +334,18 @@ class TestKddCommand:
         assert any(row.startswith("training/overall") for row in table)
         assert "neptune" in (tmp_path / "breakdown.tsv").read_text()
 
+    def test_undefined_rate_printed_as_undefined(self, tmp_path, capsys):
+        # No attack record, so the detection rate has no denominator.
+        line = ",".join(["0", "tcp", "http", "SF", "400", "500"] + ["0"] * 35) + ",normal."
+        data = tmp_path / "normal.csv"
+        data.write_text(f"{line}\n" * 40)
+        assert run(["kdd", "--train", data, "--record-window", "5",
+                    "--out", tmp_path / "scores.tsv"], tmp_path) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == "kdd: training overall detection undefined false positives 0.000%"
+        overall = (tmp_path / "scores.tsv").read_text().splitlines()[-1].split("\t")
+        assert overall[0] == "training/overall" and overall[5:] == ["undefined", "0.0"]
+
     def test_training_and_testing_splits(self, tmp_path, capsys):
         data = self.make_file(tmp_path)
         code = run(["kdd", "--train", data, "--test", data, "--out", tmp_path / "scores.tsv",

@@ -252,9 +252,9 @@ class TestVerdictProperties:
         reports = [verdicts(TCP, [(3, (0, 0, 0)), (2, (1, 0, 1)), (1, (0, 1, 0))]),
                    verdicts(UDP, [(0, (0, 0, 1)), (3, (0, 0, 1))])]
         volume = {VOLUME_UPPER, VOLUME_LOWER}
-        windows, flags = flagged_windows(reports, volume)
-        assert windows.tolist() == [0, 1, 2, 3] and flags.tolist() == [False, True, True, False]
-        assert flagged_windows(reports)[1].tolist() == [True, True, True, True]
+        assert [r.fired(volume).tolist() for r in reports] == [[False, True, True], [False, False]]
+        windows, flags = flagged_windows(reports)
+        assert windows.tolist() == [0, 1, 2, 3] and flags.tolist() == [True, True, True, True]
         windows, flags = flagged_windows([])
         assert windows.size == flags.size == 0
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,8 @@ from fvba.evaluation import (
     ScoreReport,
     dump_roc,
     dump_score,
+    label_counts,
+    report_counts,
     score,
     sweep,
 )
@@ -146,8 +149,7 @@ class TestSweep:
         factors = ToleranceFactors(1000.0, 0.1)  # only the flow condition can fire
         reports = detect_series(samples, profile, compute_thresholds(profile, factors))
         assert any(r.is_attack for r in reports)
-        volume = {TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER}
-        assert not flagged_windows([reports], volume)[1].any()
+        assert not reports.fired(VOLUME_TRIGGERS).any()
         (point,) = sweep(samples, profile, truth, [factors], volume_only=True)
         assert point.detection_rate == 0.0 and point.false_positive_rate == 0.0
 
@@ -200,7 +202,7 @@ def loop_verdicts(flows, first, protocol, profile, thresholds):
 
 
 def loop_flags(reports, triggers):
-    """flagged_windows as a dict loop, the oracle."""
+    """flagged_windows and Verdicts.fired as a dict loop, the oracle."""
     flags = {}
     for report in reports:
         fired = not report.triggered.isdisjoint(triggers)
@@ -231,10 +233,13 @@ class TestArrayPathOracle:
             assert list(outcome) == reports
             outcomes.append(outcome)
             expected.extend(reports)
+        for outcome in outcomes:
+            fired = dict(zip(outcome.window_index.tolist(), outcome.fired(triggers).tolist()))
+            assert fired == loop_flags(list(outcome), triggers)
         # The grid rows' verdicts cover the same windows, so they merge.
-        indices, flags = flagged_windows(outcomes, triggers)
+        indices, flags = flagged_windows(outcomes)
         assert indices.tolist() == sorted(truth)
-        assert dict(zip(indices.tolist(), flags.tolist())) == loop_flags(expected, triggers)
+        assert dict(zip(indices.tolist(), flags.tolist())) == loop_flags(expected, ALL_TRIGGERS)
         assert score(outcomes, truth) == loop_score(loop_flags(expected, ALL_TRIGGERS), truth)
         for volume_only, chosen in ((False, ALL_TRIGGERS), (True, VOLUME_TRIGGERS)):
             points = sweep(windows, profile, truth, grid, volume_only=volume_only)
@@ -245,6 +250,18 @@ class TestArrayPathOracle:
                 assert point.factors == factors
                 assert point.detection_rate == report.detection_rate
                 assert point.false_positive_rate == report.false_positive_rate
+
+
+class TestLabelCounts:
+    def test_units_of_other_labels_are_not_scored(self):
+        # Label 0 is normal, 1 and 2 are attacks, 3 is neither (an attack of
+        # another split) and 4 labels no unit.
+        labels = np.array([0, 0, 1, 2, 2, 3, 3])
+        flags = np.array([True, False, True, False, True, True, False])
+        counts = label_counts(labels, flags, 5)
+        assert counts.tolist() == [[2, 1, 2, 2, 0], [1, 1, 1, 1, 0]]
+        attack = np.array([False, True, True, False, False])
+        assert report_counts(counts, attack, np.arange(5) == 0) == (2, 3, 1, 2)
 
 
 class TestTables:

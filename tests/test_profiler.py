@@ -314,17 +314,17 @@ class TestProfileProperties:
         )
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(0, allow_infinity=False)
 
 
 @st.composite
 def profile_sets(draw):
-    """Profiles of distinct series, with any values `NormalProfile` accepts."""
+    """Profiles of distinct series and one window length, with any values
+    `load_profiles` accepts."""
     series = draw(st.lists(st.sampled_from([*ProtocolCategory, None]), unique=True, min_size=1))
-    return [NormalProfile(protocol, draw(FINITE), draw(st.integers(2, 2**70)),
-                          *(draw(NON_NEGATIVE) for _ in range(4)), draw(FINITE),
-                          draw(NON_NEGATIVE))
+    window_length = draw(st.floats(0, allow_infinity=False, exclude_min=True))
+    return [NormalProfile(protocol, window_length, draw(st.integers(2, 2**70)),
+                          *(draw(NON_NEGATIVE) for _ in range(6)))
             for protocol in series]
 
 
@@ -364,6 +364,27 @@ class TestProfileSerialization:
         lines[bad] = f"{field}={value}"
         with pytest.raises(ParseError, match=rf"line 13: bad profile block: {field} must be finite"):
             load_profiles("\n".join(lines))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("window_length", "-0.2", "window_length must be positive"),
+        ("window_length", "0.0", "window_length must be positive"),
+        ("per_flow_mean", "-5.0", "means of non-negative quantities cannot be negative"),
+    ])
+    def test_out_of_range_field_names_block(self, field, value, message):
+        profiles = [NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                    NormalProfile(UDP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        lines = dump_profiles(profiles).splitlines()
+        bad = lines.index(f"{field}=" + repr(getattr(profiles[1], field)), 12)
+        lines[bad] = f"{field}={value}"
+        with pytest.raises(ParseError, match=rf"line 13: bad profile block: {message}"):
+            load_profiles("\n".join(lines))
+
+    def test_window_lengths_differ_names_block(self):
+        text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                              NormalProfile(UDP, 0.5, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+        with pytest.raises(ParseError, match="line 13: window_length 0.5 differs from the first"
+                                             " profile block's"):
+            load_profiles(text)
 
     def test_malformed_number_names_block(self):
         text = dump_profiles([NormalProfile(TCP, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])

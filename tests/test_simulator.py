@@ -121,7 +121,7 @@ class TestGenerate:
                                          duration=20.0, seed=3))
         assert all(e.key.protocol is TCP for e in rows(stream.events))
         assert all(label == NORMAL_LABEL for label in stream.truth.values())
-        assert stream.attack_windows(0.2) == set()
+        assert not any(stream.window_truth(0.2).values())
 
     def test_legit_flows_tcp_zombies_udp(self):
         stream = generate(small_attack())
@@ -155,7 +155,6 @@ class TestGenerate:
         indices = sorted(truth)
         assert indices == list(range(indices[0], indices[-1] + 1))
         attacked = {w for w, flag in truth.items() if flag}
-        assert attacked == stream.attack_windows(0.2)
         # Attack windows sit inside the configured interval.
         assert min(attacked) >= int(5.0 / 0.2) - 1
         assert max(attacked) <= int(20.0 / 0.2)
@@ -176,7 +175,10 @@ class TestGenerate:
                 for e in rows(stream.events)
                 if stream.truth[e.key] != NORMAL_LABEL
             }
-            assert stream.attack_windows(length) == expected
+            truth = stream.window_truth(length)
+            assert {w for w, attacked in truth.items() if attacked} == expected
+            windows = [int((e.timestamp + 1e-9) / length) for e in rows(stream.events)]
+            assert list(truth) == list(range(min(windows), max(windows) + 1))
 
     def test_diluted_uses_low_rate(self):
         stream = generate(small_attack(kind=ScenarioKind.DILUTED_LOW_RATE))
