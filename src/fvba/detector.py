@@ -217,10 +217,10 @@ def flagged_windows(verdicts: Collection[Verdicts]) -> tuple[np.ndarray, np.ndar
     all verdicts and, for each, whether any of its verdicts (any protocol)
     is an attack."""
     indices = np.concatenate([np.empty(0, np.int64), *(v.window_index for v in verdicts)])
-    fired = np.concatenate([np.empty(0, bool), *(v.is_attack for v in verdicts)])
+    attack = np.concatenate([np.empty(0, bool), *(v.is_attack for v in verdicts)])
     windows, position = np.unique(indices, return_inverse=True)
     flags = np.zeros(windows.size, dtype=bool)
-    flags[position[fired]] = True
+    flags[position[attack]] = True
     return windows, flags
 
 
