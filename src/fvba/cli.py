@@ -38,6 +38,7 @@ from .errors import Error, InsufficientDataError, ParameterError, ParseError
 from .evaluation import (ScoreReport, dump_breakdown, dump_roc, dump_score, dump_score_table,
                          score, sweep)
 from .kdd import (
+    PROTOCOLS,
     TESTING_ATTACKS,
     TRAINING_ATTACKS,
     build_profiles,
@@ -45,7 +46,7 @@ from .kdd import (
     parse as parse_kdd,
     select_dos_and_normal,
 )
-from .model import NORMAL_LABEL, ProtocolCategory, series_token
+from .model import NORMAL_LABEL, SERIES, ProtocolCategory, series_token
 from .profiler import NormalProfile, build_profile, dump_profiles, load_profiles, windowize
 from .simulator import ScenarioConfig, ScenarioKind, generate
 
@@ -69,29 +70,34 @@ def _read(path: str) -> str:
     return fio.decode_lines(bytes.decode, b"".join(fio.read_chunks(fio.read_source(path))), 0)
 
 
-_FACTOR_SERIES = ((None, ""), (ProtocolCategory.TCP, "tcp_"), (ProtocolCategory.UDP, "udp_"),
-                  (ProtocolCategory.ICMP, "icmp_"))
 _FACTOR_ROLES = {"r1": "volume factor", "r2": "flow factor", "r3": "lower volume factor"}
 
 
-def _resolve_factors(args) -> dict[ProtocolCategory | None, ToleranceFactors]:
-    """Per-series tolerance factors: tuned defaults overridden by flags."""
+def _factor_flags(protocol: ProtocolCategory | None) -> list[tuple[str, str]]:
+    """The (flag, factor) pairs of `protocol`'s series, one per factor its DEFAULT_FACTORS hold."""
+    prefix = "--" if protocol is None else f"--{protocol.value.lower()}-"
+    return [(prefix + name, name) for name in _FACTOR_ROLES
+            if getattr(DEFAULT_FACTORS[protocol], name) is not None]
+
+
+def _resolve_factors(args, series) -> dict[ProtocolCategory | None, ToleranceFactors]:
+    """Tuned per-series factors overridden by flags; rejects a flag of a series not in `series`."""
     factors = dict(DEFAULT_FACTORS)
-    for protocol, prefix in _FACTOR_SERIES:
-        given = {name: getattr(args, prefix + name, None) for name in ("r1", "r2", "r3")}
-        given = {name: value for name, value in given.items() if value is not None}
+    for protocol in SERIES:
+        given = {flag: (name, value) for flag, name in _factor_flags(protocol)
+                 if (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None}
         if given:
-            factors[protocol] = dataclasses.replace(factors[protocol], **given)
+            factors[protocol] = dataclasses.replace(factors[protocol], **dict(given.values()))
+            if protocol not in series:
+                raise ParameterError(f"{next(iter(given))}: no {protocol or 'aggregate'} profile")
     return factors
 
 
-def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
-    for protocol, prefix in _FACTOR_SERIES:
-        series = "aggregate" if protocol is None else protocol
-        names = ("r1", "r2", "r3") if protocol in (None, ProtocolCategory.UDP) else ("r1", "r2")
-        for name in names:
-            parser.add_argument(f"--{prefix.replace('_', '-')}{name}", type=float,
-                                help=f"{_FACTOR_ROLES[name]} of the {series} series")
+def _add_factor_flags(parser: argparse.ArgumentParser, series) -> None:
+    for protocol in series:
+        for flag, name in _factor_flags(protocol):
+            role = f"{_FACTOR_ROLES[name]} of the {protocol or 'aggregate'} series"
+            parser.add_argument(flag, type=float, help=role)
 
 
 # The scenario flags of `simulate`, in --help order, and the ScenarioConfig
@@ -127,10 +133,7 @@ def cmd_profile(args) -> int:
     events = fio.load_events(args.events)
     if not events:
         raise InsufficientDataError("no events to profile")
-    if args.aggregate:
-        series: list[ProtocolCategory | None] = [None]
-    else:
-        series = sorted(events.protocols(), key=lambda p: p.value)
+    series = [None] if args.aggregate else sorted(events.protocols(), key=SERIES.index)
     profiles = []
     for protocol in series:
         windows = windowize(events, args.window_seconds, protocol)
@@ -142,9 +145,10 @@ def cmd_profile(args) -> int:
 
 
 def _profiled_series(args):
-    """The events windowed per profiled series, and the profiles; notes unprofiled protocols."""
+    """The windows, profiles and verdicts of each profiled series; notes unprofiled protocols."""
     events = fio.load_events(args.events)
     profiles = load_profiles(_read(args.profile))
+    factors = _resolve_factors(args, profiles)
     unprofiled = set() if None in profiles else events.protocols() - set(profiles)
     if unprofiled:
         names = ", ".join(sorted(p.value for p in unprofiled))
@@ -152,13 +156,11 @@ def _profiled_series(args):
               " (profile an aggregate series or training traffic with that protocol)",
               file=sys.stderr)
     series = {p: windowize(events, profile.window_length, p) for p, profile in profiles.items()}
-    return series, profiles
+    return series, profiles, detect_profiled(series, profiles, factors)
 
 
 def cmd_detect(args) -> int:
-    factors = _resolve_factors(args)
-    series, profiles = _profiled_series(args)
-    verdicts = detect_profiled(series, profiles, factors)
+    _, _, verdicts = _profiled_series(args)
     _write(args.out, dump_verdicts(verdicts.values()))
     _, flags = flagged_windows(verdicts.values())
     attacked = int(flags.sum())
@@ -167,12 +169,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_characterize(args) -> int:
-    # Both outputs are open at once, so one path for both would interleave them.
-    if args.throttle_out and os.path.abspath(args.throttle_out) == os.path.abspath(args.out):
-        raise ParameterError("--out and --throttle-out name the same file")
-    factors = _resolve_factors(args)
-    series, profiles = _profiled_series(args)
-    verdicts = detect_profiled(series, profiles, factors)
+    series, profiles, verdicts = _profiled_series(args)
     # Every input is read and checked before an output is opened; then each
     # flagged window's lines are written as it is characterized.
     flagged = 0
@@ -198,7 +195,6 @@ def _rates(report: ScoreReport, separator: str) -> str:
 
 
 def cmd_kdd(args) -> int:
-    factors = _resolve_factors(args)
     splits = [("training", args.train, TRAINING_ATTACKS)]
     if args.test:
         splits.append(("testing", args.test, TESTING_ATTACKS))
@@ -214,6 +210,7 @@ def cmd_kdd(args) -> int:
         if profiles is None:
             # Profiles come from the normal records of the training split.
             profiles = build_profiles(stream[stream.label_mask({NORMAL_LABEL})], args.record_window)
+            factors = _resolve_factors(args, profiles)
         evaluation = evaluate_split(stream, attacks, profiles, factors, args.record_window)
         del stream
         rows.extend((f"{split}/{p.value}", report) for p, report in evaluation.per_protocol.items())
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="flag attack windows against a profile")
     p.add_argument("--events", required=True)
     p.add_argument("--profile", required=True)
-    _add_factor_flags(p)
+    _add_factor_flags(p, SERIES)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_detect)
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize", help="band flows of flagged windows")
     p.add_argument("--events", required=True)
     p.add_argument("--profile", required=True)
-    _add_factor_flags(p)
+    _add_factor_flags(p, SERIES)
     p.add_argument("--out", required=True)
     p.add_argument("--throttle-out")
     p.set_defaults(handler=cmd_characterize)
@@ -328,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test")
     p.add_argument("--record-window", type=int, default=100)
-    _add_factor_flags(p)
+    _add_factor_flags(p, PROTOCOLS)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--breakdown-out")
@@ -392,6 +389,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _expand_config(argv)
         args = parser.parse_args(argv)
+        # Two outputs that name one file would replace or interleave each other.
+        outputs: dict[str, str] = {}
+        for dest, path in vars(args).items():
+            if path is not None and (dest == "out" or dest.endswith("_out")):
+                flag = "--" + dest.replace("_", "-")
+                first = outputs.setdefault(os.path.abspath(path), flag)
+                if first != flag:
+                    raise ParameterError(f"{first} and {flag} name the same file")
         return args.handler(args)
     except (Error, OSError) as exc:
         # Only a subcommand names the stage; any other first token is an

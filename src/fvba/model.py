@@ -35,6 +35,10 @@ class ProtocolCategory(enum.Enum):
             raise ParameterError(f"unknown protocol category: {token!r}") from None
 
 
+# The detection series in output order: each protocol, then the aggregate.
+SERIES: tuple[ProtocolCategory | None, ...] = (*ProtocolCategory, None)
+
+
 def series_token(protocol: ProtocolCategory | None) -> str:
     """A series' name in the text formats: its protocol, or "ALL" if aggregate."""
     return "ALL" if protocol is None else protocol.value

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, OrderingError, ParameterError, ParseError
 from .io import float_token, int_token
-from .model import EventTable, FlowKey, ProtocolCategory, WindowSeries, parse_series, series_token
+from .model import (SERIES, EventTable, FlowKey, ProtocolCategory, WindowSeries, parse_series,
+                    series_token)
 
 PROFILE_FORMAT_VERSION = 1
 
@@ -199,19 +200,18 @@ def build_profile(series: WindowSeries, per_flow_scope: str = "capture") -> Norm
     volumes = series.volume.astype(np.float64)
     counts = series.flow_count.astype(np.float64)
 
-    if per_flow_scope == "capture":
-        # Exact in int64: window_samples checked that the series total fits.
-        totals = np.zeros(len(series.keys), dtype=np.int64)
-        np.add.at(totals, series.flow, series.bytes)
-        seen = np.bincount(series.flow, minlength=len(series.keys)) > 0
-        # Sorted, so that the statistics do not depend on flow numbering.
-        observations = np.sort(totals[seen].astype(np.float64))
-    else:
-        # In window order and, within a window, in order of first row: the
-        # pairwise sum of `mean` depends on the order.
-        observations = np.array(
-            [b for i in range(len(series)) for b in series.flows(i).values()], dtype=np.float64
-        )
+    # Per flow (capture scope) or per (window, flow) pair; exact in int64, as
+    # window_samples checked that the series total fits.
+    codes = series.flow.astype(np.int64)
+    if per_flow_scope == "window":
+        codes += np.repeat(np.arange(len(series)) * len(series.keys), np.diff(series.bounds))
+    _, first, code = np.unique(codes, return_index=True, return_inverse=True)
+    totals = np.zeros(first.size, dtype=np.int64)
+    np.add.at(totals, code, series.bytes)
+    # Window scope keeps the order of first rows, as the pairwise sum of `mean`
+    # depends on it; capture scope sorts, so that flow numbering does not count.
+    order = first if per_flow_scope == "window" else totals
+    observations = totals[np.argsort(order)].astype(np.float64)
     if observations.size:
         per_flow_mean = float(observations.mean())
         per_flow_std = float(observations.std())
@@ -238,13 +238,12 @@ def build_profile(series: WindowSeries, per_flow_scope: str = "capture") -> Norm
 # repr() and therefore round-trip exactly.
 
 _FIELDS = tuple(field.name for field in dataclasses.fields(NormalProfile))
-_PROTOCOL_ORDER = {ProtocolCategory.TCP: 0, ProtocolCategory.UDP: 1, ProtocolCategory.ICMP: 2, None: 3}
 
 
 def dump_profiles(profiles: Iterable[NormalProfile]) -> str:
-    """Serialize profiles to the plain-text profile document."""
+    """Serialize profiles to the plain-text profile document, in SERIES order."""
     blocks = [f"version={PROFILE_FORMAT_VERSION}"]
-    for profile in sorted(profiles, key=lambda p: _PROTOCOL_ORDER[p.protocol]):
+    for profile in sorted(profiles, key=lambda p: SERIES.index(p.protocol)):
         blocks.append("\n".join([f"protocol={series_token(profile.protocol)}"]
                                 + [f"{name}={getattr(profile, name)!r}" for name in _FIELDS[1:]]))
     return "\n\n".join(blocks) + "\n"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import gzip
@@ -12,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import fvba
 from fvba.cli import _load_grid, _resolve_factors, build_parser, main
 from fvba import io as fio
-from fvba.detector import DEFAULT_FACTORS, ToleranceFactors
+from fvba.detector import DEFAULT_FACTORS, ToleranceFactors, compute_thresholds
 from fvba.errors import ParameterError
-from fvba.model import ProtocolCategory
+from fvba.model import SERIES, ProtocolCategory, parse_series
 from fvba.profiler import NormalProfile, dump_profiles
 from fvba.simulator import ScenarioConfig
 
@@ -125,6 +126,17 @@ class TestProfileCommand:
         text = out.read_text()
         assert "protocol=TCP" in text and "protocol=UDP" in text
         assert "protocol=ALL" not in text
+
+    def test_series_listed_in_series_order(self, tmp_path, capsys):
+        # ICMP comes first in the stream and in the alphabet, but last of the protocols.
+        events = tmp_path / "events.tsv"
+        events.write_text("".join(f"{t}\tICMP\tc0\t0\tsrv\t0\t10\n{t}\tUDP\tc0\t53\tsrv\t53\t10\n"
+                                  f"{t}\tTCP\tc0\t1\tsrv\t80\t10\n" for t in ("0.1", "0.3", "0.5")))
+        out = tmp_path / "p.txt"
+        assert run(["profile", "--events", events, "--out", out], tmp_path) == 0
+        assert capsys.readouterr().out == f"profile: 3 series (TCP, UDP, ICMP) -> {out}\n"
+        assert [line for line in out.read_text().splitlines() if line.startswith("protocol=")] == [
+            "protocol=TCP", "protocol=UDP", "protocol=ICMP"]
 
     def test_profile_bytes_reproducible(self, pipeline):
         tmp_path, train, _, profile = pipeline
@@ -379,7 +391,7 @@ class TestKddCommand:
                               f" within int64, got '{token}'")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--r1", "--udp-r3"])
+    @pytest.mark.parametrize("flag", ["--tcp-r1", "--udp-r3"])
     def test_non_finite_factor_rejected(self, tmp_path, capsys, flag):
         data = self.make_file(tmp_path)
         code = run(["kdd", "--train", data, flag, "nan", "--out", tmp_path / "scores.tsv"], tmp_path)
@@ -734,27 +746,104 @@ class TestFuzz:
                     "--out", root / "roc.tsv"])
 
 
+def _inputs(command):
+    return ["--train", "t"] if command == "kdd" else ["--events", "e", "--profile", "p"]
+
+
+_FACTOR_FLAGS = [
+    ("--r1", None, "r1"), ("--r2", None, "r2"),
+    ("--tcp-r1", ProtocolCategory.TCP, "r1"), ("--tcp-r2", ProtocolCategory.TCP, "r2"),
+    ("--udp-r1", ProtocolCategory.UDP, "r1"), ("--udp-r2", ProtocolCategory.UDP, "r2"),
+    ("--udp-r3", ProtocolCategory.UDP, "r3"),
+    ("--icmp-r1", ProtocolCategory.ICMP, "r1"), ("--icmp-r2", ProtocolCategory.ICMP, "r2"),
+]
+
+
 class TestFactorFlags:
-    @pytest.mark.parametrize("flag,protocol,name", [
-        ("--r1", None, "r1"), ("--r2", None, "r2"), ("--r3", None, "r3"),
-        ("--tcp-r1", ProtocolCategory.TCP, "r1"), ("--tcp-r2", ProtocolCategory.TCP, "r2"),
-        ("--udp-r1", ProtocolCategory.UDP, "r1"), ("--udp-r2", ProtocolCategory.UDP, "r2"),
-        ("--udp-r3", ProtocolCategory.UDP, "r3"),
-        ("--icmp-r1", ProtocolCategory.ICMP, "r1"), ("--icmp-r2", ProtocolCategory.ICMP, "r2"),
+    # kdd has no aggregate series, so no aggregate flags.
+    @pytest.mark.parametrize("command,flag,protocol,name", [
+        (command, *case) for command in ("detect", "characterize", "kdd") for case in _FACTOR_FLAGS
+        if command != "kdd" or case[1] is not None
     ])
-    @pytest.mark.parametrize("command", ["detect", "characterize", "kdd"])
     def test_flag_overrides_one_factor_of_one_series(self, command, flag, protocol, name):
-        inputs = ["--train", "t"] if command == "kdd" else ["--events", "e", "--profile", "p"]
-        args = build_parser().parse_args([command, *inputs, "--out", "o", flag, "9"])
+        args = build_parser().parse_args([command, *_inputs(command), "--out", "o", flag, "9"])
         expected = dict(DEFAULT_FACTORS)
         expected[protocol] = dataclasses.replace(expected[protocol], **{name: 9.0})
-        assert _resolve_factors(args) == expected
+        assert _resolve_factors(args, SERIES) == expected
 
-    @pytest.mark.parametrize("flag", ["--tcp-r3", "--icmp-r3"])
+    # Flags of factors that no series of the subcommand takes: r3 of every
+    # series but UDP, and on kdd the aggregate series' r1 and r2.
+    @pytest.mark.parametrize("flag", ["--tcp-r3", "--icmp-r3", "--r3", "--r1", "--r2"])
     def test_no_lower_factor_flag_for_tcp_or_icmp(self, flag):
-        with pytest.raises(ParameterError, match=f"^unrecognized arguments: {flag} 1$"):
-            build_parser().parse_args(["detect", "--events", "e", "--profile", "p", "--out", "o",
-                                       flag, "1"])
+        commands = ["kdd"] if flag in ("--r1", "--r2") else ["detect", "characterize", "kdd"]
+        for command in commands:
+            with pytest.raises(ParameterError, match=f"^unrecognized arguments: {flag} 1$"):
+                build_parser().parse_args([command, *_inputs(command), "--out", "o", flag, "1"])
+
+    @pytest.mark.parametrize("command,count", [("detect", 9), ("characterize", 9), ("kdd", 7)])
+    def test_every_factor_flag_moves_the_thresholds_of_its_series(self, command, count):
+        # The flags are read from the parser, so that one added later is covered too.
+        (subcommands,) = (a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = [a.option_strings[0] for a in subcommands.choices[command]._actions
+                 if "factor of the" in (a.help or "")]
+        assert len(flags) == count
+        profiles = {p: NormalProfile(p, 0.2, 10, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0) for p in SERIES}
+        for flag in flags:
+            args = build_parser().parse_args([command, *_inputs(command), "--out", "o", flag, "9.5"])
+            factors = _resolve_factors(args, SERIES)
+            moved = [p for p in SERIES if compute_thresholds(profiles[p], factors[p])
+                     != compute_thresholds(profiles[p], DEFAULT_FACTORS[p])]
+            assert moved == [parse_series(flag[2:].rpartition("-")[0].upper() or "ALL")], flag
+
+    @pytest.mark.parametrize("command", ["detect", "characterize"])
+    @pytest.mark.parametrize("scope,flag,series", [
+        ("aggregate", "--tcp-r1", "TCP"), ("per-protocol", "--r1", "aggregate"),
+        ("config", "--tcp-r1", "TCP"),
+    ])
+    def test_flag_of_unprofiled_series_rejected(self, pipeline, capsys, command, scope, flag,
+                                                series):
+        tmp_path, _, attack, profile = pipeline
+        given = [flag, "2"]
+        if scope == "per-protocol":
+            profile = tmp_path / "per-protocol.txt"
+            assert run(["profile", "--events", attack, "--out", profile], tmp_path) == 0
+        elif scope == "config":
+            (tmp_path / "run.conf").write_text(f"{flag[2:]}=2\n")
+            given = ["--config", tmp_path / "run.conf"]
+        capsys.readouterr()
+        code = run([command, "--events", attack, "--profile", profile, *given,
+                    "--out", tmp_path / "out.tsv"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == f"fvba {command}: error: {flag}: no {series} profile\n"
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_kdd_flag_of_unprofiled_protocol_rejected(self, tmp_path, capsys):
+        data = TestKddCommand().make_file(tmp_path)  # TCP records only
+        code = run(["kdd", "--train", data, "--icmp-r1", "2", "--out", tmp_path / "scores.tsv",
+                    "--breakdown-out", tmp_path / "breakdown.tsv"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "fvba kdd: error: --icmp-r1: no ICMP profile\n"
+        assert not (tmp_path / "scores.tsv").exists() and not (tmp_path / "breakdown.tsv").exists()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv,flags", [
+        ("simulate --kind attack-free --out x.tsv --truth-out x.tsv", "--out and --truth-out"),
+        ("simulate --kind attack-free --out x.tsv --window-truth-out ./x.tsv",
+         "--out and --window-truth-out"),
+        ("simulate --kind attack-free --out e.tsv --truth-out x.tsv --window-truth-out x.tsv",
+         "--truth-out and --window-truth-out"),
+        ("kdd --train missing.csv --out x.tsv --breakdown-out x.tsv", "--out and --breakdown-out"),
+    ])
+    def test_two_outputs_naming_one_file_rejected(self, tmp_path, capsys, monkeypatch, argv,
+                                                  flags):
+        # Rejected before the subcommand runs: no input is read, no file made.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == (
+            f"fvba {argv.split()[0]}: error: {flags} name the same file\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
