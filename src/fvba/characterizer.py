@@ -11,15 +11,16 @@ rate-throttle recommendation scaled by attack strength.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from .detector import Verdicts
 from .errors import ParameterError
 from .io import key_columns
-from .model import FlowKey, WindowSeries
+from .model import FlowKey, FlowTotals, WindowSeries
 from .profiler import NormalProfile
 
 _STRENGTH_EPSILON = 1e-9
@@ -48,14 +49,32 @@ class FlowBand(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class FlowClassification:
-    """Band assignment for one flow in one window."""
+# A band's code in the `band` column of FlowClassifications: its index here.
+BANDS = (FlowBand.NORMAL, FlowBand.SUSPICIOUS, FlowBand.ATTACK)
+
+
+class FlowClassification(NamedTuple):
+    """One flow's band in one window, as iterating `FlowClassifications` yields it."""
 
     key: FlowKey
     bytes: int
     band: FlowBand
-    excluded_by_history: bool = False
+    excluded_by_history: bool
+
+
+@dataclass(frozen=True, eq=False)
+class FlowClassifications(FlowTotals):
+    """The flows of one window with their bands, as columns: row j is in band
+    `BANDS[band[j]]` (int8 codes), and `excluded_by_history[j]` marks an
+    attack flow demoted to suspicious by history."""
+
+    band: np.ndarray
+    excluded_by_history: np.ndarray
+
+    def __iter__(self) -> Iterator[FlowClassification]:
+        return map(FlowClassification, map(self.keys.__getitem__, self.flow.tolist()),
+                   self.bytes.tolist(), map(BANDS.__getitem__, self.band.tolist()),
+                   self.excluded_by_history.tolist())
 
 
 @dataclass(frozen=True)
@@ -91,35 +110,42 @@ def sigma_limits(per_flow_mean: float, per_flow_std: float) -> SigmaLimits:
     )
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _beyond(totals: np.ndarray, limit: float, upper: bool) -> np.ndarray:
+    """`totals > limit` if `upper`, else `totals < limit`, compared as Python
+    compares an int with a float: exactly, where numpy would round int64
+    totals above 2**53 to float64."""
+    # An integer lies above x when it lies above floor(x), below x when below ceil(x).
+    bound = (math.floor if upper else math.ceil)(limit) if math.isfinite(limit) else limit
+    if not _INT64.min <= bound <= _INT64.max:  # every int64 total lies on one side
+        return np.full(totals.shape, (bound < 0) == upper)
+    return totals > bound if upper else totals < bound
+
+
 def classify_flows(
-    per_flow_bytes: Mapping[FlowKey, int],
+    flows: FlowTotals,
     limits: SigmaLimits,
-    previously_active: Container[FlowKey] = frozenset(),
-) -> list[FlowClassification]:
+    previously_active: np.ndarray,
+) -> FlowClassifications:
     """Partition a window's flows into normal / suspicious / attack bands.
 
-    Attack requires strict exceedance of the six-sigma limits; the closed
-    interval [lcl_ss, ucl_ss] is normal; everything between is suspicious
-    (ties resolve toward the less severe band).  A flow banded attack that
-    was active in the previous window of the same series is demoted to
+    `flows` holds one row per flow of the window, and `previously_active`
+    one bool per row: whether the flow was active in the previous window
+    of the same series.  Attack requires strict exceedance of the
+    six-sigma limits; the closed interval [lcl_ss, ucl_ss] is normal;
+    everything between is suspicious (ties resolve toward the less severe
+    band).  An attack flow that was previously active is demoted to
     suspicious with `excluded_by_history` set.
     """
-    classifications = []
-    for key, count in per_flow_bytes.items():
-        excluded = False
-        if count > limits.ucl_as or count < limits.lcl_as:
-            band = FlowBand.ATTACK
-            if key in previously_active:
-                band = FlowBand.SUSPICIOUS
-                excluded = True
-        elif limits.lcl_ss <= count <= limits.ucl_ss:
-            band = FlowBand.NORMAL
-        else:
-            band = FlowBand.SUSPICIOUS
-        classifications.append(
-            FlowClassification(key=key, bytes=count, band=band, excluded_by_history=excluded)
-        )
-    return classifications
+    totals = flows.bytes
+    attack = _beyond(totals, limits.ucl_as, True) | _beyond(totals, limits.lcl_as, False)
+    outside = _beyond(totals, limits.ucl_ss, True) | _beyond(totals, limits.lcl_ss, False)
+    excluded = attack & previously_active
+    # The limits are ordered, so every attack total lies outside [lcl_ss, ucl_ss].
+    band = outside.astype(np.int8) + (attack & ~excluded)
+    return FlowClassifications(flows.window, flows.flow, totals, flows.keys, band, excluded)
 
 
 def volume_excess_ratio(volume: float, volume_mean: float) -> float:
@@ -149,7 +175,7 @@ def characterize(
     series: WindowSeries,
     verdicts: Verdicts,
     profile: NormalProfile,
-) -> Iterator[tuple[int, list[FlowClassification], list[ThrottleDirective]]]:
+) -> Iterator[tuple[int, FlowClassifications, list[ThrottleDirective]]]:
     """(window_index, classifications, directives) for each flagged window of one series.
 
     `verdicts` are the series' verdicts (`detector.detect_series`).  Flows
@@ -158,18 +184,19 @@ def characterize(
     excess over the profile mean.
     """
     limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
-    # The flow map of the last flagged window is the history of the next
-    # window, if that is flagged too; the first window's history is empty.
-    flows: Container[FlowKey] = frozenset()
-    last = -1
     for i in np.flatnonzero(verdicts.is_attack).tolist():
-        previous = flows if last == i - 1 else series.flows(i - 1)
-        flows, last = series.flows(i), i
-        classifications = classify_flows(flows, limits, previous)
-        suspicious = [c.key for c in classifications if c.band is FlowBand.SUSPICIOUS]
+        # The flows of window i and, as its history, of the window before;
+        # window 0 has none.
+        pairs = series.flow_totals(max(i - 1, 0), i + 1)
+        now = pairs.window == i
+        flows = FlowTotals(pairs.window[now], pairs.flow[now], pairs.bytes[now], series.keys)
+        previous = np.zeros(len(series.keys), dtype=bool)
+        previous[pairs.flow[~now]] = True
+        classifications = classify_flows(flows, limits, previous[flows.flow])
+        suspicious = flows.flow[classifications.band == BANDS.index(FlowBand.SUSPICIOUS)]
         strength = volume_excess_ratio(int(series.volume[i]), profile.volume_mean)
         yield (int(verdicts.window_index[i]), classifications,
-               throttle_directives(suspicious, strength))
+               throttle_directives(map(series.keys.__getitem__, suspicious.tolist()), strength))
 
 
 def _flow_sort_key(key: FlowKey):
@@ -183,11 +210,28 @@ CLASSIFICATION_HEADER = (
 )
 THROTTLE_HEADER = "window_index\tprotocol\tsrc\tsport\tdst\tdport\trate_multiplier"
 
+# The band and excluded_by_history columns of a classification line, by its
+# band code plus 3 if excluded by history.
+_BAND_TOKENS = [f"{band}\t{excluded}" for excluded in (0, 1) for band in BANDS]
 
-def classification_line(window_index: int, c: FlowClassification) -> str:
-    return (f"{window_index}\t{key_columns(c.key)}\t{c.bytes}\t{c.band}"
-            f"\t{int(c.excluded_by_history)}")
 
-
-def throttle_line(window_index: int, directive: ThrottleDirective) -> str:
-    return f"{window_index}\t{key_columns(directive.flow)}\t{directive.rate_multiplier!r}"
+def dump_characterization(series: WindowSeries, verdicts: Verdicts, profile: NormalProfile,
+                          out: TextIO, throttles: TextIO) -> int:
+    """Write the classification and throttle lines of each flagged window of
+    one series (`characterize`) to the text handles `out` and `throttles`,
+    a window at a time; returns the number of flagged windows."""
+    # The key columns of each flow are formatted once, as io.dump_events does.
+    middles = [f"\t{key_columns(k)}\t" for k in series.keys]
+    by_key = dict(zip(series.keys, middles))
+    windows = 0
+    for window, classifications, directives in characterize(series, verdicts, profile):
+        windows += 1
+        tokens = classifications.band + 3 * classifications.excluded_by_history
+        out.write("".join([
+            f"{window}{middles[f]}{count}\t{_BAND_TOKENS[token]}\n"
+            for f, count, token in zip(classifications.flow.tolist(),
+                                       classifications.bytes.tolist(), tokens.tolist())
+        ]))
+        throttles.write("".join([f"{window}{by_key[d.flow]}{d.rate_multiplier!r}\n"
+                                 for d in directives]))
+    return windows

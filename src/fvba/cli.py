@@ -18,13 +18,7 @@ import os
 import sys
 
 from . import io as fio
-from .characterizer import (
-    CLASSIFICATION_HEADER,
-    THROTTLE_HEADER,
-    characterize,
-    classification_line,
-    throttle_line,
-)
+from .characterizer import CLASSIFICATION_HEADER, THROTTLE_HEADER, dump_characterization
 from .detector import (
     DEFAULT_FACTORS,
     ToleranceFactors,
@@ -177,12 +171,8 @@ def cmd_characterize(args) -> int:
         out.write(CLASSIFICATION_HEADER + "\n")
         throttles.write(THROTTLE_HEADER + "\n")
         for protocol, outcomes in verdicts.items():
-            for window, classifications, directives in characterize(
-                    series[protocol], outcomes, profiles[protocol]):
-                flagged += 1
-                out.write("".join(f"{classification_line(window, c)}\n"
-                                  for c in classifications))
-                throttles.write("".join(f"{throttle_line(window, d)}\n" for d in directives))
+            flagged += dump_characterization(series[protocol], outcomes, profiles[protocol], out,
+                                             throttles)
     print(f"characterize: {flagged} flagged windows -> {args.out}")
     return 0
 

@@ -197,13 +197,36 @@ class WindowSeries:
         """The stream's window index of each window, as int64."""
         return np.arange(self.first, self.first + len(self), dtype=np.int64)
 
-    def flows(self, i: int) -> dict[FlowKey, int]:
-        """Per-flow byte totals of window i of the series, keyed in order of
-        each flow's first row in the window."""
-        lo, hi = self.bounds[i], self.bounds[i + 1]
-        totals: dict[FlowKey, int] = {}
-        keys = self.keys
-        for f, count in zip(self.flow[lo:hi].tolist(), self.bytes[lo:hi].tolist()):
-            key = keys[f]
-            totals[key] = totals.get(key, 0) + count
-        return totals
+    def flow_totals(self, start: int, stop: int) -> "FlowTotals":
+        """Per-(window, flow) byte totals of windows start..stop-1 of the series,
+        in order of window and, within a window, of each flow's first row."""
+        lo, hi = self.bounds[start], self.bounds[stop]
+        window = np.repeat(np.arange(start, stop), np.diff(self.bounds[start:stop + 1]))
+        # One code per (window, flow) pair, as profiler.window_samples forms
+        # them; the totals are exact, as it checked that the series total fits.
+        codes = window * len(self.keys)
+        codes += self.flow[lo:hi]
+        _, first, pair = np.unique(codes, return_index=True, return_inverse=True)
+        totals = np.zeros(first.size, dtype=np.int64)
+        np.add.at(totals, pair, self.bytes[lo:hi])
+        order = np.argsort(first)
+        rows = first[order]
+        return FlowTotals(window[rows], self.flow[lo:hi][rows], totals[order], self.keys)
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTotals:
+    """Byte totals of (window, flow) pairs of a series, as columns.
+
+    Row j is `bytes[j]` bytes (int64) of flow `keys[flow[j]]` in window
+    `window[j]` of the series (its position, not the stream's window
+    index).  Treat the arrays as read-only.
+    """
+
+    window: np.ndarray
+    flow: np.ndarray
+    bytes: np.ndarray
+    keys: Sequence[FlowKey]
+
+    def __len__(self) -> int:
+        return self.bytes.size

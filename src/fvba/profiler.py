@@ -200,18 +200,17 @@ def build_profile(series: WindowSeries, per_flow_scope: str = "capture") -> Norm
     volumes = series.volume.astype(np.float64)
     counts = series.flow_count.astype(np.float64)
 
-    # Per flow (capture scope) or per (window, flow) pair; exact in int64, as
-    # window_samples checked that the series total fits.
-    codes = series.flow.astype(np.int64)
+    # Per (window, flow) pair in order of first row, as the pairwise sum of
+    # `mean` depends on it; or per flow present, in ascending order, so that
+    # flow numbering does not count.  Exact in int64, as window_samples
+    # checked that the series total fits.
     if per_flow_scope == "window":
-        codes += np.repeat(np.arange(len(series)) * len(series.keys), np.diff(series.bounds))
-    _, first, code = np.unique(codes, return_index=True, return_inverse=True)
-    totals = np.zeros(first.size, dtype=np.int64)
-    np.add.at(totals, code, series.bytes)
-    # Window scope keeps the order of first rows, as the pairwise sum of `mean`
-    # depends on it; capture scope sorts, so that flow numbering does not count.
-    order = first if per_flow_scope == "window" else totals
-    observations = totals[np.argsort(order)].astype(np.float64)
+        totals = series.flow_totals(0, len(series)).bytes
+    else:
+        totals = np.zeros(len(series.keys), dtype=np.int64)
+        np.add.at(totals, series.flow, series.bytes)
+        totals = np.sort(totals[np.bincount(series.flow, minlength=len(series.keys)) > 0])
+    observations = totals.astype(np.float64)
     if observations.size:
         per_flow_mean = float(observations.mean())
         per_flow_std = float(observations.std())

@@ -63,6 +63,14 @@ def series(windows: list[Mapping[FlowKey, int]], protocol: ProtocolCategory | No
     return windowize(table(events), length, protocol)
 
 
+def window_flows(series: WindowSeries, i: int) -> list[tuple[FlowKey, int]]:
+    """Window i's (flow key, byte total) pairs of `series.flow_totals`, in
+    order of each flow's first row."""
+    totals = series.flow_totals(i, i + 1)
+    return [(series.keys[f], count)
+            for f, count in zip(totals.flow.tolist(), totals.bytes.tolist())]
+
+
 def attack_verdicts(protocol: ProtocolCategory | None, indices: Sequence[int],
                     attacked: Sequence[bool]) -> Verdicts:
     """Verdicts of windows `indices` in which an attacked window fired the

@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fvba.characterizer import FlowBand, classify_flows, sigma_limits
@@ -33,7 +34,7 @@ from fvba.kdd import (
     select_dos_and_normal,
 )
 from event_rows import series
-from fvba.model import FlowKey, ProtocolCategory
+from fvba.model import FlowKey, FlowTotals, ProtocolCategory
 from fvba.profiler import NormalProfile, build_profile, windowize
 from fvba.simulator import ScenarioConfig, ScenarioKind, generate
 
@@ -151,8 +152,11 @@ def test_criterion_3_classification_oracle():
         for i in range(10_000)
     }
     history = {key for key in flows if rng.random() < 0.25}
+    keys = list(flows)
+    totals = FlowTotals(np.zeros(len(keys), dtype=np.int64), np.arange(len(keys)),
+                        np.array(list(flows.values()), dtype=np.int64), keys)
     got = {c.key: (c.band, c.excluded_by_history)
-           for c in classify_flows(flows, limits, history)}
+           for c in classify_flows(totals, limits, np.array([key in history for key in keys]))}
     mismatches = 0
     for key, count in flows.items():
         if count > limits.ucl_as or count < limits.lcl_as:

@@ -1,25 +1,92 @@
+import io
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvba.characterizer import (
     FlowBand,
     SigmaLimits,
     characterize,
     classify_flows,
+    dump_characterization,
     sigma_limits,
     throttle_directives,
     volume_excess_ratio,
 )
 from fvba.errors import ParameterError
-from event_rows import attack_verdicts, series
-from fvba.model import FlowKey, ProtocolCategory
-from fvba.profiler import NormalProfile
+from event_rows import Row, attack_verdicts, series, table
+from fvba.io import key_columns
+from fvba.model import SERIES, FlowKey, FlowTotals, ProtocolCategory
+from fvba.profiler import NormalProfile, windowize
 
 
 def key(i):
     return FlowKey(ProtocolCategory.TCP, f"h{i}", "srv", 1000 + i, 80)
+
+
+def flows_of(counts, keys=None):
+    """A FlowTotals of one window whose row j is flow j with counts[j] bytes."""
+    keys = keys or [key(i) for i in range(len(counts))]
+    return FlowTotals(np.zeros(len(counts), dtype=np.int64), np.arange(len(counts)),
+                      np.array(counts, dtype=np.int64), keys)
+
+
+# --- the dict path characterize replaced, kept as the reference --------------
+
+def reference_flows(windows, i):
+    """Per-flow byte totals of window i of the series, keyed in order of each
+    flow's first row in the window."""
+    lo, hi = windows.bounds[i], windows.bounds[i + 1]
+    totals = {}
+    for f, count in zip(windows.flow[lo:hi].tolist(), windows.bytes[lo:hi].tolist()):
+        totals[windows.keys[f]] = totals.get(windows.keys[f], 0) + count
+    return totals
+
+
+def reference_classify(per_flow_bytes, limits, previously_active):
+    """(key, bytes, band, excluded_by_history) of each flow, by Python's comparisons."""
+    classifications = []
+    for k, count in per_flow_bytes.items():
+        excluded = False
+        if count > limits.ucl_as or count < limits.lcl_as:
+            band = FlowBand.ATTACK
+            if k in previously_active:
+                band = FlowBand.SUSPICIOUS
+                excluded = True
+        elif limits.lcl_ss <= count <= limits.ucl_ss:
+            band = FlowBand.NORMAL
+        else:
+            band = FlowBand.SUSPICIOUS
+        classifications.append((k, count, band, excluded))
+    return classifications
+
+
+def reference_characterize(windows, verdicts, profile):
+    """The classification and throttle lines of the dict path, one string each."""
+    limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
+    lines, throttles = [], []
+    for i in np.flatnonzero(verdicts.is_attack).tolist():
+        window = int(verdicts.window_index[i])
+        history = reference_flows(windows, i - 1) if i else {}
+        suspicious = []
+        for k, count, band, excluded in reference_classify(reference_flows(windows, i), limits,
+                                                           history):
+            lines.append(f"{window}\t{key_columns(k)}\t{count}\t{band}\t{int(excluded)}\n")
+            if band is FlowBand.SUSPICIOUS:
+                suspicious.append(k)
+        multiplier = 1.0 / (1.0 + volume_excess_ratio(int(windows.volume[i]), profile.volume_mean))
+        throttles += [f"{window}\t{key_columns(k)}\t{multiplier!r}\n" for k in sorted(
+            suspicious, key=lambda k: (k.protocol.value, k.src_addr, k.dst_addr, k.src_port,
+                                       k.dst_port))]
+    return "".join(lines), "".join(throttles)
+
+
+def characterized_text(windows, verdicts, profile):
+    out, throttles = io.StringIO(), io.StringIO()
+    dump_characterization(windows, verdicts, profile, out, throttles)
+    return out.getvalue(), throttles.getvalue()
 
 
 class TestSigmaLimits:
@@ -54,8 +121,8 @@ LIMITS = sigma_limits(100, 10)
 
 
 class TestClassifyFlows:
-    def band_of(self, count, previously_active=frozenset(), limits=LIMITS):
-        (c,) = classify_flows({key(0): count}, limits, previously_active)
+    def band_of(self, count, previously_active=False, limits=LIMITS):
+        (c,) = classify_flows(flows_of([count]), limits, np.array([previously_active]))
         return c
 
     def test_at_the_mean_is_normal(self):
@@ -74,34 +141,28 @@ class TestClassifyFlows:
         assert self.band_of(40).band is FlowBand.SUSPICIOUS   # == lcl_as
 
     def test_history_demotes_attack_to_suspicious(self):
-        c = self.band_of(165, previously_active={key(0)})
+        c = self.band_of(165, previously_active=True)
         assert c.band is FlowBand.SUSPICIOUS and c.excluded_by_history
 
     def test_history_never_promotes(self):
-        c = self.band_of(100, previously_active={key(0)})
+        c = self.band_of(100, previously_active=True)
         assert c.band is FlowBand.NORMAL and not c.excluded_by_history
-        c = self.band_of(140, previously_active={key(0)})
+        c = self.band_of(140, previously_active=True)
         assert c.band is FlowBand.SUSPICIOUS and not c.excluded_by_history
 
+    def test_rows_carry_key_and_bytes(self):
+        (c,) = classify_flows(flows_of([140], [key(7)]), LIMITS, np.array([False]))
+        assert (c.key, c.bytes) == (key(7), 140)
+
     def test_matches_interval_oracle_on_random_flows(self):
-        # Brute-force banding by interval membership, including demotion.
         rng = random.Random(11)
         limits = sigma_limits(5000, 800)
-        flows = {key(i): rng.randrange(0, 12_000) for i in range(10_000)}
-        history = {k for k in flows if rng.random() < 0.3}
-        got = {c.key: (c.band, c.excluded_by_history)
-               for c in classify_flows(flows, limits, history)}
-        mismatches = 0
-        for k, count in flows.items():
-            if count > limits.ucl_as or count < limits.lcl_as:
-                want = (FlowBand.SUSPICIOUS, True) if k in history else (FlowBand.ATTACK, False)
-            elif limits.lcl_ss <= count <= limits.ucl_ss:
-                want = (FlowBand.NORMAL, False)
-            else:
-                want = (FlowBand.SUSPICIOUS, False)
-            if got[k] != want:
-                mismatches += 1
-        assert mismatches == 0
+        keys = [key(i) for i in range(10_000)]
+        counts = {k: rng.randrange(0, 12_000) for k in keys}
+        history = {k for k in keys if rng.random() < 0.3}
+        got = classify_flows(flows_of(list(counts.values()), keys), limits,
+                             np.array([k in history for k in keys]))
+        assert list(got) == reference_classify(counts, limits, history)
 
     @given(
         st.dictionaries(st.integers(0, 40), st.integers(0, 300), max_size=40),
@@ -111,13 +172,69 @@ class TestClassifyFlows:
     )
     @settings(max_examples=150, deadline=None)
     def test_bands_partition_the_input(self, raw, history_ids, mean, std):
-        flows = {key(i): b for i, b in raw.items()}
-        history = {key(i) for i in history_ids}
-        classifications = classify_flows(flows, sigma_limits(mean, std), history)
-        assert {c.key for c in classifications} == set(flows)
-        assert len(classifications) == len(flows)
+        keys = [key(i) for i in raw]
+        classifications = classify_flows(flows_of(list(raw.values()), keys),
+                                         sigma_limits(mean, std),
+                                         np.array([i in history_ids for i in raw], dtype=bool))
+        assert len(classifications) == len(raw)
+        assert [c.key for c in classifications] == keys
         for c in classifications:
             assert c.band in (FlowBand.NORMAL, FlowBand.SUSPICIOUS, FlowBand.ATTACK)
+
+
+# Totals around 2**53, where float64 stops holding every integer, and at the
+# ends of int64.
+EDGE_TOTALS = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**62, 2**63 - 2, 2**63 - 1]
+
+
+class TestExactBanding:
+    """Bands equal Python's int-float comparisons for every int64 total,
+    where a numpy comparison would round totals above 2**53 to float64."""
+
+    def assert_reference_bands(self, totals, limits):
+        keys = [key(i) for i in range(len(totals))]
+        history = set(keys[::2])
+        got = classify_flows(flows_of(totals, keys), limits,
+                             np.array([k in history for k in keys], dtype=bool))
+        assert list(got) == reference_classify(dict(zip(keys, totals)), limits, history)
+
+    def test_banding_changes_between_two_pow_53_and_the_next_integer(self):
+        # 2**53 + 1 rounds to 2.0**53 as a float64, onto the upper limits.
+        limits = SigmaLimits(ucl_ss=2.0**53, lcl_ss=0.0, ucl_as=2.0**53, lcl_as=0.0)
+        ((_, _, normal, _), (_, _, attack, _)) = reference_classify(
+            {key(0): 2**53, key(1): 2**53 + 1}, limits, ())
+        assert (normal, attack) == (FlowBand.NORMAL, FlowBand.ATTACK)
+        self.assert_reference_bands([2**53, 2**53 + 1], limits)
+
+    @pytest.mark.parametrize("limits", [
+        SigmaLimits(ucl_ss=2.0**53, lcl_ss=2.0**53, ucl_as=2.0**53, lcl_as=2.0**53),
+        SigmaLimits(ucl_ss=2.0**53 + 2, lcl_ss=2.0**53 - 1, ucl_as=2.0**62, lcl_as=1.5),
+        SigmaLimits(ucl_ss=2.0**63, lcl_ss=2.0**62, ucl_as=2.0**64, lcl_as=-2.0**63),
+        SigmaLimits(ucl_ss=9.3e18, lcl_ss=-9.3e18, ucl_as=1e300, lcl_as=-1e300),
+        SigmaLimits(ucl_ss=0.5, lcl_ss=0.5, ucl_as=float("inf"), lcl_as=float("-inf")),
+        SigmaLimits(ucl_ss=float("inf"), lcl_ss=float("inf"), ucl_as=float("inf"),
+                    lcl_as=float("inf")),
+        SigmaLimits(ucl_ss=float("-inf"), lcl_ss=float("-inf"), ucl_as=float("-inf"),
+                    lcl_as=float("-inf")),
+        # A finite profile whose mean + 3 std overflows to inf, and one whose
+        # limits lie beyond int64 but stay finite.
+        sigma_limits(1.5e308, 5e307),
+        sigma_limits(1.7e308, 1e307),
+        sigma_limits(1e19, 1e18),
+    ], ids=lambda limits: repr(limits))
+    def test_limits_beyond_int64_and_infinite(self, limits):
+        self.assert_reference_bands(EDGE_TOTALS, limits)
+
+    @given(st.lists(st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(EDGE_TOTALS),
+                              st.integers(2**53 - 4, 2**53 + 4)), max_size=20),
+           st.lists(st.one_of(st.floats(allow_nan=False),
+                              st.integers(2**53 - 4, 2**53 + 4).map(float),
+                              st.sampled_from([2.0**53, 2.0**63, -2.0**63, 2.0**64])),
+                    min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_comparisons(self, totals, raw_limits):
+        lcl_as, lcl_ss, ucl_ss, ucl_as = sorted(raw_limits)
+        self.assert_reference_bands(totals, SigmaLimits(ucl_ss, lcl_ss, ucl_as, lcl_as))
 
 
 class TestThrottleDirectives:
@@ -165,11 +282,14 @@ class TestCharacterize:
 
     def run(self, windows):
         """Characterize windows given as (flagged, {flow id: bytes}) pairs; a
-        flagged window fired the upper volume condition."""
+        flagged window fired the upper volume condition.  Its lines must be
+        those of the dict path."""
         verdicts = attack_verdicts(ProtocolCategory.TCP, range(len(windows)),
                                    [attacked for attacked, _ in windows])
         samples = series([{key(i): count for i, count in flows.items()} for _, flows in windows],
                          ProtocolCategory.TCP)
+        assert (characterized_text(samples, verdicts, self.PROFILE)
+                == reference_characterize(samples, verdicts, self.PROFILE))
         return list(characterize(samples, verdicts, self.PROFILE))
 
     def test_yields_flagged_windows_only(self):
@@ -188,8 +308,8 @@ class TestCharacterize:
         assert bands == {key(0): (FlowBand.SUSPICIOUS, True), key(1): (FlowBand.ATTACK, False)}
 
     def test_history_from_flagged_previous_window(self):
-        # Window 1's history is the flow map of flagged window 0; window 2's
-        # that of flagged window 1, not window 0's.
+        # Window 1's history is the flows of flagged window 0; window 2's
+        # those of flagged window 1, not window 0's.
         results = self.run([(True, {0: 500}), (True, {0: 500, 1: 500}),
                             (True, {1: 500, 2: 500})])
         bands = [{c.key: (c.band, c.excluded_by_history) for c in classifications}
@@ -210,6 +330,13 @@ class TestCharacterize:
         assert window == 2
         assert bands == {key(0): (FlowBand.ATTACK, False), key(1): (FlowBand.SUSPICIOUS, True)}
 
+    def test_flagged_window_without_flows(self):
+        # A window flagged with no flow of the series, as a UDP window flagged
+        # for low volume is; the next window's history is empty.
+        results = self.run([(True, {}), (True, {0: 500})])
+        assert [(window, len(c), len(d)) for window, c, d in results] == [(0, 0, 0), (1, 1, 0)]
+        assert not next(iter(results[1][1])).excluded_by_history
+
     def test_exactly_suspicious_flows_throttled_sorted(self):
         # Flow 3 is history-demoted, flows 5 and 2 lie between the limits.
         ((_, classifications, directives),) = self.run([
@@ -221,3 +348,56 @@ class TestCharacterize:
         assert [d.flow for d in directives] == [key(2), key(3), key(5)]
         # Volume 1390 is 39% above the mean of 1000.
         assert all(d.rate_multiplier == 1 / (1 + 390 / 1000) for d in directives)
+
+
+# --- characterize against the dict path ----------------------------------------
+
+LENGTH = 0.2
+
+
+def flow_key(i):
+    """Flow i of the oracle streams: TCP, UDP and ICMP in turn."""
+    protocol = list(ProtocolCategory)[i % 3]
+    if protocol is ProtocolCategory.ICMP:
+        return FlowKey(protocol, f"h{i}", "srv")
+    return FlowKey(protocol, f"h{i}", "srv", 1000 + i, 80)
+
+
+# Window w of a stream holds its list's (flow id, bytes) rows, repeats
+# allowed; `flags` holds per series (in SERIES order) whether each window is
+# flagged.
+STREAMS = st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 400)), max_size=8),
+                   min_size=1, max_size=8)
+FLAGS = st.lists(st.lists(st.booleans(), min_size=8, max_size=8), min_size=4, max_size=4)
+
+
+class TestCharacterizeMatchesDictPath:
+    @given(STREAMS, FLAGS, st.floats(0, 300), st.floats(0, 100), st.floats(0, 1000))
+    # Window 0 flagged, consecutive flagged windows with repeated rows of a
+    # flow, a flagged window after a gap, and flagged windows without rows
+    # of the series (the UDP window 1, every ICMP window).
+    @example([[(0, 50), (1, 300), (0, 90)], [(0, 400), (3, 1), (3, 350)], [(4, 90)],
+              [(1, 200), (0, 200), (1, 5)]],
+             [[True, True, False, True] + [False] * 4, [True, True, True, True] + [False] * 4,
+              [False, True, True, False] + [False] * 4, [True, False, True, True] + [False] * 4],
+             100.0, 10.0, 300.0)
+    @settings(max_examples=200, deadline=None)
+    def test_lines_match(self, windows, flags, per_flow_mean, per_flow_std, volume_mean):
+        events = table(Row((w + 0.5) * LENGTH, flow_key(f), count)
+                       for w, rows in enumerate(windows) for f, count in rows)
+        for protocol, flagged in zip(SERIES, flags):
+            samples = windowize(events, LENGTH, protocol)
+            profile = NormalProfile(protocol, LENGTH, 2, volume_mean, 1.0, 1.0, 1.0,
+                                    per_flow_mean, per_flow_std)
+            verdicts = attack_verdicts(protocol, list(samples.window_index),
+                                       flagged[:len(samples)])
+            assert (characterized_text(samples, verdicts, profile)
+                    == reference_characterize(samples, verdicts, profile))
+            limits = sigma_limits(per_flow_mean, per_flow_std)
+            for (window, classifications, directives), i in zip(
+                    characterize(samples, verdicts, profile),
+                    np.flatnonzero(verdicts.is_attack).tolist()):
+                assert window == samples.first + i
+                history = reference_flows(samples, i - 1) if i else {}
+                assert list(classifications) == reference_classify(
+                    reference_flows(samples, i), limits, history)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunked import CHUNK_SIZES, chunk_bytes, file_layout
-from event_rows import attack_verdicts
+from event_rows import attack_verdicts, window_flows
 from fvba.cli import main
 from fvba.detector import ToleranceFactors, detect_profiled
 from fvba.errors import ParameterError, ParseError
@@ -99,7 +99,7 @@ def observed(windows):
     return {
         protocol: [
             (s.index, s.index * series.window_length, series.window_length, s.volume,
-             s.flow_count, list(series.flows(i).items()))
+             s.flow_count, window_flows(series, i))
             for i, s in enumerate(series)
         ]
         for protocol, series in windows.items()

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from event_rows import series
+from event_rows import series, window_flows
 from fvba.errors import ParameterError
 from fvba.model import EventTable, FlowKey, ProtocolCategory, parse_series
 
@@ -106,14 +106,14 @@ class TestEventTable:
 
 
 class TestWindowSample:
-    """One window of a `WindowSeries`: its aggregates and its flow map."""
+    """One window of a `WindowSeries`: its aggregates and its per-flow totals."""
 
     def test_windowized_sample_derives_aggregates(self):
         flows = {key(): 100, key(sport=9): 50}
         windows = series([flows], ProtocolCategory.TCP, first=4)
         (sample,) = windows
         assert sample == (4, 150, 2)
-        assert windows.flows(0) == flows
+        assert window_flows(windows, 0) == list(flows.items())
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 10_000)), max_size=50))
     def test_aggregates_consistent_for_random_flow_sets(self, entries):
@@ -125,4 +125,4 @@ class TestWindowSample:
         (sample,) = windows
         assert sample.volume == sum(flows.values())
         assert sample.flow_count == len(flows)
-        assert windows.flows(0) == flows
+        assert window_flows(windows, 0) == list(flows.items())

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from event_rows import Row, series, table
+from event_rows import Row, series, table, window_flows
 from fvba.errors import InsufficientDataError, OrderingError, ParameterError, ParseError
 from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import (
@@ -55,7 +55,7 @@ def observed(windows):
     """The oracle's view of windowize output, per-flow order included."""
     return [
         (w.index, w.index * windows.window_length, w.volume, w.flow_count,
-         list(windows.flows(i).items()))
+         window_flows(windows, i))
         for i, w in enumerate(windows)
     ]
 
