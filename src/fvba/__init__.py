@@ -11,7 +11,7 @@ from .characterizer import (
     FlowBand,
     FlowClassification,
     SigmaLimits,
-    ThrottleDirective,
+    ThrottleDirectives,
     classify_flows,
     sigma_limits,
     throttle_directives,
@@ -53,7 +53,7 @@ __all__ = [
     "ScenarioKind",
     "ScoreReport",
     "SigmaLimits",
-    "ThrottleDirective",
+    "ThrottleDirectives",
     "Thresholds",
     "ToleranceFactors",
     "TriggerCondition",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -77,16 +77,21 @@ class FlowClassifications(FlowTotals):
                    self.excluded_by_history.tolist())
 
 
-@dataclass(frozen=True)
-class ThrottleDirective:
-    """Recommendation to throttle a suspicious flow to a fraction of its rate."""
+@dataclass(frozen=True, eq=False)
+class ThrottleDirectives:
+    """The throttle recommendations of one window, as columns: each flow `keys[f]`,
+    f in `flow` (ids in flow-key order), to `rate_multiplier` times its rate."""
 
-    flow: FlowKey
+    flow: np.ndarray
     rate_multiplier: float
+    keys: Sequence[FlowKey]
 
     def __post_init__(self):
         if not 0 < self.rate_multiplier <= 1:
             raise ParameterError("rate multiplier must lie in (0, 1]")
+
+    def __len__(self) -> int:
+        return self.flow.size
 
 
 def sigma_limits(per_flow_mean: float, per_flow_std: float) -> SigmaLimits:
@@ -153,29 +158,22 @@ def volume_excess_ratio(volume: float, volume_mean: float) -> float:
     return max(0.0, volume - volume_mean) / max(volume_mean, _STRENGTH_EPSILON)
 
 
-def throttle_directives(
-    suspicious: Iterable[FlowKey], attack_strength: float
-) -> list[ThrottleDirective]:
-    """Uniform rate-throttle recommendations for suspicious flows.
-
-    The multiplier 1/(1 + strength) is 1 at strength 0 (no throttling)
-    and decreases monotonically with attack strength.  Output is sorted
-    by flow key so serialization is deterministic.
-    """
+def throttle_directives(suspicious: np.ndarray, rank: np.ndarray, keys: Sequence[FlowKey],
+                        attack_strength: float) -> ThrottleDirectives:
+    """Uniform rate-throttle recommendations for the flows `suspicious` (ids into
+    `keys`), put in flow-key order by their `rank`: the multiplier 1/(1 + strength)
+    is 1 at strength 0 (no throttling) and decreases monotonically with strength."""
     if attack_strength < 0:
         raise ParameterError("attack strength must be non-negative")
-    multiplier = 1.0 / (1.0 + attack_strength)
-    return [
-        ThrottleDirective(flow=key, rate_multiplier=multiplier)
-        for key in sorted(suspicious, key=_flow_sort_key)
-    ]
+    return ThrottleDirectives(suspicious[np.argsort(rank[suspicious])],
+                              1.0 / (1.0 + attack_strength), keys)
 
 
 def characterize(
     series: WindowSeries,
     verdicts: Verdicts,
     profile: NormalProfile,
-) -> Iterator[tuple[int, FlowClassifications, list[ThrottleDirective]]]:
+) -> Iterator[tuple[int, FlowClassifications, ThrottleDirectives]]:
     """(window_index, classifications, directives) for each flagged window of one series.
 
     `verdicts` are the series' verdicts (`detector.detect_series`).  Flows
@@ -184,19 +182,20 @@ def characterize(
     excess over the profile mean.
     """
     limits = sigma_limits(profile.per_flow_mean, profile.per_flow_std)
+    # Each flow id's position in flow-key order.
+    rank = np.argsort(sorted(range(len(series.keys)), key=lambda f: _flow_sort_key(series.keys[f])))
+    active = np.zeros(len(series.keys), dtype=bool)
     for i in np.flatnonzero(verdicts.is_attack).tolist():
-        # The flows of window i and, as its history, of the window before;
-        # window 0 has none.
-        pairs = series.flow_totals(max(i - 1, 0), i + 1)
-        now = pairs.window == i
-        flows = FlowTotals(pairs.window[now], pairs.flow[now], pairs.bytes[now], series.keys)
-        previous = np.zeros(len(series.keys), dtype=bool)
-        previous[pairs.flow[~now]] = True
-        classifications = classify_flows(flows, limits, previous[flows.flow])
+        flows = series.flow_totals(i, i + 1)
+        # The flows of the window before are the history; window 0 has none.
+        previous = series.flow[series.bounds[max(i - 1, 0)]:series.bounds[i]]
+        active[previous] = True
+        classifications = classify_flows(flows, limits, active[flows.flow])
+        active[previous] = False
         suspicious = flows.flow[classifications.band == BANDS.index(FlowBand.SUSPICIOUS)]
         strength = volume_excess_ratio(int(series.volume[i]), profile.volume_mean)
         yield (int(verdicts.window_index[i]), classifications,
-               throttle_directives(map(series.keys.__getitem__, suspicious.tolist()), strength))
+               throttle_directives(suspicious, rank, series.keys, strength))
 
 
 def _flow_sort_key(key: FlowKey):
@@ -222,7 +221,6 @@ def dump_characterization(series: WindowSeries, verdicts: Verdicts, profile: Nor
     a window at a time; returns the number of flagged windows."""
     # The key columns of each flow are formatted once, as io.dump_events does.
     middles = [f"\t{key_columns(k)}\t" for k in series.keys]
-    by_key = dict(zip(series.keys, middles))
     windows = 0
     for window, classifications, directives in characterize(series, verdicts, profile):
         windows += 1
@@ -232,6 +230,6 @@ def dump_characterization(series: WindowSeries, verdicts: Verdicts, profile: Nor
             for f, count, token in zip(classifications.flow.tolist(),
                                        classifications.bytes.tolist(), tokens.tolist())
         ]))
-        throttles.write("".join([f"{window}{by_key[d.flow]}{d.rate_multiplier!r}\n"
-                                 for d in directives]))
+        throttles.write("".join([f"{window}{middles[f]}{directives.rate_multiplier!r}\n"
+                                 for f in directives.flow.tolist()]))
     return windows

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from fvba.characterizer import (
     FlowBand,
     SigmaLimits,
+    _flow_sort_key,
     characterize,
     classify_flows,
     dump_characterization,
@@ -237,32 +238,42 @@ class TestExactBanding:
         self.assert_reference_bands(totals, SigmaLimits(ucl_ss, lcl_ss, ucl_as, lcl_as))
 
 
+def key_rank(keys):
+    """Each flow id's position in `sorted(keys, key=_flow_sort_key)`."""
+    ordered = sorted(keys, key=_flow_sort_key)
+    return np.array([ordered.index(k) for k in keys])
+
+
 class TestThrottleDirectives:
+    def multiplier(self, strength):
+        """The rate multiplier of throttling the one flow key(0) at `strength`."""
+        directives = throttle_directives(np.array([0]), np.array([0]), [key(0)], strength)
+        assert len(directives) == 1 and directives.flow.tolist() == [0]
+        return directives.rate_multiplier
+
     def test_no_attack_no_throttle(self):
-        (d,) = throttle_directives([key(0)], 0.0)
-        assert d.rate_multiplier == 1.0
+        assert self.multiplier(0.0) == 1.0
 
     def test_half_rate_at_strength_one(self):
-        (d,) = throttle_directives([key(0)], 1.0)
-        assert d.rate_multiplier == 0.5
+        assert self.multiplier(1.0) == 0.5
 
     def test_tenth_rate_at_strength_nine(self):
-        (d,) = throttle_directives([key(0)], 9.0)
-        assert d.rate_multiplier == pytest.approx(0.1)
+        assert self.multiplier(9.0) == pytest.approx(0.1)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ParameterError):
-            throttle_directives([key(0)], -0.5)
+            self.multiplier(-0.5)
 
     def test_non_increasing_across_strength_grid(self):
-        multipliers = [throttle_directives([key(0)], s / 10)[0].rate_multiplier
-                       for s in range(0, 200)]
+        multipliers = [self.multiplier(s / 10) for s in range(0, 200)]
         assert all(a >= b for a, b in zip(multipliers, multipliers[1:]))
         assert all(0 < m <= 1 for m in multipliers)
 
     def test_output_sorted_by_flow(self):
-        directives = throttle_directives({key(3), key(1), key(2)}, 1.0)
-        assert [d.flow for d in directives] == [key(1), key(2), key(3)]
+        keys = [key(3), key(0), key(1), key(2)]
+        directives = throttle_directives(np.array([0, 3, 2]), key_rank(keys), keys, 1.0)
+        assert directives.keys == keys and len(directives) == 3
+        assert [keys[f] for f in directives.flow.tolist()] == [key(1), key(2), key(3)]
 
 
 class TestVolumeExcessRatio:
@@ -299,7 +310,7 @@ class TestCharacterize:
     def test_first_window_has_no_history(self):
         ((_, (c,), directives),) = self.run([(True, {0: 500})])
         assert c.band is FlowBand.ATTACK and not c.excluded_by_history
-        assert directives == []
+        assert len(directives) == 0
 
     def test_history_from_unflagged_previous_window(self):
         ((window, classifications, _),) = self.run([(False, {0: 100}), (True, {0: 500, 1: 500})])
@@ -345,9 +356,31 @@ class TestCharacterize:
         ])
         suspicious = {c.key for c in classifications if c.band is FlowBand.SUSPICIOUS}
         assert suspicious == {key(2), key(3), key(5)}
-        assert [d.flow for d in directives] == [key(2), key(3), key(5)]
+        assert [directives.keys[f] for f in directives.flow.tolist()] == [key(2), key(3), key(5)]
         # Volume 1390 is 39% above the mean of 1000.
-        assert all(d.rate_multiplier == 1 / (1 + 390 / 1000) for d in directives)
+        assert directives.rate_multiplier == 1 / (1 + 390 / 1000)
+
+    def test_throttled_in_key_order_when_sources_tie(self):
+        # One source address: the destination, then the ports (as numbers:
+        # 9 before 10) decide the order, ICMP before TCP before UDP.
+        def flow(protocol, dst, sport=0, dport=0):
+            return FlowKey(protocol, "10.0.0.1", dst, sport, dport)
+
+        tcp, udp, icmp = ProtocolCategory.TCP, ProtocolCategory.UDP, ProtocolCategory.ICMP
+        keys = [flow(udp, "a", 9, 10), flow(tcp, "a", 10, 80), flow(icmp, "b"),
+                flow(tcp, "a", 9, 10), flow(udp, "a", 10, 9), flow(tcp, "b", 9, 9),
+                flow(icmp, "a"), flow(tcp, "a", 9, 9), flow(tcp, "a", 9, 80)]
+        expected = sorted(keys, key=_flow_sort_key)
+        # A sort of the same fields as text puts port 10 before port 9.
+        assert expected != sorted(keys, key=lambda k: tuple(map(str, _flow_sort_key(k))))
+        samples = series([dict.fromkeys(keys, 140)], None)
+        profile = NormalProfile(None, 0.2, 10, 1000.0, 50.0, 5.0, 1.0, 100.0, 10.0)
+        verdicts = attack_verdicts(None, [0], [True])
+        assert (characterized_text(samples, verdicts, profile)
+                == reference_characterize(samples, verdicts, profile))
+        ((_, classifications, directives),) = characterize(samples, verdicts, profile)
+        assert {c.band for c in classifications} == {FlowBand.SUSPICIOUS}
+        assert [samples.keys[f] for f in directives.flow.tolist()] == expected
 
 
 # --- characterize against the dict path ----------------------------------------
