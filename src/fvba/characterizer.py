@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -28,16 +28,26 @@ _STRENGTH_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class SigmaLimits:
-    """Control limits at three and six standard deviations around the mean."""
+    """Control limits at three and six standard deviations around the mean.  `cuts`
+    holds ceil(lcl_as) - 1, ceil(lcl_ss) - 1, floor(ucl_ss) and floor(ucl_as) in int64:
+    a byte total reaches a lower limit, or passes an upper one, exactly when it exceeds its cut."""
 
     ucl_ss: float
     lcl_ss: float
     ucl_as: float
     lcl_as: float
+    cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lcl_as <= self.lcl_ss <= self.ucl_ss <= self.ucl_as:
             raise ParameterError("control limits must be ordered lcl_as <= lcl_ss <= ucl_ss <= ucl_as")
+        # Limits are clamped so that +/-inf rounds, and cuts as Python ints, for
+        # numpy before 2 compares int64 with a larger int as float64.
+        edges = [max(-2.0**63, min(limit, 2.0**63))
+                 for limit in (self.lcl_as, self.lcl_ss, self.ucl_ss, self.ucl_as)]
+        cuts = [math.ceil(e) - 1 for e in edges[:2]] + [math.floor(e) for e in edges[2:]]
+        object.__setattr__(self, "cuts", np.array(
+            [max(-2**63, min(cut, 2**63 - 1)) for cut in cuts], dtype=np.int64))
 
 
 class FlowBand(enum.Enum):
@@ -115,18 +125,9 @@ def sigma_limits(per_flow_mean: float, per_flow_std: float) -> SigmaLimits:
     )
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def _beyond(totals: np.ndarray, limit: float, upper: bool) -> np.ndarray:
-    """`totals > limit` if `upper`, else `totals < limit`, compared as Python
-    compares an int with a float: exactly, where numpy would round int64
-    totals above 2**53 to float64."""
-    # An integer lies above x when it lies above floor(x), below x when below ceil(x).
-    bound = (math.floor if upper else math.ceil)(limit) if math.isfinite(limit) else limit
-    if not _INT64.min <= bound <= _INT64.max:  # every int64 total lies on one side
-        return np.full(totals.shape, (bound < 0) == upper)
-    return totals > bound if upper else totals < bound
+# The band code of a total by the number of `SigmaLimits.cuts` it exceeds.
+_CUT_BANDS = np.array([BANDS.index(FlowBand[name]) for name in (
+    "ATTACK", "SUSPICIOUS", "NORMAL", "SUSPICIOUS", "ATTACK")], dtype=np.int8)
 
 
 def classify_flows(
@@ -144,13 +145,10 @@ def classify_flows(
     band).  An attack flow that was previously active is demoted to
     suspicious with `excluded_by_history` set.
     """
-    totals = flows.bytes
-    attack = _beyond(totals, limits.ucl_as, True) | _beyond(totals, limits.lcl_as, False)
-    outside = _beyond(totals, limits.ucl_ss, True) | _beyond(totals, limits.lcl_ss, False)
-    excluded = attack & previously_active
-    # The limits are ordered, so every attack total lies outside [lcl_ss, ucl_ss].
-    band = outside.astype(np.int8) + (attack & ~excluded)
-    return FlowClassifications(flows.window, flows.flow, totals, flows.keys, band, excluded)
+    band = _CUT_BANDS[np.searchsorted(limits.cuts, flows.bytes)]
+    excluded = (band == BANDS.index(FlowBand.ATTACK)) & previously_active
+    band -= excluded  # BANDS order: an excluded flow's code drops from attack to suspicious
+    return FlowClassifications(flows.window, flows.flow, flows.bytes, flows.keys, band, excluded)
 
 
 def volume_excess_ratio(volume: float, volume_mean: float) -> float:

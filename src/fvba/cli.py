@@ -138,17 +138,21 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _note_unprofiled(protocols, remedy: str) -> None:
+    """Note on stderr the `protocols` that have windows but no profile, if any."""
+    if protocols:
+        names = ", ".join(sorted(p.value for p in protocols))
+        print(f"fvba: note: no profile for {names}; those windows are not evaluated ({remedy})",
+              file=sys.stderr)
+
+
 def _profiled_series(args):
     """The windows, profiles and verdicts of each profiled series; notes unprofiled protocols."""
     events = fio.load_events(args.events)
     profiles = load_profiles(_read(args.profile))
     factors = _resolve_factors(args, profiles)
-    unprofiled = set() if None in profiles else events.protocols() - set(profiles)
-    if unprofiled:
-        names = ", ".join(sorted(p.value for p in unprofiled))
-        print(f"fvba: note: no profile for {names}; those windows are not evaluated"
-              " (profile an aggregate series or training traffic with that protocol)",
-              file=sys.stderr)
+    _note_unprofiled(set() if None in profiles else events.protocols() - set(profiles),
+                     "profile an aggregate series or training traffic with that protocol")
     series = {p: windowize(events, profile.window_length, p) for p, profile in profiles.items()}
     return series, profiles, detect_profiled(series, profiles, factors)
 
@@ -203,6 +207,8 @@ def cmd_kdd(args) -> int:
             factors = _resolve_factors(args, profiles)
         evaluation = evaluate_split(stream, attacks, profiles, factors, args.record_window)
         del stream
+        _note_unprofiled(evaluation.per_protocol.keys() - profiles.keys(),
+                         "train on at least two windows of normal records with that protocol")
         rows.extend((f"{split}/{p.value}", report) for p, report in evaluation.per_protocol.items())
         rows.append((f"{split}/overall", evaluation.overall))
         breakdown_text.append(f"# {split}\n" + dump_breakdown(evaluation.breakdown))
@@ -229,10 +235,8 @@ def cmd_sweep(args) -> int:
     events = fio.load_events(args.events)
     profiles = load_profiles(_read(args.profile))
     if len(profiles) != 1:
-        raise ParameterError(
-            "sweep needs a single-series profile file (re-run profile with --aggregate"
-            " or a single-protocol stream)"
-        )
+        raise ParameterError("sweep needs a single-series profile file (re-run profile with"
+                             " --aggregate or a single-protocol stream)")
     ((protocol, profile),) = profiles.items()
     truth = fio.load_window_truth(_read(args.window_truth))
     windows = windowize(events, profile.window_length, protocol)
@@ -264,16 +268,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fvba",
-        description="Flow-volume based flooding-DDoS detection pipeline",
-    )
+    parser = _Parser(prog="fvba", description="Flow-volume based flooding-DDoS detection pipeline")
     parser.add_argument("--config", help="key=value defaults file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic labelled event stream")
-    p.add_argument("--kind", required=True,
-                   choices=[k.value for k in ScenarioKind])
+    p.add_argument("--kind", required=True, choices=[k.value for k in ScenarioKind])
     defaults = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
     defaults["legit_clients"] = 40  # the field has no default
     for flag, name in _SCENARIO_FLAGS:

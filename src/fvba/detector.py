@@ -102,8 +102,8 @@ class VerdictReport(NamedTuple):
     flow_deviation: float
 
 
-_TRIGGER_ORDER = (TriggerCondition.VOLUME_UPPER, TriggerCondition.VOLUME_LOWER,
-                  TriggerCondition.FLOW)
+# The enum's order is the column order of `triggered` and of the verdict tokens.
+_TRIGGER_ORDER = tuple(TriggerCondition)
 # The verdict format's triggered token of each row of fired flags (one per
 # condition in _TRIGGER_ORDER), in the order of the rows read as binary numbers.
 _TRIGGER_TOKENS = {

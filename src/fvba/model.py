@@ -206,12 +206,15 @@ class WindowSeries:
         # them; the totals are exact, as it checked that the series total fits.
         codes = window * len(self.keys)
         codes += self.flow[lo:hi]
-        _, first, pair = np.unique(codes, return_index=True, return_inverse=True)
-        totals = np.zeros(first.size, dtype=np.int64)
-        np.add.at(totals, pair, self.bytes[lo:hi])
-        order = np.argsort(first)
-        rows = first[order]
-        return FlowTotals(window[rows], self.flow[lo:hi][rows], totals[order], self.keys)
+        # Sorted stably, a pair keeps its rows' order and starts where the code
+        # changes; codes are >= 0, so the -1 before them starts the first pair.
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        first = order[starts]
+        by_row = np.argsort(first)
+        rows = first[by_row]
+        totals = np.add.reduceat(self.bytes[lo:hi][order], starts)[by_row]
+        return FlowTotals(window[rows], self.flow[lo:hi][rows], totals, self.keys)
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,9 +191,7 @@ def build_profile(series: WindowSeries, per_flow_scope: str = "capture") -> Norm
     Raises InsufficientDataError for fewer than two windows.
     """
     if len(series) < 2:
-        raise InsufficientDataError(
-            f"profile needs at least 2 windows, got {len(series)}"
-        )
+        raise InsufficientDataError(f"profile needs at least 2 windows, got {len(series)}")
     if per_flow_scope not in ("capture", "window"):
         raise ParameterError(f"unknown per-flow scope: {per_flow_scope!r}")
 

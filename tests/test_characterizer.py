@@ -1,5 +1,7 @@
+import hashlib
 import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from fvba.characterizer import (
     throttle_directives,
     volume_excess_ratio,
 )
+from fvba.detector import detect_profiled
 from fvba.errors import ParameterError
 from event_rows import Row, attack_verdicts, series, table
 from fvba.io import key_columns
 from fvba.model import SERIES, FlowKey, FlowTotals, ProtocolCategory
-from fvba.profiler import NormalProfile, windowize
+from fvba.profiler import NormalProfile, build_profile, windowize
+from fvba.simulator import ScenarioConfig, ScenarioKind, generate
 
 
 def key(i):
@@ -434,3 +438,45 @@ class TestCharacterizeMatchesDictPath:
                 history = reference_flows(samples, i - 1) if i else {}
                 assert list(classifications) == reference_classify(
                     reference_flows(samples, i), limits, history)
+
+
+class TestCharacterizePinned:
+    """SHA-256 of the classification and throttle text of one varied-rate
+    scenario, with its count of lines per band and history exclusion.  The
+    runs reach every region between the limits: at 1 ms windows with per-flow
+    limits at window scope, flows below lcl_as, between lcl_as and lcl_ss,
+    within the normal band and above ucl_as; at 0.2 s at window scope, flows
+    between ucl_ss and ucl_as; at 0.2 s at capture scope, every flow below
+    lcl_as.  A rewrite of the banding must leave every byte in place."""
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        training = generate(ScenarioConfig(ScenarioKind.ATTACK_FREE, legit_clients=8,
+                                           duration=30, seed=5)).events
+        attack = generate(ScenarioConfig(ScenarioKind.VARIED_RATE, legit_clients=8, zombies=16,
+                                         duration=30, attack_start=10, attack_end=20,
+                                         seed=6)).events
+        return training, attack
+
+    @pytest.mark.parametrize("length,scope,windows,counts,lines,throttles", [
+        (0.001, "window", 3093,
+         {"attack\t0": 8848, "normal\t0": 1329, "suspicious\t0": 228, "suspicious\t1": 3708},
+         "90831719634a866d3d693ba48dcf43045326a1baaf3fe565a1e617f487b34005",
+         "d57c921aa19b8328fbc39aba24202928db7b7c6d0fcc43b322d931546d8733f9"),
+        (0.2, "capture", 50, {"attack\t0": 119, "suspicious\t1": 884},
+         "6b6d1de9315b64b360c969e33188b72d0e3cd88442ade5cb17a72d2984d38f31",
+         "b81bc4c2c12cad38f6824ca22c7f8e465931df6d0ea895e233cff945ff54b0c9"),
+        (0.2, "window", 50, {"normal\t0": 1001, "suspicious\t0": 2},
+         "7ca884ad09db455ff46ca55447a7a309d660249e2620afb07b0b2827511c8332",
+         "38411f462d4d7a6949b19b38f8f4b0084fc63eb48b1bb2fd232901b3cf05ad97"),
+    ], ids=["1ms-window-scope", "200ms-capture-scope", "200ms-window-scope"])
+    def test_output_digests(self, streams, length, scope, windows, counts, lines, throttles):
+        training, attack = streams
+        profile = build_profile(windowize(training, length, None), per_flow_scope=scope)
+        samples = windowize(attack, length, None)
+        verdicts = detect_profiled({None: samples}, {None: profile})[None]
+        out, throttle_out = io.StringIO(), io.StringIO()
+        assert dump_characterization(samples, verdicts, profile, out, throttle_out) == windows
+        assert Counter(line.split("\t", 7)[7] for line in out.getvalue().splitlines()) == counts
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == lines
+        assert hashlib.sha256(throttle_out.getvalue().encode()).hexdigest() == throttles

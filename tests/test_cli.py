@@ -190,6 +190,19 @@ class TestDetectCommand:
                  "--jobs", jobs, "--out", tmp_path / name], tmp_path)
         assert (tmp_path / "v1.tsv").read_bytes() == (tmp_path / "v4.tsv").read_bytes()
 
+    def test_unprofiled_protocol_noted(self, pipeline, capsys):
+        # The attack-free stream has TCP flows only; the zombies send UDP.
+        tmp_path, train, attack, aggregate = pipeline
+        tcp = tmp_path / "tcp.txt"
+        assert run(["profile", "--events", train, "--out", tcp], tmp_path) == 0
+        capsys.readouterr()
+        for profile, note in ((aggregate, ""), (tcp, (
+                "fvba: note: no profile for UDP; those windows are not evaluated"
+                " (profile an aggregate series or training traffic with that protocol)\n"))):
+            assert run(["detect", "--events", attack, "--profile", profile,
+                        "--out", tmp_path / "v.tsv"], tmp_path) == 2
+            assert capsys.readouterr().err == note
+
 
 class TestScoreAndSweep:
     def test_score_output(self, pipeline):
@@ -375,6 +388,20 @@ class TestKddCommand:
         assert rows[0][1:] == rows[2][1:]
         breakdown = (tmp_path / "breakdown.tsv").read_text()
         assert breakdown.startswith("# training\n") and "\n# testing\n" in breakdown
+
+    def test_unprofiled_protocol_noted(self, tmp_path, capsys):
+        # Three windows of ICMP records, none of them normal, so no ICMP profile.
+        lines = self.make_file(tmp_path).read_text().splitlines()
+        smurf = ",".join(["0", "icmp", "ecr_i", "SF", "1032", "0"] + ["0"] * 35) + ",smurf."
+        data = tmp_path / "smurf.csv"
+        data.write_text("\n".join(lines + [smurf] * 300) + "\n")
+        for path, note in ((tmp_path / "mini_kdd.csv", ""), (data, (
+                "fvba: note: no profile for ICMP; those windows are not evaluated"
+                " (train on at least two windows of normal records with that protocol)\n"))):
+            assert run(["kdd", "--train", path, "--out", tmp_path / "scores.tsv"], tmp_path) == 0
+            assert capsys.readouterr().err == note
+        rows = (tmp_path / "scores.tsv").read_text().splitlines()
+        assert rows[2].split("\t")[:3] == ["training/ICMP", "0", "300"]
 
     @pytest.mark.parametrize("token", ["1.e999", "-500"])
     def test_bad_byte_count_fails_with_line(self, tmp_path, capsys, token):
