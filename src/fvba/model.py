@@ -200,16 +200,20 @@ class WindowSeries:
     def flow_totals(self, start: int, stop: int) -> "FlowTotals":
         """Per-(window, flow) byte totals of windows start..stop-1 of the series,
         in order of window and, within a window, of each flow's first row."""
-        lo, hi = self.bounds[start], self.bounds[stop]
-        window = np.repeat(np.arange(start, stop), np.diff(self.bounds[start:stop + 1]))
+        bounds = self.bounds[start:stop + 1]
+        lo, hi = bounds[0], bounds[-1]
+        window = np.repeat(np.arange(start, stop), bounds[1:] - bounds[:-1])
         # One code per (window, flow) pair, as profiler.window_samples forms
         # them; the totals are exact, as it checked that the series total fits.
         codes = window * len(self.keys)
         codes += self.flow[lo:hi]
-        # Sorted stably, a pair keeps its rows' order and starts where the code
-        # changes; codes are >= 0, so the -1 before them starts the first pair.
+        # Sorted stably, a pair keeps its rows' order and starts where the code changes.
         order = np.argsort(codes, kind="stable")
-        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        codes = codes[order]
+        new = np.empty(codes.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
         first = order[starts]
         by_row = np.argsort(first)
         rows = first[by_row]
