@@ -66,7 +66,8 @@ def _write(path: str, text: str) -> None:
 def _read(path: str) -> str:
     """The text of a small input file, read and checked as every input is:
     gzip by name, UTF-8 by line, with "\r\n" and "\r" read as "\n"."""
-    return fio.decode_lines(bytes.decode, b"".join(fio.read_chunks(fio.read_source(path))), 0)
+    chunks = fio.read_chunks(fio.read_source(path))
+    return fio.decode_lines(bytes.decode, b"".join(chunk for chunk, _ in chunks), 0)
 
 
 _FACTOR_ROLES = {"r1": "volume factor", "r2": "flow factor", "r3": "lower volume factor"}

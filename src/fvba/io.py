@@ -18,6 +18,7 @@ import zlib
 from array import array
 from contextlib import closing
 from functools import partial
+from itertools import chain
 from typing import Callable, Collection, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
@@ -126,7 +127,7 @@ CHUNK_BYTES = 256 * 1024
 # its text, so slices are kept small.  The simulator's `window_truth` scans
 # as many at a time.
 DUMP_ROWS = 1024
-# Longest line `decoder_chunks` leaves among others in a chunk.
+# Longest line `read_chunks` leaves among others in a chunk.
 _MAX_LINE = 255
 _POWERS = np.array([10**k for k in range(18, -1, -1)], dtype=np.uint64)
 _FLOAT_TEXT = "0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -159,61 +160,54 @@ def decode_source(source, decode: Callable[[bytes], tuple], columns) -> None:
     number = 0
     # Closed here, so that a file is closed as soon as a bad line stops the loop.
     with closing(read_source(source)) as blocks:
-        for chunk in decoder_chunks(blocks):
+        for chunk, lines in read_chunks(blocks):
             for column, values in zip(columns, decode_lines(decode, chunk, number)):
                 column.frombytes(np.asarray(values, dtype=column.typecode).tobytes())
-            number += chunk.count(b"\n")
+            number += lines
 
 
-def read_chunks(blocks: Iterable[bytes]) -> Iterator[bytes]:
-    """Regroup byte blocks into chunks of about CHUNK_BYTES that each end at "\n".
+def read_chunks(blocks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
+    """Regroup byte blocks into chunks of about CHUNK_BYTES that each end at
+    "\n", and yield each with its number of lines.
 
     "\r\n" and a lone "\r" become "\n" first, because every text format
     counts either as one line break; a last line without a break gets one.
+    A line longer than _MAX_LINE bytes gets a chunk of its own: a decoder
+    pads a chunk's tokens to the widest one, so this bounds its arrays by
+    _MAX_LINE + 1 bytes a line, or by one line.
     """
     pending: list[bytes] = []
     size = 0
-    for block in blocks:
-        pending.append(block)
-        size += len(block)
-        if size < CHUNK_BYTES or not (b"\n" in block or b"\r" in block):
-            continue
+    # None marks the end of the blocks, after which all that is left is cut.
+    for block in chain(blocks, [None]):
+        if block is not None:
+            pending.append(block)
+            size += len(block)
+            if size < CHUNK_BYTES or not (b"\n" in block or b"\r" in block):
+                continue
         data = b"".join(pending)
         # A final "\r" may be the first half of a "\r\n".
-        held = data[-1:] if data.endswith(b"\r") else b""
+        held = data[-1:] if block is not None and data.endswith(b"\r") else b""
         data = _unify_breaks(data[: len(data) - len(held)])
-        end = data.rfind(b"\n") + 1
-        if end:
-            yield data[:end]
-        pending = [data[end:], held]
-        size = len(data) - end + len(held)
-    data = _unify_breaks(b"".join(pending))
-    if data:
-        yield data if data.endswith(b"\n") else data + b"\n"
+        if block is None and data and not data.endswith(b"\n"):
+            data += b"\n"
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1
+        end = int(ends[-1]) if ends.size else 0
+        pending, size = [data[end:], held], len(data) - end + len(held)
+        starts = np.concatenate(([0], ends[:-1]))
+        # The offset and the index of the first line not yet yielded.
+        done = first = 0
+        for wide in np.flatnonzero(ends - starts > _MAX_LINE + 1).tolist():
+            if starts[wide] > done:
+                yield data[done : starts[wide]], wide - first
+            yield data[starts[wide] : ends[wide]], 1
+            done, first = int(ends[wide]), wide + 1
+        if done < end:
+            yield data[done:end], ends.size - first
 
 
 def _unify_breaks(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
-
-
-def decoder_chunks(blocks: Iterable[bytes]) -> Iterator[bytes]:
-    """The chunks of `read_chunks`, each line longer than _MAX_LINE bytes in
-    a chunk of its own.
-
-    A decoder pads a chunk's tokens to the widest one, so this bounds its
-    arrays by _MAX_LINE + 1 bytes a line, or by one line.
-    """
-    for chunk in read_chunks(blocks):
-        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10) + 1
-        starts = np.concatenate(([0], ends[:-1]))
-        done = 0
-        for line in np.flatnonzero(ends - starts > _MAX_LINE + 1).tolist():
-            if starts[line] > done:
-                yield chunk[done : starts[line]]
-            yield chunk[starts[line] : ends[line]]
-            done = ends[line]
-        if done < len(chunk):
-            yield chunk[done:]
 
 
 class BadLine(Exception):

@@ -36,7 +36,6 @@ SRC_BYTES_INDEX, DST_BYTES_INDEX = 4, 5
 # Maps ".", "," and "\n" to themselves and every other byte to "a".
 _MARKS = bytes(b if b in b".,\n" else ord("a") for b in range(256))
 _BYTE_FIELDS = {SRC_BYTES_INDEX: "src_bytes", DST_BYTES_INDEX: "dst_bytes"}
-_MAX_BYTES = np.uint64(2**63 - 1)
 
 # A record's protocol code is its category's position in PROTOCOLS.
 PROTOCOLS = tuple(ProtocolCategory)
@@ -173,7 +172,7 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[FlowKey, int], names: dict[str, i
             f" {text(row, field + bad[row].argmax())!r}"))
     counts, bad = fio.digit_values(codes, starts[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1],
                                    ends[:, SRC_BYTES_INDEX : DST_BYTES_INDEX + 1])
-    bad |= counts > _MAX_BYTES
+    bad |= counts > fio._MAX_BYTES
 
     def bad_count(row: int) -> str:
         field = SRC_BYTES_INDEX + int(bad[row].argmax())

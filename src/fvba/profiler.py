@@ -52,16 +52,17 @@ def window_span(timestamps: np.ndarray, window_length: float) -> tuple[int, int]
     # The same IEEE operations as window_indices, on Python floats, so the
     # span is known before anything is allocated for it.
     start, end = float(timestamps[0]), float(timestamps[-1])
-    first, last = (int((t + _BIN_EPSILON) / window_length) for t in (start, end))
-    if last - first >= MAX_WINDOWS:
+    first, last = ((t + _BIN_EPSILON) / window_length for t in (start, end))
+    # An index that overflows to inf has no int(); it does not fit int64 either.
+    if last < math.inf and int(last) - int(first) >= MAX_WINDOWS:
         raise ParameterError(
-            f"timestamps span {start!r} to {end!r} s, {last - first + 1} windows of"
+            f"timestamps span {start!r} to {end!r} s, {int(last) - int(first) + 1} windows of"
             f" {window_length} s; at most {MAX_WINDOWS} windows are supported"
         )
     if last > np.iinfo(np.int64).max:
         raise ParameterError(f"the window index of timestamp {end!r} s at {window_length} s"
                              " windows does not fit int64")
-    return first, last
+    return int(first), int(last)
 
 
 def window_samples(

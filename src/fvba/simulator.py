@@ -88,12 +88,14 @@ class ScenarioConfig:
             raise ParameterError(f"legitimate clients must lie in [1, {MAX_EXPECTED_EVENTS:,}]")
         if not (0 < self.legit_request_rate < math.inf and self.legit_bytes_per_request > 0):
             raise ParameterError("legitimate request rate (finite) and size must be positive")
-        if not (0 < self.client_link_rate_bps < math.inf and self.chunk_bytes > 0):
-            raise ParameterError("client link rate (finite) and chunk size must be positive")
+        # Event sizes are int64.
+        if not (0 < self.client_link_rate_bps < math.inf and 0 < self.chunk_bytes < 2**63):
+            raise ParameterError("client link rate (finite) and chunk size (within int64) must"
+                                 " be positive")
         if not (0 < self.zombie_rate_bps < math.inf and 0 < self.zombie_low_rate_bps < math.inf):
             raise ParameterError("zombie rates must be positive and finite")
-        if self.zombie_packet_bytes <= 0:
-            raise ParameterError("zombie packet size must be positive")
+        if not 0 < self.zombie_packet_bytes < 2**63:
+            raise ParameterError("zombie packet size must be positive and within int64")
         if not 0.0 <= self.high_rate_fraction <= 1.0:
             raise ParameterError("high-rate fraction must lie in [0, 1]")
         if not -math.inf < self.attack_start < self.attack_end <= self.duration < math.inf:

@@ -569,6 +569,43 @@ class TestMalformedInput:
                                 " supported\n")
         assert not (tmp_path / "x.tsv").exists() and not (tmp_path / "wt.tsv").exists()
 
+    _HUGE_SIMULATE = ["simulate", "--kind", "high-rate", "--zombies", "1", "--clients", "1",
+                      "--duration", "1", "--attack-start", "0", "--attack-end", "1"]
+
+    @pytest.mark.parametrize("args,message", [
+        (["detect", "--events", "huge.tsv", "--profile", "p.txt", "--out", "out.tsv"],
+         "the window index of timestamp 1e+308 s at 0.2 s windows does not fit int64"),
+        (["characterize", "--events", "huge.tsv", "--profile", "p.txt", "--out", "out.tsv"],
+         "the window index of timestamp 1e+308 s at 0.2 s windows does not fit int64"),
+        (["sweep", "--events", "huge.tsv", "--profile", "p.txt", "--window-truth", "wt.tsv",
+          "--grid", "grid.tsv", "--out", "out.tsv"],
+         "the window index of timestamp 1e+308 s at 0.2 s windows does not fit int64"),
+        (["profile", "--events", "train.tsv", "--aggregate", "--window-seconds", "1e-310",
+          "--out", "out.tsv"],
+         "the window index of timestamp 0.3 s at 1e-310 s windows does not fit int64"),
+        (["detect", "--events", "train.tsv", "--profile", "tiny.txt", "--out", "out.tsv"],
+         "the window index of timestamp 0.3 s at 1e-310 s windows does not fit int64"),
+        (["simulate", "--kind", "attack-free", "--clients", "2", "--duration", "3",
+          "--window-seconds", "1e-320", "--window-truth-out", "wt-out.tsv", "--out", "out.tsv"],
+         "the window index of timestamp "),
+        ([*_HUGE_SIMULATE, "--chunk-bytes", "99999999999999999999", "--out", "out.tsv"],
+         "client link rate (finite) and chunk size (within int64) must be positive"),
+        ([*_HUGE_SIMULATE, "--zombie-packet-bytes", "9223372036854775808", "--out", "out.tsv"],
+         "zombie packet size must be positive and within int64"),
+    ])
+    def test_index_or_size_beyond_int64(self, tmp_path, capsys, monkeypatch, args, message):
+        # Indices that overflow to inf and sizes that overflow int64 end in an error line.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge.tsv").write_text("1e308\tTCP\tc0\t1\tsrv\t80\t10\n")
+        (tmp_path / "train.tsv").write_text("0.0\tTCP\tc0\t1\tsrv\t80\t10\n"
+                                            "0.3\tTCP\tc0\t1\tsrv\t80\t12\n")
+        (tmp_path / "wt.tsv").write_text("0\tnormal\n")
+        (tmp_path / "grid.tsv").write_text("2\t2\n")
+        for name, length in [("p.txt", 0.2), ("tiny.txt", 1e-310)]:
+            (tmp_path / name).write_text(dump_profiles([NormalProfile(None, length, 2, *[1.0] * 6)]))
+        self.fails(capsys, args, f"fvba {args[0]}: error: {message}")
+        assert not (tmp_path / "out.tsv").exists() and not (tmp_path / "wt-out.tsv").exists()
+
     def test_rejected_arguments_exit_1(self, tmp_path, capsys):
         config = tmp_path / "c.conf"
         config.write_text("clients=many\n")

@@ -331,8 +331,8 @@ class TestChunkedLoad:
         short = FlowKey(ProtocolCategory.UDP, "z0", "srv", 9, 9)
         events = table([Row(0.0, short, 5), Row(0.1, wide, 6), Row(0.2, short, 7)])
         text = event_text(events)
-        assert [len(chunk) for chunk in fio.decoder_chunks([text.encode()])] == [
-            len(line) + 1 for line in text.splitlines()]
+        assert list(fio.read_chunks([text.encode()])) == [
+            ((line + "\n").encode(), 1) for line in text.splitlines()]
         assert fio.load_events([text]) == events
         with pytest.raises(ParseError, match="^line 2: malformed event byte count"):
             fio.load_events([text.replace("\t6\n", "\t6 \n")])
@@ -341,8 +341,9 @@ class TestChunkedLoad:
         # "\r\n" split between two blocks is one break.
         with chunk_bytes(1):
             chunks = list(fio.read_chunks([b"a\r", b"\nb\r", b"\r\n", b"c"]))
-        assert b"".join(chunks) == b"a\nb\n\nc\n"
-        assert all(chunk.endswith(b"\n") for chunk in chunks)
+        assert b"".join(chunk for chunk, _ in chunks) == b"a\nb\n\nc\n"
+        assert all(chunk.endswith(b"\n") and lines == chunk.count(b"\n")
+                   for chunk, lines in chunks)
         assert list(fio.read_chunks([b"", b""])) == []
 
     def test_order_checked_across_chunks(self, path):

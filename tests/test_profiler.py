@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from fvba.profiler import (
     build_profile,
     dump_profiles,
     load_profiles,
+    window_span,
     windowize,
 )
 
@@ -160,11 +162,24 @@ class TestWindowize:
         with pytest.raises(ParameterError, match="windows"):
             windowize(table([event(0.0), event(1e300)]), 0.2)
 
-    @pytest.mark.parametrize("timestamp,length", [(1e300, 0.2), (0.0, 1e-300)])
+    # The last two indices overflow to inf.
+    @pytest.mark.parametrize("timestamp,length",
+                             [(1e300, 0.2), (0.0, 1e-300), (1e308, 0.2), (0.1, 1e-310)])
     def test_window_index_beyond_int64_rejected(self, timestamp, length):
         message = f"the window index of timestamp {timestamp!r} s at {length!r} s windows"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)} does not fit int64$"):
             windowize(table([event(timestamp)]), length)
+
+    @given(st.lists(st.floats(0, allow_infinity=False), min_size=1, max_size=4).map(sorted),
+           st.floats(0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_window_span_ordered_or_rejected(self, timestamps, length):
+        # Down to subnormal lengths, whose indices overflow to inf.
+        try:
+            first, last = window_span(np.array(timestamps), length)
+        except ParameterError:
+            return
+        assert 0 <= first <= last <= 2**63 - 1
 
     def test_day_long_capture_at_default_window_admitted(self):
         samples = windowize(table([event(0.0), event(86_400.0 - 0.1)]), 0.2)
