@@ -61,7 +61,8 @@ def load_events(source) -> EventTable:
     """
     columns = (array("d"), array("i"), array("q"))
     flow_ids: dict[FlowKey, int] = {}
-    decode = partial(_decode_events, earlier=columns[0], interned={}, flow_ids=flow_ids)
+    decode = partial(_decode_events, earlier=columns[0],
+                     flows=TokenIndex(partial(_flow_id, flow_ids=flow_ids)))
     decode_source(source, decode, columns)
     return EventTable(*columns, list(flow_ids))
 
@@ -75,8 +76,7 @@ def _flow_id(text: str, flow_ids: dict[FlowKey, int]) -> int:
     return flow_ids.setdefault(key, len(flow_ids))
 
 
-def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
-                   flow_ids: dict[FlowKey, int]):
+def _decode_events(chunk: bytes, earlier: array, flows: TokenIndex):
     """The (timestamp, flow, bytes) columns of the lines of a chunk.
 
     An empty line is skipped.  Any other line holds seven tab-separated
@@ -95,12 +95,7 @@ def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
     def text(row: int, column: int) -> str:
         return chunk[starts[row, column] : ends[row, column]].decode()
 
-    def flow_id(token: bytes) -> int:
-        if token not in interned:
-            interned[token] = _flow_id(token.decode(), flow_ids)
-        return interned[token]
-
-    flows = intern_tokens(codes, starts[:, 1], ends[:, 5], lines, flow_id)
+    flow = flows(codes, starts[:, 1], ends[:, 5], lines)
     timestamps, bad = float_values(codes, starts[:, 0], ends[:, 0])
     reject(bad, lines, lambda row: f"malformed timestamp: {text(row, 0)!r}")
     counts, bad = digit_values(codes, starts[:, 6], ends[:, 6])
@@ -114,7 +109,7 @@ def _decode_events(chunk: bytes, earlier: array, interned: dict[bytes, int],
     reject(np.diff(timestamps, prepend=previous) < 0, lines, lambda row: (
         "events are not sorted by timestamp"
         f" ({timestamps[row]} after {timestamps[row - 1] if row else previous})"), OrderingError)
-    return timestamps, flows, counts.astype(np.int64)
+    return timestamps, flow, counts.astype(np.int64)
 
 
 # --- chunked decoding --------------------------------------------------------------
@@ -344,27 +339,125 @@ def float_token(token: str, name: str) -> float:
     raise ValueError(f"malformed {name}: {token!r}")
 
 
-def intern_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines: np.ndarray,
-                  ids: Callable[[bytes], int]) -> np.ndarray:
-    """The id of each token codes[starts[i]:ends[i]].
+# _WORD_MASKS[n] keeps the first n bytes of a little-endian word.
+_WORD_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
-    `ids` is called once per distinct token, in order of first appearance,
-    and returns its id.  A ValueError it raises rejects the line of that
-    first appearance (`lines[i]` is the chunk offset of token i's line).
+
+def token_keys(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The tokens codes[starts[i]:ends[i]] as the columns of a uint64 array:
+    row 0 holds each token's length and row k + 1 its word k, its bytes 8k
+    to 8k + 7 read little-endian, zero past the token's end."""
+    starts, lengths = starts.astype(np.int64), ends - starts
+    offsets = np.arange(max(1, (int(lengths.max(initial=0)) + 7) // 8))[:, None]
+    # The chunk as aligned words; a token's word joins two of them.
+    chunk = np.concatenate((codes, np.zeros(16 - codes.size % 8, dtype=np.uint8))).view("<u8")
+    at = (starts >> 3) + offsets
+    shift = ((starts & 7) << 3).astype(np.uint64)
+    keys = np.empty((offsets.size + 1, starts.size), dtype=np.uint64)
+    keys[0] = lengths
+    # In place, so that few chunk-sized temporaries are alive at once.
+    words = keys[1:]
+    np.right_shift(chunk.take(at, mode="clip"), shift, out=words)
+    high = chunk[1:].take(at, mode="clip")
+    high <<= 63 - shift
+    high <<= np.uint64(1)
+    words |= high
+    words &= _WORD_MASKS[np.clip(lengths - 8 * offsets, 0, 8)]
+    return keys
+
+
+def _token_hash(keys: np.ndarray) -> np.ndarray:
+    """A wrapping multiply-sum of each column of `token_keys`."""
+    return np.cumprod(np.full(keys.shape[0], _HASH_BASE, dtype=np.uint64)) @ keys
+
+
+class TokenIndex:
+    """The ids of the tokens of one file, each parsed once.
+
+    `parse` is called once per distinct token text, in order of first
+    appearance, and returns its id; a ValueError it raises rejects the line
+    of that first appearance.  The hash of a token's key (`token_keys`)
+    routes it to one entry of a table sorted by hash, and the key decides
+    whether the token is that entry's; tokens that are not (new ones,
+    collisions) are looked up by their bytes.  A token goes first to the
+    first entry of its bucket, the top bits of its hash, and only when that
+    entry is not its own to the one `np.searchsorted` finds.
     """
-    padded, _ = padded_tokens(codes, starts, ends)
-    # A 1 byte after each token: an "S" array ignores trailing NUL bytes,
-    # which would make "SF" and "SF\x00" one token.
-    padded[np.arange(starts.size), ends - starts] = 1
-    distinct, first, inverse = np.unique(padded.view(f"S{padded.shape[1]}").ravel(),
-                                         return_index=True, return_inverse=True)
-    found = np.empty(distinct.size, dtype=np.int64)
-    for position in np.argsort(first).tolist():
-        try:
-            found[position] = ids(distinct[position][:-1])
-        except ValueError as exc:
-            raise BadLine(int(lines[first[position]]), str(exc)) from None
-    return found[inverse.reshape(-1)]
+
+    def __init__(self, parse: Callable[[str], int]):
+        self.parse = parse
+        self.ids: dict[bytes, int] = {}
+        # `hashes` holds the entries' hashes, sorted, and `order` the entry of
+        # each; column e of `table` is entry e, its id and then its key, and
+        # the columns after the last entry are spare.  Entry 0 has the largest
+        # hash, so that every token finds an entry, and matches none (its
+        # length is 2**64 - 1).
+        self.table = np.array([[0], [np.iinfo(np.uint64).max]], dtype=np.uint64)
+        self.hashes = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
+        self.order = np.zeros(1, dtype=np.int64)
+        self._bucket()
+
+    def __call__(self, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 lines: np.ndarray) -> np.ndarray:
+        """The id of each token codes[starts[i]:ends[i]]; `lines[i]` is the
+        chunk offset of token i's line."""
+        keys = token_keys(codes, starts, ends)
+        hashes = _token_hash(keys)
+        positions = self.first.take(hashes >> self.shift)
+        missed = self._misses(positions, keys)
+        positions[missed] = np.searchsorted(self.hashes, hashes[missed])
+        missed = missed[self._misses(positions[missed], keys[:, missed])]
+        found = self.table[0].take(self.order.take(positions)).astype(np.int64)
+        if missed.size:
+            chunk, ids, values, new = codes.tobytes(), self.ids, [], []
+            for row, start, end in zip(missed.tolist(), starts[missed].tolist(),
+                                       ends[missed].tolist()):
+                token = chunk[start:end]
+                value = ids.get(token)
+                if value is None:
+                    try:
+                        value = ids[token] = self.parse(token.decode())
+                    except ValueError as exc:
+                        raise BadLine(int(lines[row]), str(exc)) from None
+                    new.append(row)
+                values.append(value)
+            found[missed] = values
+            self._insert(hashes[new], keys[:, new], found[new])
+        return found
+
+    def _misses(self, positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The indices of the keys that differ from the key of the entry at
+        their position in hash order."""
+        entries = self.table.take(self.order.take(positions), axis=1)
+        height = min(keys.shape[0], entries.shape[0] - 1)
+        return np.flatnonzero(np.logical_or.reduce(entries[1 : height + 1] != keys[:height]))
+
+    def _bucket(self) -> None:
+        # 16 to 32 buckets an entry, but no more than 2**12 (a 32 KiB array):
+        # `first` holds the position of the first hash in or after each bucket.
+        bits = min(12, self.order.size.bit_length() + 4)
+        self.shift = np.uint64(64 - bits)
+        self.first = np.searchsorted(self.hashes,
+                                     np.arange(2**bits, dtype=np.uint64) << self.shift)
+
+    def _insert(self, hashes: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
+        old, size = self.order.size, self.order.size + hashes.size
+        # A stable sort keeps entries of one hash in order of insertion.
+        hashes = np.concatenate((self.hashes, hashes))
+        sort = np.argsort(hashes, kind="stable")
+        self.hashes = hashes[sort]
+        self.order = np.concatenate((self.order, np.arange(old, size)))[sort]
+        self._bucket()
+        if size > self.table.shape[1] or keys.shape[0] >= self.table.shape[0]:
+            # Room for as many entries again, so that a file's inserts copy
+            # the table O(log entries) times.
+            table = np.zeros((max(keys.shape[0] + 1, self.table.shape[0]), 2 * size),
+                             dtype=np.uint64)
+            table[: self.table.shape[0], :old] = self.table[:, :old]
+            self.table = table
+        self.table[0, old:size] = values
+        self.table[1 : keys.shape[0] + 1, old:size] = keys
 
 
 # --- small formats -----------------------------------------------------------------

@@ -113,11 +113,25 @@ def parse(source) -> KddTable:
     columns = tuple(array(t) for t in ("i", "q", "q", "i"))
     flow_ids: dict[FlowKey, int] = {}
     names: dict[str, int] = {}
-    fio.decode_source(source, partial(_decode_chunk, flow_ids=flow_ids, names=names), columns)
+
+    def flow_id(token: str) -> int:
+        protocol, service, flag = token.split(",")
+        category = _PROTOCOL_TYPES.get(protocol)
+        if category is None:
+            raise ValueError(f"unknown protocol_type {protocol!r}")
+        return flow_ids.setdefault(FlowKey(category, service, flag, 0, 0), len(flow_ids))
+
+    def label_id(label: str) -> int:
+        if label != label.strip():
+            raise ValueError(f"label padded with whitespace: {label!r}")
+        return names.setdefault(label.rstrip(".").lower(), len(names))
+
+    decode = partial(_decode_chunk, flows=fio.TokenIndex(flow_id), labels=fio.TokenIndex(label_id))
+    fio.decode_source(source, decode, columns)
     return KddTable(*columns, tuple(flow_ids), tuple(names))
 
 
-def _decode_chunk(chunk: bytes, flow_ids: dict[FlowKey, int], names: dict[str, int]):
+def _decode_chunk(chunk: bytes, flows: fio.TokenIndex, labels: fio.TokenIndex):
     """The (flow, src_bytes, dst_bytes, label) columns of the lines of a chunk.
 
     An empty line is skipped.  Any other line is checked in this order,
@@ -136,21 +150,7 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[FlowKey, int], names: dict[str, i
     def text(row: int, field: int) -> str:
         return chunk[starts[row, field] : ends[row, field]].decode()
 
-    def flow_id(token: bytes) -> int:
-        protocol, service, flag = token.decode().split(",")
-        category = _PROTOCOL_TYPES.get(protocol)
-        if category is None:
-            raise ValueError(f"unknown protocol_type {protocol!r}")
-        return flow_ids.setdefault(FlowKey(category, service, flag, 0, 0), len(flow_ids))
-
-    def label_id(token: bytes) -> int:
-        label = token.decode()
-        if label != label.strip():
-            raise ValueError(f"label padded with whitespace: {label!r}")
-        return names.setdefault(label.rstrip(".").lower(), len(names))
-
-    flows = fio.intern_tokens(codes, starts[:, PROTOCOL_INDEX], ends[:, FLAG_INDEX], lines,
-                              flow_id)
+    flow = flows(codes, starts[:, PROTOCOL_INDEX], ends[:, FLAG_INDEX], lines)
     # With digits deleted and every byte but ".", "," and "\n" made "a", a
     # continuous field must read "" or "." and be wider in the chunk (hold a
     # digit).  Field k ends at comma k; field 0 starts its line, field k > 0
@@ -180,9 +180,8 @@ def _decode_chunk(chunk: bytes, flow_ids: dict[FlowKey, int], names: dict[str, i
                 f" got {text(row, field)!r}")
 
     fio.reject(bad.any(axis=-1), lines, bad_count)
-    labels = fio.intern_tokens(codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT], lines,
-                               label_id)
-    return flows, counts[:, 0].astype(np.int64), counts[:, 1].astype(np.int64), labels
+    label = labels(codes, starts[:, FEATURE_COUNT], ends[:, FEATURE_COUNT], lines)
+    return flow, counts[:, 0].astype(np.int64), counts[:, 1].astype(np.int64), label
 
 
 def select_dos_and_normal(records: KddTable, attacks: Collection[str]) -> KddTable:

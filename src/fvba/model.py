@@ -79,8 +79,11 @@ class FlowKey(NamedTuple):
             # splitlines drops exactly the characters it splits on.
             if "\t" in address or "".join(address.splitlines()) != address:
                 raise ParameterError(f"flow address holds a tab or line break: {address!r}")
-            if any("\ud800" <= char <= "\udfff" for char in address):
-                raise ParameterError(f"flow address holds a lone surrogate: {address!r}")
+            try:
+                # Encoding fails exactly for a lone surrogate.
+                address.encode()
+            except UnicodeEncodeError:
+                raise ParameterError(f"flow address holds a lone surrogate: {address!r}") from None
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
                 raise ParameterError(f"port out of range: {port}")
