@@ -81,9 +81,9 @@ def _decode_events(chunk: bytes, earlier: array, flows: TokenIndex):
 
     An empty line is skipped.  Any other line holds seven tab-separated
     columns, checked in this order: five key columns that `_flow_id`
-    accepts; a timestamp of bytes [0-9A-Za-z.+-] that numpy's float64
-    cast reads; a byte count of decimal digits; a finite timestamp >= 0;
-    a byte count in [1, 2**63 - 1]; a timestamp no earlier than the line
+    accepts; a timestamp of bytes [0-9A-Za-z.+-] that `float_values` reads
+    (as `float()` does); a byte count of decimal digits; a finite timestamp
+    >= 0; a byte count in [1, 2**63 - 1]; a timestamp no earlier than the line
     before (for the first, the last of `earlier`, the timestamps of the
     chunks before).  Raises BadLine for the first line that fails (see
     `decode_lines`).
@@ -124,7 +124,21 @@ CHUNK_BYTES = 256 * 1024
 DUMP_ROWS = 1024
 # Longest line `read_chunks` leaves among others in a chunk.
 _MAX_LINE = 255
-_POWERS = np.array([10**k for k in range(18, -1, -1)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_FLOAT_POW10 = _POW10.astype(np.float64)
+_FIVES = np.array([5**k for k in range(20)], dtype=np.uint64)
+# The values of the last three of a token's digit words.
+_WORD_SCALES = _POW10[[16, 8, 0]]
+# _AFTER_MASKS[n] clears the first n bytes of a little-endian word and
+# _FRONT_ZEROS[n] holds "0" in them; _ZEROS is "00000000".
+_ZEROS = np.uint64(0x3030303030303030)
+_AFTER_MASKS = np.array([2**64 - 2 ** (8 * n) for n in range(9)], dtype=np.uint64)
+_FRONT_ZEROS = _ZEROS & ~_AFTER_MASKS
+_PAIR_MASK = np.uint64(0x000000FF000000FF)
+_FRACTION_BITS, _HIDDEN_BIT = np.uint64(2**52 - 1), np.uint64(2**52)
+# The mantissas m of the values m * 2**e that are two ulps or more from a
+# power of two.
+_SURE = np.uint64(2**52 + 2), np.uint64(2**53 - 3)
 _FLOAT_TEXT = "0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FLOAT_BYTES = np.zeros(256, dtype=bool)
 _FLOAT_BYTES[list(_FLOAT_TEXT.encode())] = True
@@ -287,7 +301,82 @@ def padded_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 def float_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """The float64 values of the tokens codes[starts:ends], and the mask of
     the tokens that hold a byte outside [0-9A-Za-z.+-] or that numpy's cast
-    rejects (the cast alone also reads "1_0", " 1" and "1\x0b")."""
+    rejects (the cast alone also reads "1_0", " 1" and "1\x0b").
+
+    A token of 1-19 decimal digits and at most one "." is read exactly from
+    its digit words (`_digit_words`, `_eight_digits`), those before the "."
+    and those after: its mantissa M and its k places after the "." give
+    M / 10**k, correctly rounded (`_nearest` for M > 2**53).  Every other
+    token, and one whose value is a tie or near a power of two, goes to
+    `_cast_floats`, which gives the same values as `float()`.
+    """
+    # Each token's first "." at or after its start (the sentinel is past
+    # every token); a second one is a non-digit after it.
+    dots = np.append(np.flatnonzero(codes == 46), codes.size)
+    point = dots[np.searchsorted(dots, starts)]
+    dotted = point < ends
+    point = np.minimum(point, ends)
+    after = point + dotted
+    whole, places = point - starts, ends - after
+    digits = whole + places
+    fast = (digits >= 1) & (digits <= 19)
+    # As many words a side as the widest side of up to 19 digits needs.
+    counts = [(min(int(side.max(initial=0)), 19) + 7) // 8 for side in (whole, places)]
+    view = _word_view(codes)
+    values, bad = _eight_digits(np.concatenate((_digit_words(view, starts, point, counts[0]),
+                                                _digit_words(view, after, ends, counts[1]))))
+    fast &= ~bad
+    # Clipped to index the tables: a fast token has at most 19 places.
+    places = np.minimum(places, 19)
+    mantissas = (_WORD_SCALES[3 - counts[0] :] @ values[: counts[0]] * _POW10[places]
+                 + _WORD_SCALES[3 - counts[1] :] @ values[counts[0] :])
+    # 0 for the other tokens, whose words may overflow the casts below.
+    mantissas *= fast
+    # M = hi + lo exactly.  Up to 2**53, lo is 0 and the quotient M / 10**k
+    # correctly rounded; above, `_nearest` corrects the sum.
+    hi = mantissas.astype(np.float64)
+    lo = (mantissas - hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    scales = _FLOAT_POW10[places]
+    result = hi / scales + lo / scales
+    large = np.flatnonzero(mantissas > 2**53)
+    result[large], unsure = _nearest(result[large], mantissas[large], places[large])
+    fast[large[unsure]] = False
+    bad = np.zeros(fast.shape, dtype=bool)
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        result[rest], bad[rest] = _cast_floats(codes, starts[rest], ends[rest])
+    return result, bad
+
+
+def _nearest(values: np.ndarray, mantissas: np.ndarray, places: np.ndarray):
+    """The nearest float64 to each x = M / 10**k, M = mantissas[i] in
+    (2**53, 10**19) and k = places[i] <= 19, from c = values[i], the sum of
+    the quotients hi / 10**k and lo / 10**k (`float_values`), and the mask
+    of those it leaves unsure: an exact tie, or a c within two ulps of a
+    power of two, where the ulp changes.
+
+    c is within 1.25 ulps of x: hi / 10**k and the sum each round by at
+    most half an ulp, lo / 10**k by far less.  With c = m * 2**e (m < 2**53
+    an integer), r = M * 2**(1 - e - k) - 2m * 5**k is x - c in units of
+    2**(e - 1) / 5**k, so x passes the midpoint to a neighbour of c as r
+    passes +-5**k, and |r| < 2.5 * 5**k.  Both sides are scaled by a power
+    of two, at most 2**11, to integers, so |r| < 2**63: its low 64 bits,
+    which uint64 arithmetic keeps, are r.
+    """
+    bits = values.view(np.uint64)
+    m = bits & _FRACTION_BITS | _HIDDEN_BIT
+    shift = 1076 - (bits >> np.uint64(52)).astype(np.int64) - places
+    left = np.maximum(shift, 0).astype(np.uint64)
+    right = np.maximum(-shift, 0).astype(np.uint64)
+    fives = _FIVES[places]
+    r = ((mantissas << left) - (m * fives << right + np.uint64(1))).view(np.int64)
+    half = (fives << right).view(np.int64)
+    unsure = (m < _SURE[0]) | (m > _SURE[1]) | (np.abs(r) == half)
+    return (bits + (r > half) - (r < -half)).view(np.float64), unsure
+
+
+def _cast_floats(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """`float_values` of the tokens by numpy's cast of their padded bytes."""
     padded, inside = padded_tokens(codes, starts, ends)
     bad = (inside > _FLOAT_BYTES.take(padded)).any(axis=-1)
     tokens = padded.view(f"S{padded.shape[1]}").ravel()
@@ -308,16 +397,16 @@ def digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """The values of the tokens codes[starts:ends] (arrays of any shape) as
     uint64, and the mask of the tokens that are empty or hold a byte other
     than a decimal digit.  A token of more than 19 digits reads as 2**64 - 1."""
-    widths = ends - starts
-    width = int(widths.max(initial=1))
-    # Right-aligned digits, zero to the left of each token.
-    index = ends[..., None] - width + np.arange(width, dtype=np.int32)
-    digits = np.where(index >= starts[..., None], codes[np.maximum(index, 0)] - 48, 0)
-    bad = (digits > 9).any(axis=-1) | (widths < 1)
-    digits = digits[..., -_POWERS.size :]
-    values = digits.astype(np.uint64) @ _POWERS[-digits.shape[-1] :]
-    values[widths > _POWERS.size] = np.iinfo(np.uint64).max
-    return values, bad
+    widths = (ends - starts).ravel()
+    count = max(1, (int(widths.max(initial=0)) + 7) // 8)
+    values, bad = _eight_digits(_digit_words(_word_view(codes), starts.ravel(), ends.ravel(),
+                                             count))
+    bad |= widths < 1
+    # Only the last three words of a token of up to 24 bytes count.
+    used = min(count, 3)
+    values = _WORD_SCALES[3 - used :] @ values[count - used :]
+    values[widths > 19] = np.iinfo(np.uint64).max
+    return values.reshape(starts.shape), bad.reshape(starts.shape)
 
 
 def int_token(token: str, name: str) -> int:
@@ -344,27 +433,77 @@ _WORD_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
+def _word_view(codes: np.ndarray) -> np.ndarray:
+    """The chunk `codes` as aligned little-endian uint64 words, after 8 zero
+    bytes and before 9 to 16, for `_read_words`."""
+    return np.concatenate((np.zeros(8, dtype=np.uint8), codes,
+                           np.zeros(16 - codes.size % 8, dtype=np.uint8))).view("<u8")
+
+
+def _read_words(view: np.ndarray, offsets: np.ndarray, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Words of a chunk from its `_word_view`, `count` from each offset:
+    row j, column i holds bytes offsets[i] + 8j to offsets[i] + 8j + 7, read
+    little-endian, and joins two aligned words.  A word that starts before
+    byte -8 or ends past the view reads other bytes, for the caller to mask."""
+    aligned = view.take((offsets >> 3) + 1 + np.arange(count + 1)[:, None], mode="clip")
+    shift = ((offsets & 7) << 3).astype(np.uint64)
+    # In place, so that few chunk-sized temporaries are alive at once.
+    words = np.right_shift(aligned[:-1], shift, out=out)
+    high = aligned[1:]
+    high <<= 63 - shift
+    high <<= np.uint64(1)
+    words |= high
+    return words
+
+
 def token_keys(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The tokens codes[starts[i]:ends[i]] as the columns of a uint64 array:
     row 0 holds each token's length and row k + 1 its word k, its bytes 8k
     to 8k + 7 read little-endian, zero past the token's end."""
-    starts, lengths = starts.astype(np.int64), ends - starts
+    lengths = ends - starts
     offsets = np.arange(max(1, (int(lengths.max(initial=0)) + 7) // 8))[:, None]
-    # The chunk as aligned words; a token's word joins two of them.
-    chunk = np.concatenate((codes, np.zeros(16 - codes.size % 8, dtype=np.uint8))).view("<u8")
-    at = (starts >> 3) + offsets
-    shift = ((starts & 7) << 3).astype(np.uint64)
     keys = np.empty((offsets.size + 1, starts.size), dtype=np.uint64)
     keys[0] = lengths
-    # In place, so that few chunk-sized temporaries are alive at once.
-    words = keys[1:]
-    np.right_shift(chunk.take(at, mode="clip"), shift, out=words)
-    high = chunk[1:].take(at, mode="clip")
-    high <<= 63 - shift
-    high <<= np.uint64(1)
-    words |= high
+    words = _read_words(_word_view(codes), starts, offsets.size, out=keys[1:])
     words &= _WORD_MASKS[np.clip(lengths - 8 * offsets, 0, 8)]
     return keys
+
+
+def _digit_words(view: np.ndarray, starts: np.ndarray, ends: np.ndarray, count: int):
+    """The bytes codes[starts[i]:ends[i]] right-aligned in `count` words, "0"
+    in front (`_read_words`), the most significant word first: the digit
+    words of a token for `_eight_digits`."""
+    words = _read_words(view, ends - 8 * count, count)
+    # The bytes of each word before the token, clipped to 0-8 by `take`.
+    front = starts - ends + 8 * np.arange(count, 0, -1)[:, None]
+    words &= _AFTER_MASKS.take(front, mode="clip")
+    words |= _FRONT_ZEROS.take(front, mode="clip")
+    return words
+
+
+def _eight_digits(words: np.ndarray):
+    """The values of words of eight ASCII digits, the first the most
+    significant, and the mask of the columns (tokens) with a byte that is
+    not a digit (0x30-0x39)."""
+    digits = words ^ _ZEROS
+    # Adding 0x76 sets the top bit of a byte above 9 that lacks it; only a
+    # byte that has it carries into the next.
+    bad = digits + np.uint64(0x7676767676767676)
+    bad |= digits
+    bad = np.bitwise_or.reduce(bad, axis=0) & np.uint64(0x8080808080808080)
+    # Pairs of digits in bytes 0, 2, 4 and 6, then the four pairs in the
+    # high half: 10**6 * p0 + 10**4 * p1 + 100 * p2 + p3.
+    pairs = digits * np.uint64(10)
+    pairs += digits >> np.uint64(8)
+    values = pairs & _PAIR_MASK
+    values *= np.uint64(100 + (10**6 << 32))
+    pairs >>= np.uint64(16)
+    pairs &= _PAIR_MASK
+    pairs *= np.uint64(1 + (10**4 << 32))
+    values += pairs
+    values >>= np.uint64(32)
+    return values, bad.astype(bool)
 
 
 def _token_hash(keys: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import gzip
 import math
 import re
 import tracemalloc
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
@@ -542,6 +543,171 @@ class TestNumberRules:
         good = "TCP\tc0\t1\tsrv\t10\tnormal\n"
         with pytest.raises(ParseError, match=f"^line 2: malformed port: {re.escape(repr(port))}$"):
             fio.load_truth(good + f"TCP\tc1\t{port}\tsrv\t10\tnormal\n")
+
+
+def all_cast_float_values(codes, starts, ends):
+    """`fio.float_values` as numpy's cast of every padded token: the
+    reference for the mask of rejected tokens."""
+    padded, inside = fio.padded_tokens(codes, starts, ends)
+    bad = (inside > fio._FLOAT_BYTES.take(padded)).any(axis=-1)
+    tokens = padded.view(f"S{padded.shape[1]}").ravel()
+    tokens[bad] = b"0"
+    for row in range(tokens.size):
+        try:
+            tokens[row : row + 1].astype(np.float64)
+        except ValueError:
+            bad[row], tokens[row] = True, b"0"
+    return tokens.astype(np.float64), bad
+
+
+def token_chunk(tokens: list[bytes], gaps: list[bytes] | None = None, end: bytes = b""):
+    """The tokens joined by tabs (or by `gaps`) and followed by `end`, the
+    first at offset 0, and their start and end offsets."""
+    gaps = gaps or [b"\t"] * len(tokens)
+    chunk, starts, ends = b"", [], []
+    for token, gap in zip(tokens, gaps):
+        chunk += gap if starts else b""
+        starts.append(len(chunk))
+        chunk += token
+        ends.append(len(chunk))
+    return np.frombuffer(chunk + end, dtype=np.uint8), np.array(starts), np.array(ends)
+
+
+def near_midpoints(x: float) -> list[str]:
+    """Decimals of 17 to 19 significant digits just below, at and above the
+    midpoint between x and the next float64."""
+    middle = Decimal(x) + Decimal(math.ulp(x)) / 2
+    spellings = []
+    for digits in (17, 18, 19):
+        unit = Decimal(1).scaleb(middle.adjusted() - digits + 1)
+        for rounding in (ROUND_FLOOR, ROUND_CEILING):
+            near = middle.quantize(unit, rounding=rounding)
+            spellings += [format(near + step * unit, "f") for step in (-1, 0, 1)]
+    return spellings
+
+
+DECIMAL_TOKENS = st.one_of(
+    st.floats(min_value=0.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(lambda x: st.sampled_from(
+        [f"%.{places}f" % x for places in range(15, 20)]
+        + [f"%.{digits}g" % x for digits in range(15, 20)])),
+    st.floats(min_value=1e-3, max_value=1e18, exclude_min=True).flatmap(
+        lambda x: st.sampled_from(near_midpoints(x))),
+    # Widths 1-24 of digits with or without one ".".
+    st.text("0123456789", min_size=1, max_size=24).flatmap(lambda digits: st.sampled_from(
+        [digits] + [digits[:at] + "." + digits[at:] for at in range(len(digits) + 1)])),
+    st.sampled_from(["9007199254740993", "4503599627370497.5", "00000000000000000001.5",
+                     ".5", "5.", ".", "1.2.3", "1e-05", "0", "007", "1_0", "+1", "-.5"]),
+    number_tokens())
+
+
+class TestExactDecimals:
+    """`fio.float_values` reads digit tokens exactly and the rest with
+    numpy's cast: the values of `float()` and the cast's rejections."""
+
+    @staticmethod
+    def check(tokens: list[str], gaps: list[bytes] | None = None):
+        data = [token.encode("utf-8", "surrogatepass") for token in tokens]
+        # A chunk of a decoder ends in "\n".
+        codes, starts, ends = token_chunk(data, gaps, b"\n")
+        values, bad = fio.float_values(codes, starts, ends)
+        _, expected_bad = all_cast_float_values(codes, starts, ends)
+        assert bad.tolist() == expected_bad.tolist()
+        for token, value, rejected in zip(tokens, values.tolist(), bad.tolist()):
+            if not rejected:
+                expected = float(token)
+                assert (math.isnan(value) and math.isnan(expected)
+                        or value.hex() == expected.hex()), token
+
+    @given(st.lists(DECIMAL_TOKENS, min_size=1, max_size=60),
+           st.lists(st.sampled_from([b"\t", b".", b"1", b"\n", b"\t0."]), min_size=60,
+                    max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_many_widths_in_one_call(self, tokens, gaps):
+        self.check(tokens, gaps[: len(tokens)])
+
+    @given(st.floats(min_value=1e-3, max_value=1e18, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_either_side_of_midpoints(self, x):
+        self.check(near_midpoints(x) + [repr(x)])
+
+    @pytest.mark.parametrize("power", range(-9, 63))
+    def test_about_powers_of_two(self, power):
+        # Where the ulp halves: decimals of 16 to 19 digits from one ulp
+        # below a power of two to half an ulp above it, and the midpoints.
+        x = 2.0**power
+        below, ulp = math.nextafter(x, 0), Decimal(math.ulp(x))
+        spread = [Decimal(x) + ulp * (step - 64) / 64 for step in range(97)]
+        self.check([format(near.quantize(Decimal(1).scaleb(near.adjusted() - digits + 1)), "f")
+                    for near in spread for digits in (16, 17, 18, 19)]
+                   + [spelling for near in (math.nextafter(below, 0), below, x,
+                                            math.nextafter(x, math.inf))
+                      for spelling in near_midpoints(near)])
+
+    @pytest.mark.parametrize("token, value", [
+        # Exact ties, rounded to even.
+        ("9007199254740993", 2.0**53), ("4503599627370497.5", 2.0**52 + 2),
+        ("9007199254740995", 2.0**53 + 4),
+        ("00000000000000000001.5", 1.5), ("0000000000000000001", 1.0),
+        ("1234567890123456789", 1234567890123456789.0), (".5", 0.5), ("5.", 5.0),
+        ("1e-05", 1e-05)])
+    def test_ties_and_spellings(self, token, value):
+        codes, starts, ends = token_chunk([token.encode()], end=b"\n")
+        values, bad = fio.float_values(codes, starts, ends)
+        assert not bad[0] and values[0] == value and value == float(token)
+
+    @pytest.mark.parametrize("token", [".", "1.2.3", "", "1..", "..5"])
+    def test_rejected(self, token):
+        self.check([token, "1.5", token])
+        codes, starts, ends = token_chunk([token.encode()], end=b"\n")
+        assert fio.float_values(codes, starts, ends)[1].tolist() == [True]
+
+
+class TestDigitValues:
+    """`fio.digit_values` gives `int()` of tokens of 0-30 digits, and rejects
+    each with a non-digit at any one byte."""
+
+    # Next to the digits, in their high or low nibble, and bytes with the
+    # top bit set.
+    NOT_DIGITS = [b"/", b":", b"?", b" ", b".", b"-", b"\x00", b"\xb9", b"\xfa", b"\xff"]
+
+    @staticmethod
+    def expected(token: bytes):
+        if not token or not all(48 <= byte <= 57 for byte in token):
+            return None
+        return int(token) if len(token) <= 19 else 2**64 - 1
+
+    def tokens(self):
+        digits = "".join(str(n % 10) for n in range(7, 37)).encode()
+        tokens = []
+        for width in range(31):
+            token = digits[:width]
+            tokens.append(token)
+            for at in range(width):
+                other = self.NOT_DIGITS[(width + at) % len(self.NOT_DIGITS)]
+                tokens.append(token[:at] + other + token[at + 1 :])
+        return tokens
+
+    def test_every_width_and_position_in_one_call(self):
+        tokens = self.tokens()
+        codes, starts, ends = token_chunk(tokens)
+        values, bad = fio.digit_values(codes, starts, ends)
+        assert [None if rejected else int(value) for value, rejected
+                in zip(values.tolist(), bad.tolist())] == [self.expected(t) for t in tokens]
+        # Any shape of offsets.
+        pairs = len(tokens) // 2
+        shaped = fio.digit_values(codes, starts[: 2 * pairs].reshape(pairs, 2),
+                                  ends[: 2 * pairs].reshape(pairs, 2))
+        assert shaped[0].ravel().tolist() == values[: 2 * pairs].tolist()
+        assert shaped[1].ravel().tolist() == bad[: 2 * pairs].tolist()
+
+    def test_each_token_fills_its_chunk(self):
+        for token in self.tokens():
+            codes, starts, ends = token_chunk([token])
+            values, bad = fio.digit_values(codes, starts, ends)
+            expected = self.expected(token)
+            assert bad[0] == (expected is None), token
+            assert expected is None or int(values[0]) == expected, token
 
 
 class TestReadRows:
