@@ -349,21 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Prepend config-file entries as flags so explicit flags win."""
-    path = None
-    for index, token in enumerate(argv):
-        if token == "--config":
-            if index + 1 >= len(argv):
-                raise ParameterError("--config requires a file path")
-            path = argv[index + 1]
-            rest = argv[:index] + argv[index + 2 :]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            rest = argv[:index] + argv[index + 1 :]
-            break
-    if path is None:
+    """Prepend config-file entries as flags so explicit flags win.  Raises
+    ParameterError for a second --config, on either side of the subcommand."""
+    found = [index for index, token in enumerate(argv) if token.split("=", 1)[0] == "--config"]
+    if len(found) > 1:
+        raise ParameterError("--config given twice")
+    if not found:
         return argv
+    index = found[0]
+    _, equals, path = argv[index].partition("=")
+    if not equals and index + 1 >= len(argv):
+        raise ParameterError("--config requires a file path")
+    path = path if equals else argv[index + 1]
+    rest = argv[:index] + argv[index + (1 if equals else 2) :]
     injected = []
     for number, line in enumerate(_read(path).split("\n"), start=1):
         line = line.strip()

@@ -129,19 +129,18 @@ _FLOAT_POW10 = _POW10.astype(np.float64)
 _FIVES = np.array([5**k for k in range(20)], dtype=np.uint64)
 # The values of the last three of a token's digit words.
 _WORD_SCALES = _POW10[[16, 8, 0]]
-# _AFTER_MASKS[n] clears the first n bytes of a little-endian word and
-# _FRONT_ZEROS[n] holds "0" in them; _ZEROS is "00000000".
+# _WORD_MASKS[n] keeps the first n bytes of a little-endian word, _AFTER_MASKS[n]
+# clears them and _FRONT_ZEROS[n] holds "0" in them; _ZEROS is "00000000".
 _ZEROS = np.uint64(0x3030303030303030)
-_AFTER_MASKS = np.array([2**64 - 2 ** (8 * n) for n in range(9)], dtype=np.uint64)
-_FRONT_ZEROS = _ZEROS & ~_AFTER_MASKS
+_WORD_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_AFTER_MASKS = ~_WORD_MASKS
+_FRONT_ZEROS = _ZEROS & _WORD_MASKS
 _PAIR_MASK = np.uint64(0x000000FF000000FF)
 _FRACTION_BITS, _HIDDEN_BIT = np.uint64(2**52 - 1), np.uint64(2**52)
 # The mantissas m of the values m * 2**e that are two ulps or more from a
 # power of two.
 _SURE = np.uint64(2**52 + 2), np.uint64(2**53 - 3)
 _FLOAT_TEXT = "0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_FLOAT_BYTES = np.zeros(256, dtype=bool)
-_FLOAT_BYTES[list(_FLOAT_TEXT.encode())] = True
 
 
 def read_source(source) -> Iterator[bytes]:
@@ -181,9 +180,9 @@ def read_chunks(blocks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
 
     "\r\n" and a lone "\r" become "\n" first, because every text format
     counts either as one line break; a last line without a break gets one.
-    A line longer than _MAX_LINE bytes gets a chunk of its own: a decoder
-    pads a chunk's tokens to the widest one, so this bounds its arrays by
-    _MAX_LINE + 1 bytes a line, or by one line.
+    A line longer than _MAX_LINE bytes gets a chunk of its own: a word
+    reader gives each token of a chunk the words of its widest token, so
+    this bounds its arrays by about _MAX_LINE + 1 bytes a line, or by one line.
     """
     pending: list[bytes] = []
     size = 0
@@ -288,27 +287,16 @@ def split_fields(chunk: bytes, separator: bytes, fields: int, name: str):
     return codes, bounds[:, :-1] + 1, bounds[:, 1:]
 
 
-def padded_tokens(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The tokens codes[starts[i]:ends[i]] as the rows of a uint8 array, zero
-    after each token and in at least the last column, and the mask of the
-    bytes that belong to a token."""
-    width = int((ends - starts).max(initial=0)) + 1
-    index = starts[:, None] + np.arange(width, dtype=np.int32)
-    inside = index < ends[:, None]
-    return codes.take(index, mode="clip") * inside, inside
-
-
 def float_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """The float64 values of the tokens codes[starts:ends], and the mask of
-    the tokens that hold a byte outside [0-9A-Za-z.+-] or that numpy's cast
-    rejects (the cast alone also reads "1_0", " 1" and "1\x0b").
+    the tokens that `float_token` rejects; its values are those of `float()`.
 
     A token of 1-19 decimal digits and at most one "." is read exactly from
     its digit words (`_digit_words`, `_eight_digits`), those before the "."
     and those after: its mantissa M and its k places after the "." give
     M / 10**k, correctly rounded (`_nearest` for M > 2**53).  Every other
-    token, and one whose value is a tie or near a power of two, goes to
-    `_cast_floats`, which gives the same values as `float()`.
+    token, and one whose value is a tie or near a power of two, is read by
+    `float_token` as latin-1 text, in which a byte >= 0x80 is outside its class.
     """
     # Each token's first "." at or after its start (the sentinel is past
     # every token); a second one is a non-digit after it.
@@ -344,7 +332,12 @@ def float_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     bad = np.zeros(fast.shape, dtype=bool)
     rest = np.flatnonzero(~fast)
     if rest.size:
-        result[rest], bad[rest] = _cast_floats(codes, starts[rest], ends[rest])
+        chunk = codes.tobytes()
+        for row, start, end in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
+            try:
+                result[row] = float_token(chunk[start:end].decode("latin-1"), "timestamp")
+            except ValueError:
+                bad[row] = True
     return result, bad
 
 
@@ -373,24 +366,6 @@ def _nearest(values: np.ndarray, mantissas: np.ndarray, places: np.ndarray):
     half = (fives << right).view(np.int64)
     unsure = (m < _SURE[0]) | (m > _SURE[1]) | (np.abs(r) == half)
     return (bits + (r > half) - (r < -half)).view(np.float64), unsure
-
-
-def _cast_floats(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """`float_values` of the tokens by numpy's cast of their padded bytes."""
-    padded, inside = padded_tokens(codes, starts, ends)
-    bad = (inside > _FLOAT_BYTES.take(padded)).any(axis=-1)
-    tokens = padded.view(f"S{padded.shape[1]}").ravel()
-    tokens[bad] = b"0"
-    try:
-        return tokens.astype(np.float64), bad
-    except ValueError:
-        # Find the tokens the cast rejects, one at a time.
-        for row in range(tokens.size):
-            try:
-                tokens[row : row + 1].astype(np.float64)
-            except ValueError:
-                bad[row], tokens[row] = True, b"0"
-        return tokens.astype(np.float64), bad
 
 
 def digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -428,8 +403,6 @@ def float_token(token: str, name: str) -> float:
     raise ValueError(f"malformed {name}: {token!r}")
 
 
-# _WORD_MASKS[n] keeps the first n bytes of a little-endian word.
-_WORD_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 

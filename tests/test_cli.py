@@ -619,6 +619,19 @@ class TestMalformedInput:
         self.fails(capsys, ["simulate", "--kind", "attack-free"],
                    "fvba simulate: error: the following arguments are required: --out")
         self.fails(capsys, ["--config"], "fvba: error: --config requires a file path")
+        # A second --config, of either spelling and on either side of the
+        # subcommand, is neither dropped nor read as a flag's value.
+        empty, strict = tmp_path / "empty.cfg", tmp_path / "strict.cfg"
+        empty.write_text("# nothing\n")
+        strict.write_text("r1=0.001\n")
+        simulate = ["simulate", "--kind", "attack-free", "--out", tmp_path / "x.tsv"]
+        for args in ([["--config", empty, "--config", strict] + simulate,
+                      ["--config", strict, "--config", empty] + simulate,
+                      [f"--config={strict}", "--config", empty] + simulate,
+                      ["--config", strict] + simulate + [f"--config={empty}"]]):
+            self.fails(capsys, args, "fvba: error: --config given twice\n")
+        self.fails(capsys, simulate + ["--config", strict, "--config", empty],
+                   "fvba simulate: error: --config given twice\n")
         assert not (tmp_path / "x.tsv").exists()
 
     def test_unknown_subcommand_names_no_stage(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,12 +546,21 @@ class TestNumberRules:
             fio.load_truth(good + f"TCP\tc1\t{port}\tsrv\t10\tnormal\n")
 
 
+FLOAT_BYTES = np.zeros(256, dtype=bool)
+FLOAT_BYTES[list(b"0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")] = True
+
+
 def all_cast_float_values(codes, starts, ends):
-    """`fio.float_values` as numpy's cast of every padded token: the
-    reference for the mask of rejected tokens."""
-    padded, inside = fio.padded_tokens(codes, starts, ends)
-    bad = (inside > fio._FLOAT_BYTES.take(padded)).any(axis=-1)
-    tokens = padded.view(f"S{padded.shape[1]}").ravel()
+    """`fio.float_values` as numpy's cast of every token, zero-padded to the
+    widest one, after a check of its bytes against [0-9A-Za-z.+-]: an
+    oracle independent of `float()`, the reference for the mask of
+    rejected tokens."""
+    width = int((ends - starts).max(initial=0)) + 1
+    index = starts[:, None] + np.arange(width)
+    inside = index < ends[:, None]
+    padded = codes.take(index, mode="clip") * inside
+    bad = (inside > FLOAT_BYTES.take(padded)).any(axis=-1)
+    tokens = padded.view(f"S{width}").ravel()
     tokens[bad] = b"0"
     for row in range(tokens.size):
         try:
@@ -603,7 +613,8 @@ DECIMAL_TOKENS = st.one_of(
 
 class TestExactDecimals:
     """`fio.float_values` reads digit tokens exactly and the rest with
-    numpy's cast: the values of `float()` and the cast's rejections."""
+    `fio.float_token`: the values of `float()`, and the rejections of
+    numpy's cast (`all_cast_float_values`)."""
 
     @staticmethod
     def check(tokens: list[str], gaps: list[bytes] | None = None):
@@ -661,6 +672,26 @@ class TestExactDecimals:
         self.check([token, "1.5", token])
         codes, starts, ends = token_chunk([token.encode()], end=b"\n")
         assert fio.float_values(codes, starts, ends)[1].tolist() == [True]
+
+    @given(st.lists(st.floats().map(lambda x: "%.17e" % x), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_every_token_past_the_exact_path(self, spellings):
+        # Exponents, signs, inf and nan, more than 19 digits and exact ties:
+        # each token of the call goes to `float_token`, once.
+        runs = ["".join(str(n % 10) for n in range(1, width + 1)) for width in range(20, 25)]
+        tokens = spellings + ["-0.0", "+1", "inf", "-nan", "9007199254740993",
+                              "4503599627370497.5"] + runs + [run[:12] + "." + run[12:] for run in runs]
+        with mock.patch.object(fio, "float_token", wraps=fio.float_token) as rule:
+            self.check(tokens)
+        assert rule.call_count == len(tokens)
+
+    def test_bytes_that_are_not_utf8(self):
+        tokens = [b"1\xff", b"\xe9", b"1.\x80", b"1.5"]
+        codes, starts, ends = token_chunk(tokens, end=b"\n")
+        values, bad = fio.float_values(codes, starts, ends)
+        assert bad.tolist() == [True, True, True, False]
+        assert bad.tolist() == all_cast_float_values(codes, starts, ends)[1].tolist()
+        assert values[3] == 1.5
 
 
 class TestDigitValues:
