@@ -114,7 +114,7 @@ _SCENARIO_FLAGS = (
 
 
 def cmd_simulate(args) -> int:
-    config = ScenarioConfig(kind=ScenarioKind.parse(args.kind),
+    config = ScenarioConfig(kind=ScenarioKind(args.kind),
                             **{name: getattr(args, name) for _, name in _SCENARIO_FLAGS})
     stream = generate(config)
     # Before any file is written, so that a rejected window length leaves none.

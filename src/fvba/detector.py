@@ -23,7 +23,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .io import float_token, int_token, read_rows
+from .io import float_token, read_rows, window_index_token
 from .model import ProtocolCategory, WindowSeries, parse_series, series_token
 from .profiler import NormalProfile
 
@@ -254,9 +254,7 @@ def load_verdicts(text: str) -> dict[ProtocolCategory | None, Verdicts]:
     rows: dict[ProtocolCategory | None, dict[int, tuple]] = {}
 
     def row(index, series, attack, triggers, volume, flow):
-        index = int_token(index, "window index")
-        if not -2**63 <= index < 2**63:
-            raise ValueError(f"window index {index} does not fit int64")
+        index = window_index_token(index)
         protocol = parse_series(series)
         if attack not in ("0", "1"):
             raise ValueError(f"is_attack must be 0 or 1, got {attack!r}")

@@ -392,6 +392,14 @@ def int_token(token: str, name: str) -> int:
     return int(token)
 
 
+def window_index_token(token: str) -> int:
+    """The `int_token` value of a window index; raises ValueError unless it fits int64."""
+    index = int_token(token, "window index")
+    if not -2**63 <= index < 2**63:
+        raise ValueError(f"window index {index} does not fit int64")
+    return index
+
+
 def float_token(token: str, name: str) -> float:
     """The value of a token of bytes [0-9A-Za-z.+-] that `float()` reads (the
     tokens `float_values` accepts).  Raises ValueError naming `name` for any other."""
@@ -636,13 +644,13 @@ def dump_window_truth(truth: Mapping[int, bool]) -> str:
 
 def load_window_truth(text: str) -> dict[int, bool]:
     """Parse a window-truth file (`read_rows`).  Raises ParseError naming the
-    line of a malformed row or of a window index given before."""
+    line of a malformed row, a window index outside int64 or one given before."""
     truth: dict[int, bool] = {}
 
     def row(index: str, label: str) -> None:
         if label not in ("attack", "normal"):
             raise ParseError(f"window label must be attack or normal, got {label!r}")
-        index = int_token(index, "window index")
+        index = window_index_token(index)
         if index in truth:
             raise ParseError(f"window {index} given twice")
         truth[index] = label == "attack"

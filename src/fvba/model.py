@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import OrderingError, ParameterError
 
 
 class ProtocolCategory(enum.Enum):
@@ -101,11 +101,11 @@ class EventTable:
     flow key once.  This is the toolkit's only in-memory form of an event
     stream.  Treat the arrays as read-only.
 
-    Raises ParameterError, naming the first offending event, for a
-    non-finite or negative timestamp, a byte count below 1 or a flow id
-    outside `keys`, for repeated keys and for a key that fails
-    `FlowKey.validate`.  Time order is checked where it
-    is relied on (`profiler.windowize`).
+    Raises ParameterError, naming the first offending event, for a non-finite or
+    negative timestamp, a byte count below 1 or a flow id outside `keys`, for
+    repeated keys and for a key that fails `FlowKey.validate`; OrderingError for
+    the first event earlier than the one before it (ties are kept).  So
+    `profiler.windowize`, `window_truth` and `dump_events` rely on time order.
     """
 
     __slots__ = ("timestamp", "flow", "bytes", "keys")
@@ -124,6 +124,9 @@ class EventTable:
             key.validate()
         _reject_first(~(np.isfinite(self.timestamp) & (self.timestamp >= 0)), self.timestamp,
                       "timestamp must be finite and non-negative, got {}")
+        _reject_first(np.concatenate(([False], self.timestamp[1:] < self.timestamp[:-1])),
+                      self.timestamp, "events are not sorted by timestamp ({} after {})",
+                      OrderingError)
         _reject_first(self.bytes < 1, self.bytes, "event byte count must be >= 1, got {}")
         _reject_first((self.flow < 0) | (self.flow >= len(self.keys)), self.flow,
                       f"flow id {{}} outside the {len(self.keys)} flow keys")
@@ -152,10 +155,12 @@ class EventTable:
         return {self.keys[f].protocol for f in present.tolist()}
 
 
-def _reject_first(invalid: np.ndarray, values: np.ndarray, message: str) -> None:
+def _reject_first(invalid: np.ndarray, values: np.ndarray, message: str,
+                  error: type[Exception] = ParameterError) -> None:
+    """Raise `error` at the first marked event, formatting its value and its predecessor's."""
     if invalid.any():
         index = int(np.argmax(invalid))
-        raise ParameterError(f"event {index}: " + message.format(values[index]))
+        raise error(f"event {index}: " + message.format(values[index], values[index - 1]))
 
 
 class Window(NamedTuple):

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, OrderingError, ParameterError, ParseError
+from .errors import InsufficientDataError, ParameterError, ParseError
 from .io import float_token, int_token
 from .model import (SERIES, EventTable, FlowKey, ProtocolCategory, WindowSeries, parse_series,
                     series_token)
@@ -119,21 +119,11 @@ def windowize(
     protocol-agnostic series.  Volumes and flow counts are computed on the
     columns (`window_samples`).
 
-    Raises OrderingError, naming the first event that is earlier than its
-    predecessor, if the events are not sorted by timestamp, and
-    ParameterError for a window length or span that `window_span` rejects
-    or a series byte total beyond int64.
+    Raises ParameterError for a window length or span that `window_span`
+    rejects or a series byte total beyond int64.
     """
-    timestamps = events.timestamp
-    unsorted = np.flatnonzero(timestamps[1:] < timestamps[:-1])
-    if unsorted.size:
-        index = int(unsorted[0]) + 1
-        raise OrderingError(
-            f"event {index}: events are not sorted by timestamp"
-            f" ({float(timestamps[index])} after {float(timestamps[index - 1])})"
-        )
-    first, last = window_span(timestamps, window_length)
-    windows = window_indices(timestamps, window_length)
+    first, last = window_span(events.timestamp, window_length)
+    windows = window_indices(events.timestamp, window_length)
     windows -= first
     flow, counts = events.flow, events.bytes
     if protocol is not None:

@@ -32,13 +32,6 @@ class ScenarioKind(enum.Enum):
     VARIED_RATE = "varied"
     ATTACK_FREE = "attack-free"
 
-    @classmethod
-    def parse(cls, token: str) -> "ScenarioKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ParameterError(f"unknown scenario kind: {token!r}")
-
 
 # Attack labels by zombie rate class.
 HIGH_RATE_LABEL = "highrate"
@@ -100,6 +93,8 @@ class ScenarioConfig:
             raise ParameterError("high-rate fraction must lie in [0, 1]")
         if not -math.inf < self.attack_start < self.attack_end <= self.duration < math.inf:
             raise ParameterError("require finite attack_start < attack_end <= duration")
+        if self.attack_start < 0:
+            raise ParameterError(f"attack_start must be >= 0, got {self.attack_start}")
         if not 0 <= self.zombies <= MAX_EXPECTED_EVENTS:
             raise ParameterError(f"zombie count must lie in [0, {MAX_EXPECTED_EVENTS:,}]")
         if (self.zombies == 0) != (self.kind is ScenarioKind.ATTACK_FREE):

@@ -495,6 +495,12 @@ class TestMalformedInput:
         self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"], ["0\tnormal", "x\tattack"],
                    "line 2: malformed window index: 'x'")
 
+    def test_window_truth_index_beyond_int64(self, tmp_path, capsys):
+        # Named by line, as a verdict row's index is, not by a window-set mismatch.
+        self.score(tmp_path, capsys, ["0\tALL\t0\t-\t0.0\t0.0"],
+                   ["0\tnormal", "9223372036854775808\tattack"],
+                   "line 2: window index 9223372036854775808 does not fit int64")
+
     def test_profile_without_profile_block(self, tmp_path, capsys):
         events, profile = tmp_path / "events.tsv", tmp_path / "profile.txt"
         events.write_text("0.0\tTCP\tc0\t1\tsrv\t80\t10\n")
@@ -536,6 +542,14 @@ class TestMalformedInput:
         self.fails(capsys, ["simulate", "--kind", "attack-free", "--clients", "2",
                             "--duration", duration, "--out", tmp_path / "x.tsv"],
                    "fvba simulate: error: " + message)
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_negative_simulate_attack_start(self, tmp_path, capsys):
+        # Rejected when the scenario is built, naming the field, not a generated event.
+        self.fails(capsys, ["simulate", "--kind", "high-rate", "--zombies", "2", "--clients", "2",
+                            "--duration", "10", "--attack-start", "-5", "--attack-end", "5",
+                            "--seed", "1", "--out", tmp_path / "x.tsv"],
+                   "fvba simulate: error: attack_start must be >= 0, got -5.0")
         assert not (tmp_path / "x.tsv").exists()
 
     @pytest.mark.parametrize("duration", ["0", "-1"])

@@ -66,6 +66,16 @@ class TestEventFormat:
             with pytest.raises(ParseError, match=f"^line 1: .*does not fit int64: {count}$"):
                 fio.load_events([line.format(count)])
 
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 7.5]) | st.floats(0, 1e300),
+                              st.integers(0, 2), st.integers(1, 2**63 - 1)), max_size=12))
+    def test_every_accepted_table_round_trips(self, events):
+        # Sorted, with ties kept in their drawn order, as EventTable requires.
+        events.sort(key=lambda event: event[0])
+        keys = [FlowKey(ProtocolCategory.TCP, "c", "srv", port, 80) for port in range(3)]
+        table_in = EventTable([t for t, _, _ in events], [f for _, f, _ in events],
+                              [b for _, _, b in events], keys)
+        assert fio.load_events([event_text(table_in)]) == table_in
+
     def test_unsorted_named_by_line(self):
         # A blank line still counts, so the late event is on line 4.
         text = ("0.5\tTCP\tc0\t1\tsrv\t80\t10\n\n"
@@ -435,7 +445,7 @@ class TestTruthFormat:
 
 
 class TestWindowTruthFormat:
-    @given(st.dictionaries(st.integers(-2**70, 2**70), st.booleans()))
+    @given(st.dictionaries(st.integers(-2**63, 2**63 - 1), st.booleans()))
     def test_every_mapping_round_trips(self, truth):
         assert fio.load_window_truth(fio.dump_window_truth(truth)) == truth
 
@@ -461,6 +471,9 @@ class TestWindowTruthFormat:
         ("+1\tattack", "malformed window index: '+1'"),
         (" ", "expected 2 columns, got 1"),
         ("1\tmaybe", "window label must be attack or normal, got 'maybe'"),
+        # Window indices are int64, as in the verdict format.
+        ("9223372036854775808\tattack", "window index 9223372036854775808 does not fit int64"),
+        ("-9223372036854775809\tnormal", "window index -9223372036854775809 does not fit int64"),
     ])
     def test_malformed_row_named_by_line(self, line, message):
         with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):

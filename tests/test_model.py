@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from event_rows import series, window_flows
-from fvba.errors import ParameterError
+from fvba.errors import OrderingError, ParameterError
 from fvba.model import EventTable, FlowKey, ProtocolCategory, parse_series
 
 
@@ -89,6 +89,26 @@ class TestEventTable:
             EventTable([0.0], [0], [1], [key(sport=70000)])
         with pytest.raises(ParameterError, match="tab or line break"):
             EventTable([0.0], [0], [1], [key(src="a\nb")])
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(OrderingError):
+            EventTable([1.0, 0.5], [0, 0], [1, 1], [key()])
+
+    def test_unsorted_names_first_late_event(self):
+        with pytest.raises(OrderingError,
+                           match=r"^event 3: events are not sorted by timestamp \(0.5 after 1.0\)$"):
+            EventTable([0.0, 1.0, 1.0, 0.5, 0.1], [0] * 5, [100] * 5, [key()])
+
+    def test_order_checked_after_finiteness(self):
+        # Event 1 is late, but event 2's infinite timestamp is named first.
+        with pytest.raises(ParameterError, match="^event 2: timestamp must be finite"):
+            EventTable([1.0, 0.5, math.inf], [0] * 3, [1] * 3, [key()])
+
+    def test_equal_timestamps_accepted(self):
+        events = EventTable([0.0, 0.5, 0.5, 0.5, 2.0], [0, 1, 0, 1, 0], [1] * 5,
+                            [key(), key(sport=9)])
+        assert events.timestamp.tolist() == [0.0, 0.5, 0.5, 0.5, 2.0]
+        assert events.flow.tolist() == [0, 1, 0, 1, 0]
 
     def test_len_and_protocols(self):
         udp = key(proto=ProtocolCategory.UDP)

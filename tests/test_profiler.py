@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from event_rows import Row, series, table, window_flows
-from fvba.errors import InsufficientDataError, OrderingError, ParameterError, ParseError
+from fvba.errors import InsufficientDataError, ParameterError, ParseError
 from fvba.model import FlowKey, ProtocolCategory
 from fvba.profiler import (
     NormalProfile,
@@ -131,15 +131,6 @@ class TestWindowize:
         samples = windowize(table(events), 0.2)
         assert samples.protocol is None
         assert list(samples) == [(0, 200, 2)]
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(OrderingError):
-            windowize(table([event(1.0), event(0.5)]), 0.2, TCP)
-
-    def test_unsorted_names_first_late_event(self):
-        events = table([event(0.0), event(1.0), event(1.0), event(0.5), event(0.1)])
-        with pytest.raises(OrderingError, match=r"event 3: .*\(0.5 after 1.0\)"):
-            windowize(events, 0.2)
 
     def test_byte_total_beyond_int64_rejected(self):
         events = table([event(0.0, count=2**62), event(0.1, count=2**62 - 1)])

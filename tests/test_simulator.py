@@ -10,14 +10,15 @@ import pytest
 from event_rows import rows
 from fvba import io as fio
 from fvba.cli import main
-from fvba.errors import ParameterError
-from fvba.model import NORMAL_LABEL, ProtocolCategory
+from fvba.errors import OrderingError, ParameterError
+from fvba.model import NORMAL_LABEL, EventTable, FlowKey, ProtocolCategory
 from fvba.detector import detect_profiled
 from fvba.profiler import build_profile, dump_profiles, windowize
 from fvba.simulator import (
     HIGH_RATE_LABEL,
     LOW_RATE_LABEL,
     MAX_EXPECTED_EVENTS,
+    LabeledEventStream,
     ScenarioConfig,
     ScenarioKind,
     generate,
@@ -85,10 +86,17 @@ class TestScenarioConfig:
         assert 1_027_500 <= MAX_EXPECTED_EVENTS
         ScenarioConfig(kind=ScenarioKind.HIGH_RATE_DISRUPTIVE, legit_clients=40, zombies=100)
 
-    def test_kind_parse(self):
-        assert ScenarioKind.parse("varied") is ScenarioKind.VARIED_RATE
-        with pytest.raises(ParameterError):
-            ScenarioKind.parse("mega")
+    def test_negative_attack_start_rejected(self):
+        # Rejected with the field's name before any event is generated.
+        with pytest.raises(ParameterError, match=r"^attack_start must be >= 0, got -5.0$"):
+            small_attack(attack_start=-5.0)
+        assert small_attack(attack_start=0.0).attack_start == 0.0
+
+    def test_kind_values(self):
+        # The names `fvba simulate --kind` offers.
+        assert [kind.value for kind in ScenarioKind] == ["high-rate", "low-rate", "varied",
+                                                         "attack-free"]
+        assert ScenarioKind("varied") is ScenarioKind.VARIED_RATE
 
 
 class TestGenerate:
@@ -166,6 +174,21 @@ class TestGenerate:
             windowize(stream.events, length)
         with pytest.raises(ParameterError, match=f"^{re.escape(str(rejected.value))}$"):
             stream.window_truth(length)
+
+    def test_window_truth_of_unsorted_stream_rejected(self):
+        normal = FlowKey(TCP, "c0", "srv", 1, 80)
+        attack = FlowKey(UDP, "z0", "srv", 2, 9)
+        truth = {normal: NORMAL_LABEL, attack: HIGH_RATE_LABEL}
+        # Unchecked, the attack event at 0.1 s, before the span the first
+        # event starts, would wrap into its last window.
+        with pytest.raises(OrderingError,
+                           match=r"^event 1: events are not sorted by timestamp \(0.1 after 0.5\)$"):
+            LabeledEventStream(EventTable([0.5, 0.1, 1.0], [0, 1, 0], [10, 10, 10],
+                                          [normal, attack]), truth)
+        stream = LabeledEventStream(EventTable([0.1, 0.5, 1.0], [1, 0, 0], [10, 10, 10],
+                                               [normal, attack]), truth)
+        assert stream.window_truth(0.2) == {0: True, 1: False, 2: False, 3: False, 4: False,
+                                            5: False}
 
     def test_attack_windows_match_per_event_oracle(self):
         stream = generate(small_attack(kind=ScenarioKind.VARIED_RATE, zombies=6))
